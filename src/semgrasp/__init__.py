@@ -53,12 +53,9 @@ from .network import (
     NetworkSpec,
     NetworkState,
     backward,
-    conv1d_forward,
     cross_entropy,
-    dense_forward,
     forward,
     init_network,
-    multistream_forward,
     softmax,
 )
 from .training import TrainConfig, predict, predict_batch, train
@@ -94,9 +91,7 @@ __all__ = [
     "burg_fit",
     "compute_reflection",
     "confusion_matrix",
-    "conv1d_forward",
     "cross_entropy",
-    "dense_forward",
     "extract_all",
     "extract_features",
     "f1_macro",
@@ -108,7 +103,6 @@ __all__ = [
     "init_state",
     "load_dataset",
     "load_model",
-    "multistream_forward",
     "precision_recall",
     "predict",
     "predict_batch",

@@ -14,6 +14,7 @@ import argparse
 import copy
 import json
 import sys
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 from .dataset import (
@@ -34,7 +35,6 @@ from .features import (
     fit_normalizer,
     load_features_csv,
     save_features_csv,
-    save_normalizer_csv,
 )
 from .metrics import (
     accuracy_from_cm,
@@ -42,12 +42,17 @@ from .metrics import (
     f1_macro,
     f1_weighted,
     summarize,
+    write_confusion,
     write_report,
+    write_summary_csv,
 )
 from .model_io import ModelBundle, load_model, save_model
 from .network import ConvSpec, NetworkSpec
 from .training import TrainConfig, predict, predict_batch, train
 
+_NETWORK_DEFAULTS = NetworkSpec(input_bins=FeatureConfig().nbins)
+
+# every default below the top level comes from the dataclass that consumes it
 _CONFIG_DEFAULTS: dict = {
     "dataset": None,
     "features": None,
@@ -57,24 +62,13 @@ _CONFIG_DEFAULTS: dict = {
     "split_fraction": 0.7,
     "sample_rate": None,
     "reference_accuracy": None,
-    "features_config": {
-        "ar_order": 10,
-        "nbins": 128,
-        "log_floor": 1e-12,
-        "normalization": "zscore",
-    },
+    "features_config": asdict(FeatureConfig()),
     "network": {
-        "conv_layers": [[32, 5, 1], [64, 5, 2]],
-        "dense_units": 64,
-        "activation": "relu",
+        "conv_layers": [list(astuple(c)) for c in _NETWORK_DEFAULTS.conv_layers],
+        "dense_units": _NETWORK_DEFAULTS.dense_units,
+        "activation": _NETWORK_DEFAULTS.activation,
     },
-    "training": {
-        "epochs": 300,
-        "batch_size": 32,
-        "learning_rate": 0.01,
-        "optimizer": "sgd_momentum",
-        "momentum": 0.9,
-    },
+    "training": {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
 }
 
 
@@ -125,8 +119,11 @@ def resolve_config(
 
     if cfg["seed"] is None:
         raise ConfigError("seed is mandatory: set it in the config or pass --seed")
-    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
-        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
+    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
+    ref = cfg["reference_accuracy"]
+    if ref is not None and (isinstance(ref, bool) or not isinstance(ref, (int, float))):
+        raise ConfigError(f"reference_accuracy must be null or a number, got {ref!r}")
     if cfg["out"] is None:
         raise ConfigError("output directory is mandatory: set 'out' or pass --out")
     if (cfg["dataset"] is None) == (cfg["features"] is None):
@@ -201,6 +198,7 @@ def cmd_train(args) -> int:
     cfg = resolve_config(args.config, args.seed, args.out, args.subset)
     fcfg = _feature_config(cfg)
     tcfg = _train_config(cfg)
+    spec = _network_spec(cfg, input_bins=fcfg.nbins)
 
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -239,9 +237,7 @@ def cmd_train(args) -> int:
         normalizer = fit_normalizer(train_feats, fitted_on=f"{data_name}:seed={cfg['seed']}")
         train_feats = [apply_normalizer(normalizer, f) for f in train_feats]
         test_feats = [apply_normalizer(normalizer, f) for f in test_feats]
-        save_normalizer_csv(outdir / "normalizer.csv", normalizer)
 
-    spec = _network_spec(cfg, input_bins=fcfg.nbins)
     every = max(1, tcfg.epochs // 10)
 
     def progress(epoch, stats):
@@ -297,12 +293,11 @@ def cmd_eval(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "confusion.csv", "w", newline="") as fh:
-        for row in cm:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
-    with open(outdir / "summary.csv", "w", newline="") as fh:
-        fh.write("accuracy,f1_weighted,f1_macro,samples\n")
-        fh.write(f"{acc!r},{f1w!r},{f1m!r},{int(cm.sum())}\n")
+    write_confusion(outdir / "confusion.csv", cm)
+    write_summary_csv(
+        outdir / "summary.csv",
+        {"accuracy": acc, "f1_weighted": f1w, "f1_macro": f1m, "samples": int(cm.sum())},
+    )
     print(f"evaluated {int(cm.sum())} records: accuracy {acc:.4f}, weighted F1 {f1w:.4f}")
     print(f"artifacts written to {outdir}")
     return 0
@@ -378,9 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="dump per-record power features as CSV")
     p.add_argument("data", help="interchange dataset directory")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--ar-order", type=int, default=10)
-    p.add_argument("--nbins", type=int, default=128)
-    p.add_argument("--log-floor", type=float, default=1e-12)
+    defaults = FeatureConfig()
+    p.add_argument("--ar-order", type=int, default=defaults.ar_order)
+    p.add_argument("--nbins", type=int, default=defaults.nbins)
+    p.add_argument("--log-floor", type=float, default=defaults.log_floor)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train a model from a JSON run config")

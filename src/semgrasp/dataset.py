@@ -157,6 +157,7 @@ def load_dataset(path: str | Path, fmt: str = "interchange-csv") -> Dataset:
     if not manifest.is_file():
         raise DataError(f"no records found: missing {manifest}")
 
+    base = root.resolve()
     records: list[EmgRecord] = []
     with open(manifest, newline="") as fh:
         reader = csv.reader(fh)
@@ -187,6 +188,10 @@ def load_dataset(path: str | Path, fmt: str = "interchange-csv") -> Dataset:
                 ) from None
             if not (math.isfinite(rate) and rate > 0):
                 raise DataError(f"{manifest}:{lineno}: sample_rate must be positive, got {rate}")
+            if not (root / fname).resolve().is_relative_to(base):
+                raise DataError(
+                    f"{manifest}:{lineno}: record file {fname!r} lies outside the dataset directory"
+                )
             ch1, ch2 = read_record_csv(root / fname)
             rec = EmgRecord(
                 channel1=ch1,

@@ -10,14 +10,13 @@ records only and applied everywhere else.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .burg import burg_fit, psd_from_model
-from .dataset import LABEL_TO_INDEX, EmgRecord
+from .dataset import LABEL_TO_INDEX, EmgRecord, _fmt
 from .errors import DataError, DegenerateSignalError
 
 STD_FLOOR = 1e-8
@@ -31,6 +30,10 @@ class FeatureConfig:
     normalization: str = "zscore"  # zscore | none
 
     def __post_init__(self):
+        for name in ("ar_order", "nbins"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.ar_order < 1:
             raise ValueError(f"ar_order must be >= 1, got {self.ar_order}")
         if self.nbins < 8:
@@ -114,10 +117,6 @@ def extract_all(records: list[EmgRecord], cfg: FeatureConfig) -> list[FeatureVec
     return [extract_features(r, cfg) for r in records]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def save_features_csv(path: str | Path, features: list[FeatureVector]) -> None:
     """Write features as CSV: label,ch1_f0..ch1_f{n-1},ch2_f0..ch2_f{n-1}."""
     if not features:
@@ -185,42 +184,3 @@ def load_features_csv(path: str | Path) -> list[FeatureVector]:
     if not out:
         raise DataError(f"{path}: no feature rows found")
     return out
-
-
-def save_normalizer_csv(path: str | Path, norm: Normalizer) -> None:
-    """Write normalizer statistics as CSV: channel,index,mean,std."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel", "index", "mean", "std"])
-        for ch, (mean, std) in enumerate(((norm.mean1, norm.std1), (norm.mean2, norm.std2)), 1):
-            for i, (m, s) in enumerate(zip(mean, std)):
-                writer.writerow([ch, i, _fmt(m), _fmt(s)])
-
-
-def load_normalizer_csv(path: str | Path, fitted_on: str = "") -> Normalizer:
-    path = Path(path)
-    cols: dict[int, dict[int, tuple[float, float]]] = {1: {}, 2: {}}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["channel", "index", "mean", "std"]:
-            raise DataError(f"{path}:1: malformed normalizer header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                ch, i, m, s = int(row[0]), int(row[1]), float(row[2]), float(row[3])
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{lineno}: malformed normalizer row") from None
-            if ch not in (1, 2) or not (math.isfinite(m) and math.isfinite(s)):
-                raise DataError(f"{path}:{lineno}: bad normalizer entry")
-            cols[ch][i] = (m, s)
-    if not cols[1] or sorted(cols[1]) != list(range(len(cols[1]))) or sorted(cols[2]) != list(
-        range(len(cols[2]))
-    ):
-        raise DataError(f"{path}: incomplete normalizer table")
-    mean1 = np.array([cols[1][i][0] for i in range(len(cols[1]))])
-    std1 = np.array([cols[1][i][1] for i in range(len(cols[1]))])
-    mean2 = np.array([cols[2][i][0] for i in range(len(cols[2]))])
-    std2 = np.array([cols[2][i][1] for i in range(len(cols[2]))])
-    return Normalizer(mean1=mean1, std1=std1, mean2=mean2, std2=std2, fitted_on=fitted_on)

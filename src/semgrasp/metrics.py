@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import LABEL_TO_INDEX, LABELS
+from .dataset import LABELS, _fmt, label_to_index
 from .errors import DataError
 
 
@@ -34,12 +34,7 @@ class EpochStats(NamedTuple):
 
 
 def _to_index(label) -> int:
-    if isinstance(label, str):
-        try:
-            return LABEL_TO_INDEX[label]
-        except KeyError:
-            raise DataError(f"unknown label {label!r}") from None
-    return int(label)
+    return label_to_index(label) if isinstance(label, str) else int(label)
 
 
 def confusion_matrix(truths: Sequence, preds: Sequence, n_classes: int = len(LABELS)) -> np.ndarray:
@@ -150,10 +145,6 @@ def summarize(epoch_log: list[EpochStats], final_confusion: np.ndarray) -> EvalR
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_report(outdir: str | Path, report: EvalReport, extras: dict | None = None) -> None:
     """Write epochs.csv, confusion.csv, summary.csv and summary.txt.
 
@@ -172,26 +163,21 @@ def write_report(outdir: str | Path, report: EvalReport, extras: dict | None = N
                 [i, _fmt(e.train_loss), _fmt(e.train_acc), _fmt(e.test_loss), _fmt(e.test_acc)]
             )
 
-    _write_confusion(outdir / "confusion.csv", report.confusion)
+    write_confusion(outdir / "confusion.csv", report.confusion)
 
     columns = {
-        "model_accuracy": _fmt(report.model_accuracy),
-        "max_accuracy": _fmt(report.max_accuracy),
-        "max_accuracy_epoch": str(report.max_accuracy_epoch),
-        "average_accuracy": _fmt(report.average_accuracy),
-        "f1_weighted": _fmt(report.f1_weighted),
-        "f1_macro": _fmt(report.f1_macro),
+        "model_accuracy": report.model_accuracy,
+        "max_accuracy": report.max_accuracy,
+        "max_accuracy_epoch": report.max_accuracy_epoch,
+        "average_accuracy": report.average_accuracy,
+        "f1_weighted": report.f1_weighted,
+        "f1_macro": report.f1_macro,
     }
     extras = dict(extras or {})
     ref = extras.get("reference_accuracy")
     if ref is not None:
         extras["gap_to_reference"] = ref - report.model_accuracy
-    for key, value in extras.items():
-        columns[key] = _fmt(value) if isinstance(value, float) else str(value)
-    with open(outdir / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(columns))
-        writer.writerow(list(columns.values()))
+    write_summary_csv(outdir / "summary.csv", {**columns, **extras})
 
     with open(outdir / "summary.txt", "w") as fh:
         fh.write(format_report(report, extras))
@@ -223,7 +209,15 @@ def format_report(report: EvalReport, extras: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_confusion(path: Path, cm: np.ndarray) -> None:
+def write_summary_csv(path: str | Path, columns: dict) -> None:
+    """One header row of column names, one row of values; floats in round-trip form."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in columns.values()])
+
+
+def write_confusion(path: str | Path, cm: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for row in np.asarray(cm):

@@ -12,14 +12,14 @@ from __future__ import annotations
 import io
 import json
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 from .features import FeatureConfig, Normalizer
-from .network import Conv1dLayer, ConvSpec, DenseLayer, NetworkSpec, NetworkState
+from .network import ConvSpec, NetworkSpec, NetworkState, empty_network
 
 FORMAT_VERSION = 1
 _META_KEY = "__meta__"
@@ -38,19 +38,8 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
     spec = bundle.state.spec
     meta = {
         "format_version": FORMAT_VERSION,
-        "network": {
-            "input_bins": spec.input_bins,
-            "conv_layers": [[c.filters, c.kernel, c.stride] for c in spec.conv_layers],
-            "dense_units": spec.dense_units,
-            "n_classes": spec.n_classes,
-            "activation": spec.activation,
-        },
-        "feature_config": {
-            "ar_order": bundle.feature_config.ar_order,
-            "nbins": bundle.feature_config.nbins,
-            "log_floor": bundle.feature_config.log_floor,
-            "normalization": bundle.feature_config.normalization,
-        },
+        "network": {**asdict(spec), "conv_layers": [astuple(c) for c in spec.conv_layers]},
+        "feature_config": asdict(bundle.feature_config),
         "sample_rate": bundle.sample_rate,
         "dataset_name": bundle.dataset_name,
         "has_normalizer": bundle.normalizer is not None,
@@ -83,23 +72,28 @@ def load_model(path: str | Path) -> ModelBundle:
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported model format version {version!r}")
 
-    net = meta["network"]
-    spec = NetworkSpec(
-        input_bins=int(net["input_bins"]),
-        conv_layers=[ConvSpec(int(f), int(k), int(z)) for f, k, z in net["conv_layers"]],
-        dense_units=int(net["dense_units"]),
-        n_classes=int(net["n_classes"]),
-        activation=str(net["activation"]),
-    )
-    state = _state_from_arrays(spec, arrays, path)
+    try:
+        net = meta["network"]
+        spec = NetworkSpec(**{**net, "conv_layers": [ConvSpec(*c) for c in net["conv_layers"]]})
+        feature_config = FeatureConfig(**meta["feature_config"])
+        state = empty_network(spec)
+    except KeyError as e:
+        raise DataError(f"{path}: bundle metadata is missing {e}") from None
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{path}: bad bundle metadata: {e}") from None
+    for prefix, layer in state.layers():
+        for attr in ("weights", "bias"):
+            name = f"{prefix}.{attr}"
+            if name not in arrays:
+                raise DataError(f"{path}: bundle is missing weight array {name!r}")
+            expected = getattr(layer, attr).shape
+            if arrays[name].shape != expected:
+                raise DataError(
+                    f"{path}: weight array {name!r} has shape {arrays[name].shape}, "
+                    f"the network needs {expected}"
+                )
+            setattr(layer, attr, np.asarray(arrays[name], dtype=np.float64))
 
-    fc = meta["feature_config"]
-    feature_config = FeatureConfig(
-        ar_order=int(fc["ar_order"]),
-        nbins=int(fc["nbins"]),
-        log_floor=float(fc["log_floor"]),
-        normalization=str(fc["normalization"]),
-    )
     normalizer = None
     if meta.get("has_normalizer"):
         try:
@@ -121,36 +115,3 @@ def load_model(path: str | Path) -> ModelBundle:
         dataset_name=meta.get("dataset_name", ""),
     )
 
-
-def _state_from_arrays(spec: NetworkSpec, arrays: dict, path: Path) -> NetworkState:
-    def get(name):
-        try:
-            return np.asarray(arrays[name], dtype=np.float64)
-        except KeyError:
-            raise DataError(f"{path}: bundle is missing weight array {name!r}") from None
-
-    stacks = []
-    denses = []
-    for ch in (1, 2):
-        convs = []
-        for i, cs in enumerate(spec.conv_layers):
-            convs.append(
-                Conv1dLayer(
-                    weights=get(f"ch{ch}.conv{i}.weights"),
-                    bias=get(f"ch{ch}.conv{i}.bias"),
-                    stride=cs.stride,
-                    activation=spec.activation,
-                )
-            )
-        stacks.append(convs)
-        denses.append(
-            DenseLayer(
-                weights=get(f"ch{ch}.dense.weights"),
-                bias=get(f"ch{ch}.dense.bias"),
-                activation=spec.activation,
-            )
-        )
-    head = DenseLayer(weights=get("head.weights"), bias=get("head.bias"), activation="identity")
-    return NetworkState(
-        spec=spec, conv_stacks=(stacks[0], stacks[1]), dense_layers=(denses[0], denses[1]), head=head
-    )

@@ -92,36 +92,6 @@ def _conv_pre(x: np.ndarray, layer: Conv1dLayer):
     return pre, xcol, wmat
 
 
-def conv1d_forward(layer: Conv1dLayer, x: np.ndarray) -> np.ndarray:
-    """Valid strided convolution: out[b,f,s] = act(sum_{k,c} w[f,k,c] x[b,c,s*z+k] + bias[f]).
-
-    Output length is (len - kernel)//stride + 1.
-    """
-    pre, _, _ = _conv_pre(x, layer)
-    return _activate(pre, layer.activation)
-
-
-def multistream_forward(layers: list[Conv1dLayer], x: np.ndarray) -> np.ndarray:
-    """Chain conv layers; layer k consumes the feature maps of layer k-1."""
-    out = x
-    for layer in layers:
-        out = conv1d_forward(layer, out)
-    return out
-
-
-def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    """out[b,d] = act(sum_i w[d,i] x[b,i] + bias[d]). Accepts [in] or [batch, in]."""
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.shape[1] != layer.weights.shape[1]:
-        raise ValueError(
-            f"dense expects input dim {layer.weights.shape[1]}, got {x.shape[1]}"
-        )
-    out = _activate(x @ layer.weights.T + layer.bias, layer.activation)
-    return out[0] if squeeze else out
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-shifted softmax along the last axis; rows sum to one."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -161,6 +131,10 @@ class NetworkSpec:
     n_classes: int = 6
     activation: str = "relu"
 
+    def __post_init__(self):
+        if self.activation not in ("relu", "identity"):
+            raise ValueError(f"activation must be 'relu' or 'identity', got {self.activation!r}")
+
     def flat_dim(self) -> int:
         """Flattened size of the last conv output feeding the dense layer."""
         length = self.input_bins
@@ -178,61 +152,71 @@ class NetworkState:
     dense_layers: tuple[DenseLayer, DenseLayer]
     head: DenseLayer
 
+    def layers(self) -> list[tuple[str, Conv1dLayer | DenseLayer]]:
+        """Every layer under a stable name, in a fixed order."""
+        named = []
+        for ch in (0, 1):
+            named += [(f"ch{ch + 1}.conv{i}", conv) for i, conv in enumerate(self.conv_stacks[ch])]
+            named.append((f"ch{ch + 1}.dense", self.dense_layers[ch]))
+        named.append(("head", self.head))
+        return named
+
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         """All trainable arrays with stable names, in a fixed order."""
-        params = []
-        for ch in (0, 1):
-            for i, conv in enumerate(self.conv_stacks[ch]):
-                params.append((f"ch{ch + 1}.conv{i}.weights", conv.weights))
-                params.append((f"ch{ch + 1}.conv{i}.bias", conv.bias))
-            params.append((f"ch{ch + 1}.dense.weights", self.dense_layers[ch].weights))
-            params.append((f"ch{ch + 1}.dense.bias", self.dense_layers[ch].bias))
-        params.append(("head.weights", self.head.weights))
-        params.append(("head.bias", self.head.bias))
-        return params
+        return [
+            (f"{name}.{attr}", getattr(layer, attr))
+            for name, layer in self.layers()
+            for attr in ("weights", "bias")
+        ]
 
 
-def init_network(spec: NetworkSpec, rng: np.random.Generator) -> NetworkState:
-    """Uniform fan-in-scaled init (+-1/sqrt(fan_in)) in a fixed draw order."""
-    spec.flat_dim()  # validates that the conv chain fits the input length
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
+def empty_network(spec: NetworkSpec) -> NetworkState:
+    """A network shaped by the spec whose parameters are left uninitialized."""
+    flat = spec.flat_dim()  # validates that the conv chain fits the input length
 
     def build_stack():
         convs = []
         in_ch = 1
         for cs in spec.conv_layers:
-            fan_in = cs.kernel * in_ch
             convs.append(
                 Conv1dLayer(
-                    weights=uniform((cs.filters, cs.kernel, in_ch), fan_in),
-                    bias=uniform((cs.filters,), fan_in),
+                    weights=np.empty((cs.filters, cs.kernel, in_ch)),
+                    bias=np.empty(cs.filters),
                     stride=cs.stride,
                     activation=spec.activation,
                 )
             )
             in_ch = cs.filters
-        flat = spec.flat_dim()
         dense = DenseLayer(
-            weights=uniform((spec.dense_units, flat), flat),
-            bias=uniform((spec.dense_units,), flat),
+            weights=np.empty((spec.dense_units, flat)),
+            bias=np.empty(spec.dense_units),
             activation=spec.activation,
         )
         return convs, dense
 
     convs1, dense1 = build_stack()
     convs2, dense2 = build_stack()
-    head_in = 2 * spec.dense_units
     head = DenseLayer(
-        weights=uniform((spec.n_classes, head_in), head_in),
-        bias=uniform((spec.n_classes,), head_in),
+        weights=np.empty((spec.n_classes, 2 * spec.dense_units)),
+        bias=np.empty(spec.n_classes),
         activation="identity",
     )
     return NetworkState(
         spec=spec, conv_stacks=(convs1, convs2), dense_layers=(dense1, dense2), head=head
     )
+
+
+def init_network(spec: NetworkSpec, rng: np.random.Generator) -> NetworkState:
+    """Uniform fan-in-scaled init (+-1/sqrt(fan_in)) in layers() order.
+
+    A layer's fan-in is the size of one weight row; its bias shares the bound.
+    """
+    state = empty_network(spec)
+    for _, layer in state.layers():
+        bound = 1.0 / np.sqrt(np.prod(layer.weights.shape[1:]))
+        layer.weights = rng.uniform(-bound, bound, size=layer.weights.shape)
+        layer.bias = rng.uniform(-bound, bound, size=layer.bias.shape)
+    return state
 
 
 def _stack_forward(convs: list[Conv1dLayer], dense: DenseLayer, x: np.ndarray):

@@ -51,6 +51,9 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.optimizer not in ("sgd", "sgd_momentum"):
             raise ValueError(f"optimizer must be 'sgd' or 'sgd_momentum', got {self.optimizer!r}")
+        is_number = isinstance(self.momentum, (int, float)) and not isinstance(self.momentum, bool)
+        if not (is_number and 0 <= self.momentum < 1):
+            raise ValueError(f"momentum must be a number in [0, 1), got {self.momentum!r}")
 
 
 def features_to_arrays(features: list[FeatureVector]):
@@ -61,14 +64,20 @@ def features_to_arrays(features: list[FeatureVector]):
     return x1, x2, y
 
 
+def _forward_chunks(state: NetworkState, x1: np.ndarray, x2: np.ndarray):
+    """Forward a whole set in fixed-size chunks; yields (slice, probabilities)."""
+    for start in range(0, len(x1), _EVAL_CHUNK):
+        sl = slice(start, min(start + _EVAL_CHUNK, len(x1)))
+        probs, _ = forward(state, x1[sl], x2[sl])
+        yield sl, probs
+
+
 def evaluate(state: NetworkState, x1: np.ndarray, x2: np.ndarray, y: np.ndarray):
     """Loss and accuracy over a full set, evaluated in fixed-size chunks."""
     n = len(y)
     losses = []
     correct = 0
-    for start in range(0, n, _EVAL_CHUNK):
-        sl = slice(start, min(start + _EVAL_CHUNK, n))
-        probs, _ = forward(state, x1[sl], x2[sl])
+    for sl, probs in _forward_chunks(state, x1, x2):
         losses.append(cross_entropy(probs, y[sl]) * (sl.stop - sl.start))
         correct += int((probs.argmax(axis=1) == y[sl]).sum())
     return sum(losses) / n, correct / n
@@ -137,21 +146,12 @@ def predict(state: NetworkState, fv: FeatureVector) -> tuple[str, np.ndarray]:
 
     Ties in the probabilities resolve to the lowest class index.
     """
-    x1 = fv.channel1_features[None, :]
-    x2 = fv.channel2_features[None, :]
-    probs, _ = forward(state, x1, x2)
-    idx = int(probs[0].argmax())
-    return index_to_label(idx), probs[0]
+    preds, probs = predict_batch(state, [fv])
+    return index_to_label(int(preds[0])), probs[0]
 
 
 def predict_batch(state: NetworkState, features: list[FeatureVector]):
     """Predicted class indices and probabilities for a list of feature vectors."""
     x1, x2, _ = features_to_arrays(features)
-    preds = []
-    probs_all = []
-    for start in range(0, len(features), _EVAL_CHUNK):
-        sl = slice(start, min(start + _EVAL_CHUNK, len(features)))
-        probs, _ = forward(state, x1[sl], x2[sl])
-        preds.append(probs.argmax(axis=1))
-        probs_all.append(probs)
-    return np.concatenate(preds), np.vstack(probs_all)
+    probs = np.vstack([p for _, p in _forward_chunks(state, x1, x2)])
+    return probs.argmax(axis=1), probs

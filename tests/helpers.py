@@ -6,6 +6,8 @@ explicit grid of candidate coefficients, and AR realizations come from
 scipy's direct-form filter.
 """
 
+import json
+
 import numpy as np
 from scipy.signal import lfilter
 
@@ -95,3 +97,12 @@ def fd_gradient_check(state, x1, x2, y, h: float = 1e-5) -> float:
             if denom >= 1e-10:
                 worst = max(worst, abs(numeric - analytic) / denom)
     return worst
+
+
+def rewrite_bundle(path, edit) -> None:
+    """Apply edit(meta, arrays) to a saved model bundle in place."""
+    data = dict(np.load(path, allow_pickle=False))
+    meta = json.loads(str(data.pop("__meta__")))
+    edit(meta, data)
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta)), **data)

@@ -1,13 +1,19 @@
 import csv
 import json
+import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semgrasp.cli import main
+from helpers import rewrite_bundle
+
+from semgrasp.cli import main, resolve_config
 from semgrasp.dataset import LABELS, generate_synthetic, load_dataset, write_dataset
 from semgrasp.features import load_features_csv
 from semgrasp.metrics import read_confusion, read_epoch_log
+from semgrasp.model_io import load_model
 
 
 def _write_config(path, **overrides):
@@ -151,13 +157,13 @@ def test_train_artifacts_and_byte_determinism(dataset_dir, tmp_path, capsys):
         "summary.csv",
         "summary.txt",
         "model.bin",
-        "normalizer.csv",
         "split.csv",
         "config.echo",
     ):
         assert (out_a / name).is_file(), name
+    assert not (out_a / "normalizer.csv").exists()  # the bundle holds the normalizer
 
-    for name in ("summary.csv", "epochs.csv", "confusion.csv", "split.csv", "normalizer.csv"):
+    for name in ("summary.csv", "epochs.csv", "confusion.csv", "split.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     summary = _read_summary(out_a)
@@ -184,6 +190,37 @@ def test_train_unknown_config_key(dataset_dir, tmp_path, capsys):
     )
     assert main(["train", "--config", str(cfg)]) == 1
     assert "dropout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"seed": -1},
+        {"reference_accuracy": "abc"},
+        {"training": {"momentum": "x"}},
+        {"network": {"activation": "tanh"}},
+        {"features_config": {"nbins": 32.5}},
+    ],
+    ids=["seed", "reference_accuracy", "momentum", "activation", "nbins"],
+)
+def test_train_bad_config_value_fails_before_work(dataset_dir, tmp_path, capsys, override):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.json", dataset=str(dataset_dir), out=str(out), **override)
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert not (out / "model.bin").exists()
+
+
+def test_readme_run_config_defaults_match_resolved_config(dataset_dir, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Run config", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    documented = json.loads(re.sub(r"//.*", "", block))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": str(dataset_dir)}))
+    resolved = resolve_config(cfg, seed=0, out="o")
+    resolved.update(dataset=None, seed=None, out=None)
+    assert resolved == documented
 
 
 def test_train_subset_single_subject_arithmetic(tmp_path, capsys):
@@ -264,7 +301,7 @@ def test_train_without_normalization(dataset_dir, tmp_path, capsys):
         training={"epochs": 40, "batch_size": 16, "learning_rate": 0.005},
     )
     assert main(["train", "--config", str(cfg)]) == 0
-    assert not (out / "normalizer.csv").exists()
+    assert load_model(out / "model.bin").normalizer is None
     assert float(_read_summary(out)["model_accuracy"]) >= 0.9
     capsys.readouterr()
     record = next(p for p in sorted(dataset_dir.iterdir()) if p.name.startswith("rec"))
@@ -345,6 +382,20 @@ def test_predict_training_record(trained_run, dataset_dir, capsys):
     probs = [float(v) for v in fields[1:]]
     assert len(probs) == 6
     assert abs(sum(probs) - 1.0) < 1e-9
+
+
+def test_predict_inconsistent_bundle_is_data_error(trained_run, dataset_dir, tmp_path, capsys):
+    bad = tmp_path / "model.bin"
+    shutil.copy(trained_run / "model.bin", bad)
+
+    def cut_head_column(meta, arrays):
+        arrays["head.weights"] = arrays["head.weights"][:, :-1]
+
+    rewrite_bundle(bad, cut_head_column)
+    assert main(["predict", str(bad), str(dataset_dir / "rec00000.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "head.weights" in err
 
 
 def test_predict_missing_record_file(trained_run, tmp_path, capsys):

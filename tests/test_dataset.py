@@ -117,6 +117,23 @@ def test_load_unknown_label_and_nonfinite(tmp_path):
         load_dataset(root)
 
 
+@pytest.mark.parametrize("entry", ["../outside.csv", "sub/../../outside.csv", "ABSOLUTE"])
+def test_load_refuses_record_outside_dataset_directory(tmp_path, entry):
+    root = tmp_path / "ds"
+    root.mkdir()
+    (root / "rec0.csv").write_text("1.0,2.0\n")
+    outside = tmp_path / "outside.csv"
+    outside.write_text("1.0,2.0\n")
+    if entry == "ABSOLUTE":
+        entry = str(outside)
+    (root / "manifest.csv").write_text(
+        "file,label,subject,session,sample_rate\n"
+        f"rec0.csv,C,s1,d1,500.0\n{entry},T,s1,d1,500.0\n"
+    )
+    with pytest.raises(DataError, match=r"manifest\.csv:3: record file .* outside the dataset"):
+        load_dataset(root)
+
+
 def test_load_missing_manifest_column_named(tmp_path):
     root = tmp_path / "ds"
     root.mkdir()

@@ -13,9 +13,7 @@ from semgrasp.features import (
     extract_features,
     fit_normalizer,
     load_features_csv,
-    load_normalizer_csv,
     save_features_csv,
-    save_normalizer_csv,
 )
 
 
@@ -74,6 +72,10 @@ def test_feature_config_validation():
         FeatureConfig(log_floor=0.0)
     with pytest.raises(ValueError):
         FeatureConfig(normalization="minmax")
+    with pytest.raises(ValueError, match="nbins must be an integer"):
+        FeatureConfig(nbins=32.5)
+    with pytest.raises(ValueError, match="ar_order must be an integer"):
+        FeatureConfig(ar_order=True)
 
 
 # --------------------------------------------------------------- normalizer
@@ -198,13 +200,3 @@ def test_features_csv_schema_errors(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_features_csv(tmp_path / "missing.csv")
 
-
-def test_normalizer_csv_round_trip(tmp_path, synth_features):
-    norm = fit_normalizer(synth_features[:25], fitted_on="unit")
-    path = tmp_path / "norm.csv"
-    save_normalizer_csv(path, norm)
-    back = load_normalizer_csv(path, fitted_on="unit")
-    np.testing.assert_array_equal(back.mean1, norm.mean1)
-    np.testing.assert_array_equal(back.std1, norm.std1)
-    np.testing.assert_array_equal(back.mean2, norm.mean2)
-    np.testing.assert_array_equal(back.std2, norm.std2)

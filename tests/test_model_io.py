@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from helpers import rewrite_bundle
+
 from semgrasp.errors import DataError
 from semgrasp.features import FeatureConfig, fit_normalizer
 from semgrasp.model_io import FORMAT_VERSION, ModelBundle, load_model, save_model
@@ -39,8 +41,10 @@ def test_save_load_round_trip_bit_exact_predictions(tmp_path, synth_features, rn
     assert back.sample_rate == 500.0
     assert back.dataset_name == "unit"
     assert back.normalizer.fitted_on == "unit"
-    np.testing.assert_array_equal(back.normalizer.mean1, bundle.normalizer.mean1)
-    np.testing.assert_array_equal(back.normalizer.std2, bundle.normalizer.std2)
+    for name in ("mean1", "std1", "mean2", "std2"):
+        np.testing.assert_array_equal(
+            getattr(back.normalizer, name), getattr(bundle.normalizer, name)
+        )
     spec = back.state.spec
     assert spec.conv_layers == [ConvSpec(4, 5, 2)]
     assert spec.dense_units == 8
@@ -73,15 +77,44 @@ def test_load_rejects_garbage_and_missing(tmp_path):
         load_model(bad)
 
 
+def _drop_network(meta, arrays):
+    del meta["network"]
+
+
+def _small_nbins(meta, arrays):
+    meta["feature_config"]["nbins"] = 4
+
+
+def _cut_head_column(meta, arrays):
+    arrays["head.weights"] = arrays["head.weights"][:, :-1]
+
+
+def _drop_conv_bias(meta, arrays):
+    del arrays["ch2.conv0.bias"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_network, "missing 'network'"),
+        (_small_nbins, "nbins must be >= 8"),
+        (_cut_head_column, "'head.weights' has shape"),
+        (_drop_conv_bias, "missing weight array 'ch2.conv0.bias'"),
+    ],
+    ids=["no_network", "small_nbins", "cut_head_column", "missing_array"],
+)
+def test_load_rejects_inconsistent_bundles(tmp_path, synth_features, edit, message):
+    path = tmp_path / "model.bin"
+    save_model(path, _bundle(synth_features))
+    rewrite_bundle(path, edit)
+    with pytest.raises(DataError, match=message):
+        load_model(path)
+
+
 def test_load_rejects_wrong_version(tmp_path, synth_features):
     path = tmp_path / "model.bin"
     save_model(path, _bundle(synth_features))
-    data = dict(np.load(path, allow_pickle=False))
-    meta = json.loads(str(data["__meta__"]))
-    meta["format_version"] = FORMAT_VERSION + 1
-    data["__meta__"] = np.array(json.dumps(meta))
-    with open(path, "wb") as fh:
-        np.savez(fh, **data)
+    rewrite_bundle(path, lambda meta, arrays: meta.update(format_version=FORMAT_VERSION + 1))
     with pytest.raises(DataError, match="format version"):
         load_model(path)
 

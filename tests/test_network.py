@@ -8,15 +8,14 @@ from semgrasp.network import (
     ConvSpec,
     DenseLayer,
     NetworkSpec,
+    _conv_pre,
+    _stack_forward,
     backward,
-    conv1d_forward,
     conv_output_length,
     cross_entropy,
-    dense_forward,
     forward,
     init_network,
     loss_and_gradients,
-    multistream_forward,
     softmax,
 )
 
@@ -36,41 +35,58 @@ def _desk_net(seed=0, bins=8, batch=3):
     return state, x1, x2, y
 
 
+def _identity_conv():
+    """Width-1 conv that passes its single input stream through unchanged."""
+    return Conv1dLayer(
+        weights=np.ones((1, 1, 1)), bias=np.zeros(1), stride=1, activation="identity"
+    )
+
+
+def _identity_dense(width):
+    return DenseLayer(weights=np.eye(width), bias=np.zeros(width), activation="identity")
+
+
 # --------------------------------------------------------------------- dense
+# a width-1 identity conv in front isolates the dense layer of a stack
+
+
+def _dense(layer, x):
+    hidden, _ = _stack_forward([_identity_conv()], layer, np.atleast_2d(x))
+    return hidden
 
 
 def test_dense_identity_map():
-    layer = DenseLayer(weights=np.eye(4), bias=np.zeros(4), activation="identity")
     x = np.array([[1.0, -2.0, 3.0, 0.5]])
-    np.testing.assert_array_equal(dense_forward(layer, x), x)
+    np.testing.assert_array_equal(_dense(_identity_dense(4), x), x)
 
 
 def test_dense_hand_arithmetic():
     layer = DenseLayer(weights=np.array([[2.0]]), bias=np.array([3.0]), activation="identity")
-    np.testing.assert_array_equal(dense_forward(layer, np.array([5.0])), np.array([13.0]))
+    np.testing.assert_array_equal(_dense(layer, np.array([5.0])), np.array([[13.0]]))
 
 
 def test_dense_relu_kills_negative_preactivations():
     layer = DenseLayer(weights=-np.eye(3), bias=np.zeros(3), activation="relu")
-    out = dense_forward(layer, np.array([[1.0, 2.0, 3.0]]))
+    out = _dense(layer, np.array([[1.0, 2.0, 3.0]]))
     np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
 
 def test_dense_shape_mismatch():
-    layer = DenseLayer(weights=np.eye(3), bias=np.zeros(3), activation="identity")
-    with pytest.raises(ValueError, match="input dim"):
-        dense_forward(layer, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="mismatch"):
+        _dense(_identity_dense(3), np.zeros((2, 4)))
 
 
 # ---------------------------------------------------------------------- conv
 
 
+def _conv(layer, x):
+    pre, _, _ = _conv_pre(x, layer)
+    return pre
+
+
 def test_conv_width_one_kernel_is_identity():
-    layer = Conv1dLayer(
-        weights=np.ones((1, 1, 1)), bias=np.zeros(1), stride=1, activation="identity"
-    )
     x = np.array([[[1.0, -2.0, 3.0, 4.0]]])
-    np.testing.assert_array_equal(conv1d_forward(layer, x), x)
+    np.testing.assert_array_equal(_conv(_identity_conv(), x), x)
 
 
 def test_conv_sliding_sum_by_hand():
@@ -78,7 +94,7 @@ def test_conv_sliding_sum_by_hand():
         weights=np.ones((1, 2, 1)), bias=np.zeros(1), stride=1, activation="identity"
     )
     x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
-    np.testing.assert_array_equal(conv1d_forward(layer, x), np.array([[[3.0, 5.0, 7.0]]]))
+    np.testing.assert_array_equal(_conv(layer, x), np.array([[[3.0, 5.0, 7.0]]]))
 
 
 def test_conv_output_length_formula():
@@ -86,16 +102,16 @@ def test_conv_output_length_formula():
     layer = Conv1dLayer(
         weights=np.ones((1, 3, 1)), bias=np.zeros(1), stride=2, activation="identity"
     )
-    out = conv1d_forward(layer, np.zeros((1, 1, 10)))
+    out = _conv(layer, np.zeros((1, 1, 10)))
     assert out.shape == (1, 1, 4)
 
 
 def test_conv_kernel_wider_than_input_errors():
     layer = Conv1dLayer(weights=np.ones((1, 5, 1)), bias=np.zeros(1), stride=1)
     with pytest.raises(ValueError, match="kernel width"):
-        conv1d_forward(layer, np.zeros((1, 1, 4)))
+        _conv(layer, np.zeros((1, 1, 4)))
     with pytest.raises(ValueError, match="streams"):
-        conv1d_forward(
+        _conv(
             Conv1dLayer(weights=np.ones((1, 2, 2)), bias=np.zeros(1), stride=1),
             np.zeros((1, 1, 4)),
         )
@@ -106,8 +122,10 @@ def test_multistream_single_layer_equals_conv_forward():
     layer = Conv1dLayer(
         weights=rng.standard_normal((3, 2, 1)), bias=rng.standard_normal(3), stride=1
     )
-    x = rng.standard_normal((2, 1, 7))
-    np.testing.assert_array_equal(multistream_forward([layer], x), conv1d_forward(layer, x))
+    x = rng.standard_normal((2, 7))
+    hidden, _ = _stack_forward([layer], _identity_dense(3 * 6), x)
+    expected = np.maximum(_conv(layer, x[:, None, :]), 0.0).reshape(2, -1)
+    np.testing.assert_array_equal(hidden, expected)
 
 
 def test_multistream_two_layers_hand_expansion():
@@ -116,9 +134,9 @@ def test_multistream_two_layers_hand_expansion():
     mk = lambda: Conv1dLayer(
         weights=np.ones((1, 2, 1)), bias=np.zeros(1), stride=1, activation="identity"
     )
-    x = np.array([[[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]])
-    out = multistream_forward([mk(), mk()], x)
-    np.testing.assert_array_equal(out, np.array([[[8.0, 12.0, 16.0, 20.0]]]))
+    x = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+    out, _ = _stack_forward([mk(), mk()], _identity_dense(4), x)
+    np.testing.assert_array_equal(out, np.array([[8.0, 12.0, 16.0, 20.0]]))
 
 
 def test_conv_matches_brute_force_sliding_window():
@@ -138,7 +156,7 @@ def test_conv_matches_brute_force_sliding_window():
             activation="identity",
         )
         x = rng.standard_normal((batch, in_ch, length))
-        out = conv1d_forward(layer, x)
+        out = _conv(layer, x)
         out_len = (length - kernel) // stride + 1
         for b in range(batch):
             for f in range(filters):
@@ -177,8 +195,12 @@ def test_multistream_shape_oracle_random_stacks():
             in_ch = filters
         if not ok:
             continue
-        out = multistream_forward(layers, rng.standard_normal((2, 1, length)))
-        assert out.shape == (2, in_ch, expected)
+        dense = _identity_dense(in_ch * expected)
+        hidden, (_, last_shape, _, _) = _stack_forward(
+            layers, dense, rng.standard_normal((2, length))
+        )
+        assert last_shape == (2, in_ch, expected)
+        assert hidden.shape == (2, in_ch * expected)
 
 
 # ----------------------------------------------------------- softmax and loss
@@ -335,3 +357,5 @@ def test_spec_flat_dim_and_defaults():
     assert spec.flat_dim() == 64 * 60
     with pytest.raises(ValueError):
         NetworkSpec(input_bins=8, conv_layers=[ConvSpec(4, 16, 1)]).flat_dim()
+    with pytest.raises(ValueError, match="activation"):
+        NetworkSpec(input_bins=128, activation="tanh")

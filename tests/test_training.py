@@ -97,6 +97,9 @@ def test_train_validates_inputs(normalized_split):
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(optimizer="adamw")
+    for momentum in ("x", 1.0, -0.1):
+        with pytest.raises(ValueError, match="momentum"):
+            TrainConfig(momentum=momentum)
 
 
 def test_progress_callback_sees_every_epoch(normalized_split):
