@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .dataset import (
     LABELS,
-    Dataset,
     EmgRecord,
     convert_class_matrices,
     load_dataset,
@@ -147,12 +146,12 @@ def _feature_config(cfg: dict) -> FeatureConfig:
 def _network_spec(cfg: dict, input_bins: int) -> NetworkSpec:
     net = cfg["network"]
     try:
-        conv_layers = [ConvSpec(int(f), int(k), int(z)) for f, k, z in net["conv_layers"]]
+        conv_layers = [ConvSpec(f, k, z) for f, k, z in net["conv_layers"]]
         spec = NetworkSpec(
             input_bins=input_bins,
             conv_layers=conv_layers,
-            dense_units=int(net["dense_units"]),
-            activation=str(net["activation"]),
+            dense_units=net["dense_units"],
+            activation=net["activation"],
         )
         spec.flat_dim()  # validates the conv chain against the input length
     except (TypeError, ValueError) as e:
@@ -167,23 +166,21 @@ def _train_config(cfg: dict) -> TrainConfig:
         raise ConfigError(f"bad training config: {e}") from None
 
 
-def _apply_subset(ds: Dataset, subset: str) -> Dataset:
+def _subset_filter(cfg: dict) -> dict[str, str]:
+    """Dataset.subset keyword for cfg['subset']; empty for 'all'."""
+    subset = cfg["subset"]
     if subset == "all":
-        return ds
-    if "=" not in subset:
+        return {}
+    if not isinstance(subset, str) or "=" not in subset:
         raise ConfigError(
             f"bad subset {subset!r}: expected 'all', 'subject=<id>' or 'session=<id>'"
         )
     kind, _, value = subset.partition("=")
-    if kind == "subject":
-        out = ds.subset(subject=value)
-    elif kind == "session":
-        out = ds.subset(session=value)
-    else:
+    if kind not in ("subject", "session"):
         raise ConfigError(f"bad subset kind {kind!r}: expected 'subject' or 'session'")
-    if not out.records:
-        raise DataError(f"subset {subset!r} selected no records")
-    return out
+    if cfg["dataset"] is None:
+        raise ConfigError("subset selection needs the raw dataset, not a feature dump")
+    return {kind: value}
 
 
 def _write_split_csv(path: Path, n: int, train_indices: list[int]) -> None:
@@ -199,21 +196,24 @@ def cmd_train(args) -> int:
     fcfg = _feature_config(cfg)
     tcfg = _train_config(cfg)
     spec = _network_spec(cfg, input_bins=fcfg.nbins)
+    subset = _subset_filter(cfg)
 
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.echo").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
 
     if cfg["dataset"] is not None:
-        ds = _apply_subset(load_dataset(cfg["dataset"]), cfg["subset"])
+        ds = load_dataset(cfg["dataset"])
+        if subset:
+            ds = ds.subset(**subset)
+            if not ds.records:
+                raise DataError(f"subset {cfg['subset']!r} selected no records")
         print(f"dataset: {ds.name}, {len(ds)} records, rate {ds.sample_rate} Hz")
         feats = extract_all(ds.records, fcfg)
         labels = [r.label for r in ds.records]
         sample_rate: float | None = ds.sample_rate
         data_name = ds.name
     else:
-        if cfg["subset"] != "all":
-            raise ConfigError("subset selection needs the raw dataset, not a feature dump")
         feats = load_features_csv(cfg["features"])
         nbins = len(feats[0].channel1_features)
         if nbins != fcfg.nbins:
@@ -252,11 +252,6 @@ def cmd_train(args) -> int:
     preds, _ = predict_batch(state, test_feats)
     cm = confusion_matrix([f.label for f in test_feats], preds)
     report = summarize(log, cm)
-    extras = {}
-    if cfg["reference_accuracy"] is not None:
-        extras["reference_accuracy"] = float(cfg["reference_accuracy"])
-    write_report(outdir, report, extras)
-
     bundle = ModelBundle(
         state=state,
         feature_config=fcfg,
@@ -264,7 +259,12 @@ def cmd_train(args) -> int:
         sample_rate=sample_rate,
         dataset_name=data_name,
     )
+    # the bundle first: a directory holding summary.txt always holds its model
     save_model(outdir / "model.bin", bundle)
+    extras = {}
+    if cfg["reference_accuracy"] is not None:
+        extras["reference_accuracy"] = float(cfg["reference_accuracy"])
+    write_report(outdir, report, extras)
     print(
         f"done: model accuracy {report.model_accuracy:.4f}, "
         f"max {report.max_accuracy:.4f} (epoch {report.max_accuracy_epoch}), "

@@ -4,7 +4,7 @@ The bundle is a zip of numpy arrays (written through an open handle so the
 file name is kept verbatim) plus one JSON metadata entry holding the format
 version, network hyperparameters, feature configuration, sample rate and
 normalizer bookkeeping. Arrays are stored as float64, so a reloaded model
-reproduces predictions bit-exactly on the same machine.
+reproduces predictions bit-exactly for the same code and BLAS thread count.
 """
 
 from __future__ import annotations

@@ -200,16 +200,52 @@ def test_train_unknown_config_key(dataset_dir, tmp_path, capsys):
         {"training": {"momentum": "x"}},
         {"network": {"activation": "tanh"}},
         {"features_config": {"nbins": 32.5}},
+        {"network": {"conv_layers": [[8, 5, 1], [16, 5, 2]], "dense_units": 16.7}},
+        {"network": {"conv_layers": [[8, 5.9, 1], [16, 5, 2]], "dense_units": 16}},
+        {"network": {"conv_layers": [[8, 5, 1], [16, 5, True]], "dense_units": 16}},
+        {"network": {"conv_layers": [[8, 5, 1], [0, 5, 2]], "dense_units": 16}},
+        {"subset": "bogus"},
+        {"subset": "region=north"},
+        {"subset": 5},
+        {"features": "feats.csv", "dataset": None, "subset": "subject=s1"},
     ],
-    ids=["seed", "reference_accuracy", "momentum", "activation", "nbins"],
+    ids=[
+        "seed", "reference_accuracy", "momentum", "activation", "nbins",
+        "dense_units_fraction", "kernel_fraction", "stride_bool", "zero_filters",
+        "subset_syntax", "subset_kind", "subset_type", "subset_feature_dump",
+    ],
 )
-def test_train_bad_config_value_fails_before_work(dataset_dir, tmp_path, capsys, override):
+def test_train_bad_config_value_fails_before_work(
+    dataset_dir, tmp_path, capsys, monkeypatch, override
+):
     out = tmp_path / "out"
-    cfg = _write_config(tmp_path / "cfg.json", dataset=str(dataset_dir), out=str(out), **override)
+    monkeypatch.chdir(tmp_path)  # the relative feature dump path resolves here
+    (tmp_path / "feats.csv").write_text("")
+    override = {"dataset": str(dataset_dir), **override}
+    cfg = _write_config(tmp_path / "cfg.json", out=str(out), **override)
     assert main(["train", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
-    assert not (out / "model.bin").exists()
+    assert not out.exists()
+
+
+def test_train_saves_bundle_before_report(dataset_dir, tmp_path, capsys, monkeypatch):
+    def failing_report(outdir, report, extras=None):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("semgrasp.cli.write_report", failing_report)
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path / "cfg.json",
+        dataset=str(dataset_dir),
+        out=str(out),
+        training={"epochs": 2, "batch_size": 16, "learning_rate": 0.01},
+    )
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["io error: no space left on device"]
+    assert load_model(out / "model.bin").feature_config.nbins == 32
+    assert not (out / "summary.txt").exists()
 
 
 def test_readme_run_config_defaults_match_resolved_config(dataset_dir, tmp_path):

@@ -1,14 +1,19 @@
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
 from helpers import fd_gradient_check
 
+from semgrasp import network
 from semgrasp.network import (
     Conv1dLayer,
     ConvSpec,
     DenseLayer,
     NetworkSpec,
     _conv_pre,
+    _stack_backward,
     _stack_forward,
     backward,
     conv_output_length,
@@ -20,15 +25,18 @@ from semgrasp.network import (
 )
 
 
-def _desk_spec(bins=8):
+def _desk_spec(bins=8, conv_layers=None):
     return NetworkSpec(
-        input_bins=bins, conv_layers=[ConvSpec(2, 3, 1)], dense_units=4, n_classes=6
+        input_bins=bins,
+        conv_layers=conv_layers or [ConvSpec(2, 3, 1)],
+        dense_units=4,
+        n_classes=6,
     )
 
 
-def _desk_net(seed=0, bins=8, batch=3):
+def _desk_net(seed=0, bins=8, batch=3, conv_layers=None):
     rng = np.random.default_rng(seed)
-    state = init_network(_desk_spec(bins), rng)
+    state = init_network(_desk_spec(bins, conv_layers), rng)
     x1 = rng.standard_normal((batch, bins))
     x2 = rng.standard_normal((batch, bins))
     y = rng.integers(0, 6, size=batch)
@@ -263,6 +271,15 @@ def test_gradients_match_finite_differences():
         assert fd_gradient_check(state, x1, x2, y) < 1e-4
 
 
+def test_gradients_through_strided_conv_input_match_finite_differences():
+    # a second, strided conv makes backward scatter an input gradient into the first
+    for seed in range(3):
+        state, x1, x2, y = _desk_net(
+            seed, bins=12, conv_layers=[ConvSpec(2, 3, 1), ConvSpec(3, 3, 2)]
+        )
+        assert fd_gradient_check(state, x1, x2, y) < 1e-4
+
+
 def test_zero_loss_batch_has_stationary_head_bias():
     state, x1, x2, _ = _desk_net(1)
     y = np.array([2, 2, 2])
@@ -287,6 +304,121 @@ def test_batch_duplication_is_additive_before_averaging():
     for name in ga:
         np.testing.assert_allclose(gab[name], (ga[name] + gb[name]) / 2, atol=1e-12)
         np.testing.assert_allclose(gaab[name], (2 * ga[name] + gb[name]) / 3, atol=1e-12)
+
+
+# ------------------------------------------------------ channel-stack thread
+
+
+def _sequential_forward_backward(state, x1, x2, y):
+    """forward + backward with the two stacks composed on the calling thread."""
+    h1, cache1 = _stack_forward(state.conv_stacks[0], state.dense_layers[0], x1)
+    h2, cache2 = _stack_forward(state.conv_stacks[1], state.dense_layers[1], x2)
+    fused = np.concatenate([h1, h2], axis=1)
+    probs = softmax(fused @ state.head.weights.T + state.head.bias)
+    d_logits = probs.copy()
+    d_logits[np.arange(len(y)), y] -= 1.0
+    d_logits /= len(y)
+    grads = {"head.weights": d_logits.T @ fused, "head.bias": d_logits.sum(axis=0)}
+    d_fused = d_logits @ state.head.weights
+    d = state.spec.dense_units
+    grads |= _stack_backward(
+        state.conv_stacks[0], state.dense_layers[0], cache1, d_fused[:, :d], "ch1"
+    )
+    grads |= _stack_backward(
+        state.conv_stacks[1], state.dense_layers[1], cache2, d_fused[:, d:], "ch2"
+    )
+    return probs, grads
+
+
+@pytest.mark.parametrize("batch", [1, 32, 256])  # 1 runs the stacks in turn, 32 and 256 together
+def test_threaded_stacks_bit_identical_to_sequential(batch):
+    rng = np.random.default_rng(batch)
+    state = init_network(NetworkSpec(input_bins=128), rng)
+    x1, x2 = rng.standard_normal((2, batch, 128))
+    y = rng.integers(0, 6, size=batch)
+    expected_probs, expected_grads = _sequential_forward_backward(state, x1, x2, y)
+    probs, cache = forward(state, x1, x2)
+    grads = backward(state, cache, y)
+    assert np.array_equal(probs, expected_probs)
+    assert sorted(grads) == sorted(name for name, _ in state.parameters())
+    for name, g in expected_grads.items():
+        assert np.array_equal(grads[name], g), name
+
+
+def test_ch2_stack_error_reaches_caller_unchanged(monkeypatch):
+    state, x1, x2, y = _desk_net(batch=network._CONCURRENT_MIN_ROWS)
+    error = ValueError("ch2 stack failed")
+    raised_on = []
+    real_forward, real_backward = _stack_forward, _stack_backward
+
+    def failing_forward(convs, dense, x):
+        if dense is state.dense_layers[1]:
+            raised_on.append(threading.current_thread().name)
+            raise error
+        return real_forward(convs, dense, x)
+
+    def failing_backward(convs, dense, cache, d_hidden, prefix):
+        if prefix == "ch2":
+            raised_on.append(threading.current_thread().name)
+            raise error
+        return real_backward(convs, dense, cache, d_hidden, prefix)
+
+    _, cache = forward(state, x1, x2)
+    monkeypatch.setattr(network, "_stack_forward", failing_forward)
+    monkeypatch.setattr(network, "_stack_backward", failing_backward)
+    with pytest.raises(ValueError) as info:
+        forward(state, x1, x2)
+    assert info.value is error
+    with pytest.raises(ValueError) as info:
+        backward(state, cache, y)
+    assert info.value is error
+    assert len(raised_on) == 2
+    assert threading.current_thread().name not in raised_on
+    # a real numpy error in ch2 only: its dense layer has the wrong width
+    monkeypatch.undo()
+    state.dense_layers[1].weights = state.dense_layers[1].weights[:, :-1]
+    with pytest.raises(ValueError, match="mismatch"):
+        forward(state, x1, x2)
+
+
+def test_concurrent_callers_get_sequential_results():
+    state, x1, x2, y = _desk_net(3, batch=network._CONCURRENT_MIN_ROWS)
+    expected = loss_and_gradients(state, x1, x2, y)[1]
+    results = []
+
+    def worker():
+        for _ in range(20):
+            results.append(loss_and_gradients(state, x1, x2, y)[1])
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert len(results) == 80
+    for grads in results:
+        for name, g in expected.items():
+            assert np.array_equal(grads[name], g), name
+
+
+def _forward_matches(state, x1, x2, expected):
+    if not np.array_equal(forward(state, x1, x2)[0], expected):
+        raise SystemExit(1)
+
+
+def test_forked_child_runs_its_own_stack_thread():
+    state, x1, x2, _ = _desk_net(2, batch=network._CONCURRENT_MIN_ROWS)
+    expected = forward(state, x1, x2)[0]  # the parent's worker thread now exists
+    child = multiprocessing.get_context("fork").Process(
+        target=_forward_matches, args=(state, x1, x2, expected)
+    )
+    child.start()
+    try:
+        child.join(timeout=60)
+        assert child.exitcode == 0
+    finally:
+        child.kill()
 
 
 # ----------------------------------------------------------------- invariants

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semgrasp import training
 from semgrasp.errors import TrainingDivergedError
 from semgrasp.features import FeatureVector
 from semgrasp.network import ConvSpec, DenseLayer, NetworkSpec
@@ -149,3 +150,17 @@ def test_predict_batch_replays_logged_test_accuracy(normalized_split):
     x1, x2, _ = features_to_arrays(test_feats)
     loss, acc2 = evaluate(state, x1, x2, y)
     assert acc2 == pytest.approx(acc, abs=1e-12)
+
+
+def test_evaluate_accuracy_independent_of_chunk_size(normalized_split, monkeypatch):
+    train_feats, test_feats = normalized_split
+    state, _ = train(SMALL_SPEC, train_feats, test_feats, TrainConfig(epochs=3, seed=4))
+    # six copies of the training set: 324 rows, 11 chunks of 32 or two of 256
+    x1, x2, y = (np.concatenate([a] * 6) for a in features_to_arrays(train_feats))
+    assert len(y) == 324
+    results = {}
+    for chunk in (32, 256):
+        monkeypatch.setattr(training, "_EVAL_CHUNK", chunk)
+        results[chunk] = evaluate(state, x1, x2, y)
+    assert results[32][1] == results[256][1]
+    assert results[32][0] == pytest.approx(results[256][0], rel=1e-12)
