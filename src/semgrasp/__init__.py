@@ -23,7 +23,6 @@ from .dataset import (
     SplitPlan,
     generate_synthetic,
     load_dataset,
-    split_train_test,
     write_dataset,
 )
 from .errors import ConfigError, DataError, DegenerateSignalError, TrainingDivergedError
@@ -109,7 +108,6 @@ __all__ = [
     "psd_from_model",
     "save_model",
     "softmax",
-    "split_train_test",
     "stage_error",
     "summarize",
     "train",

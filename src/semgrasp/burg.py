@@ -39,16 +39,14 @@ class BurgState:
     """Lattice recursion state after `stage` stages.
 
     forward_errors[j] and backward_errors[j] hold the errors at sample
-    index stage + j; both arrays have length signal_length - stage.
+    index stage + j; both arrays have length N - stage for an N-sample signal.
     """
 
     forward_errors: np.ndarray
     backward_errors: np.ndarray
     reflection_coeffs: list[float]
     ar_coeffs: list[float]
-    error_power: float
     stage: int
-    signal_length: int
 
 
 def init_state(x: np.ndarray) -> BurgState:
@@ -56,16 +54,12 @@ def init_state(x: np.ndarray) -> BurgState:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("input signal must be a non-empty 1-D array")
-    f = x.copy()
-    b = x.copy()
     return BurgState(
-        forward_errors=f,
-        backward_errors=b,
+        forward_errors=x.copy(),
+        backward_errors=x.copy(),
         reflection_coeffs=[],
         ar_coeffs=[],
-        error_power=float(np.dot(f, f) + np.dot(b, b)),
         stage=0,
-        signal_length=len(x),
     )
 
 
@@ -107,8 +101,8 @@ def update_prediction_errors(state: BurgState, r: float) -> BurgState:
     """Advance the lattice one stage with reflection coefficient r.
 
     Returns a complete new state: updated error series (valid range one
-    sample shorter), appended reflection coefficient, AR coefficients moved
-    through the Levinson step, and the new summed error power.
+    sample shorter), appended reflection coefficient and AR coefficients
+    moved through the Levinson step.
     """
     if not abs(r) <= 1.0:
         raise ValueError(f"|r| must be <= 1, got {r}")
@@ -118,16 +112,12 @@ def update_prediction_errors(state: BurgState, r: float) -> BurgState:
         raise DegenerateSignalError(
             f"no samples left for stage {state.stage + 1} (signal too short)"
         )
-    new_f = f[1:] + r * b[:-1]
-    new_b = b[:-1] + r * f[1:]
     return BurgState(
-        forward_errors=new_f,
-        backward_errors=new_b,
+        forward_errors=f[1:] + r * b[:-1],
+        backward_errors=b[:-1] + r * f[1:],
         reflection_coeffs=state.reflection_coeffs + [r],
         ar_coeffs=update_ar_coefficients(state.ar_coeffs, r),
-        error_power=float(np.dot(new_f, new_f) + np.dot(new_b, new_b)),
         stage=state.stage + 1,
-        signal_length=state.signal_length,
     )
 
 
@@ -155,7 +145,6 @@ class PsdEstimate:
 
     frequencies: np.ndarray
     power: np.ndarray
-    nbins: int
 
 
 def burg_fit(x: np.ndarray, order: int, sample_rate: float) -> BurgModel:
@@ -185,7 +174,7 @@ def burg_fit(x: np.ndarray, order: int, sample_rate: float) -> BurgModel:
         state = update_prediction_errors(state, r)
 
     n_terms = 2 * (n - order)
-    noise_variance = state.error_power / n_terms
+    noise_variance = stage_error(state) / n_terms
     if noise_variance <= 0.0:
         raise DegenerateSignalError(f"signal is perfectly predictable at order {order}")
     return BurgModel(
@@ -216,4 +205,4 @@ def psd_from_model(model: BurgModel, nbins: int) -> PsdEstimate:
     resp = 1.0 + np.exp(-1j * np.outer(omega, j)) @ a.astype(np.complex128)
     denom = np.abs(resp) ** 2
     power = model.noise_variance / (rate * denom)
-    return PsdEstimate(frequencies=freqs, power=power, nbins=nbins)
+    return PsdEstimate(frequencies=freqs, power=power)

@@ -198,10 +198,6 @@ def cmd_train(args) -> int:
     spec = _network_spec(cfg, input_bins=fcfg.nbins)
     subset = _subset_filter(cfg)
 
-    outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.echo").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-
     if cfg["dataset"] is not None:
         ds = load_dataset(cfg["dataset"])
         if subset:
@@ -227,6 +223,10 @@ def cmd_train(args) -> int:
         print(f"features: {data_name}, {len(feats)} records")
 
     plan = split_by_labels(labels, cfg["split_fraction"], cfg["seed"])
+    # the run directory exists only once the data is known good
+    outdir = Path(cfg["out"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "config.echo").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     _write_split_csv(outdir / "split.csv", len(labels), plan.train_indices)
     train_feats = [feats[i] for i in plan.train_indices]
     test_feats = [feats[i] for i in plan.test_indices]

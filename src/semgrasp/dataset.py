@@ -76,10 +76,6 @@ class EmgRecord:
     def n_samples(self) -> int:
         return len(self.channel1)
 
-    @property
-    def label_index(self) -> int:
-        return LABEL_TO_INDEX[self.label]
-
 
 @dataclass
 class Dataset:
@@ -134,8 +130,6 @@ class SplitPlan:
 
     train_indices: list[int]
     test_indices: list[int]
-    seed: int
-    train_fraction: float
 
 
 def _fmt(x: float) -> str:
@@ -143,13 +137,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def load_dataset(path: str | Path, fmt: str = "interchange-csv") -> Dataset:
+def load_dataset(path: str | Path) -> Dataset:
     """Load and validate a dataset directory in the interchange layout.
 
     Every schema violation is reported with the offending file and line.
     """
-    if fmt != "interchange-csv":
-        raise DataError(f"unsupported format {fmt!r}")
     root = Path(path)
     manifest = root / MANIFEST_NAME
     if not root.is_dir():
@@ -201,7 +193,6 @@ def load_dataset(path: str | Path, fmt: str = "interchange-csv") -> Dataset:
                 subject_id=row[idx["subject"]],
                 session_id=row[idx["session"]],
             )
-            rec.validate(name=str(root / fname))
             records.append(rec)
 
     ds = Dataset(records=records, name=root.name)
@@ -254,20 +245,13 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         writer.writerows(rows)
 
 
-def split_train_test(dataset: Dataset, fraction: float, seed: int) -> SplitPlan:
+def split_by_labels(labels: list[str], fraction: float, seed: int) -> SplitPlan:
     """Stratified deterministic split; per class, ceil(count * fraction) goes to train.
 
     When a class count does not divide evenly the extra record lands in the
-    training set. Identical (dataset, fraction, seed) always produce the
-    identical plan.
+    training set. Identical (labels, fraction, seed) always produce the
+    identical plan. Raises DataError when no record is left for the test set.
     """
-    if not dataset.records:
-        raise DataError("cannot split an empty dataset")
-    return split_by_labels([r.label for r in dataset.records], fraction, seed)
-
-
-def split_by_labels(labels: list[str], fraction: float, seed: int) -> SplitPlan:
-    """Stratified split over a bare label sequence (same contract as above)."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0,1), got {fraction}")
     if not labels:
@@ -293,9 +277,11 @@ def split_by_labels(labels: list[str], fraction: float, seed: int) -> SplitPlan:
         shuffled = [idxs[j] for j in order]
         train.extend(shuffled[:n_train])
         test.extend(shuffled[n_train:])
+    if not test:
+        raise DataError(f"split fraction {fraction} leaves no record for the test set")
     train.sort()
     test.sort()
-    return SplitPlan(train_indices=train, test_indices=test, seed=seed, train_fraction=fraction)
+    return SplitPlan(train_indices=train, test_indices=test)
 
 
 # Synthetic generator: each class is an AR(2) resonator driven by unit white

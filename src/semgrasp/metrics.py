@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import LABELS, _fmt, label_to_index
+from .dataset import LABELS, NUM_CLASSES, _fmt, label_to_index
 from .errors import DataError
 
 
@@ -37,7 +37,7 @@ def _to_index(label) -> int:
     return label_to_index(label) if isinstance(label, str) else int(label)
 
 
-def confusion_matrix(truths: Sequence, preds: Sequence, n_classes: int = len(LABELS)) -> np.ndarray:
+def confusion_matrix(truths: Sequence, preds: Sequence) -> np.ndarray:
     """counts[t][p] = number of samples with true class t predicted as p.
 
     Accepts label characters or class indices.
@@ -46,10 +46,10 @@ def confusion_matrix(truths: Sequence, preds: Sequence, n_classes: int = len(LAB
         raise DataError(f"length mismatch: {len(truths)} truths vs {len(preds)} predictions")
     if len(truths) == 0:
         raise DataError("cannot build a confusion matrix from zero samples")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+    cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     for t, p in zip(truths, preds):
         ti, pi = _to_index(t), _to_index(p)
-        if not (0 <= ti < n_classes and 0 <= pi < n_classes):
+        if not (0 <= ti < NUM_CLASSES and 0 <= pi < NUM_CLASSES):
             raise DataError(f"class index out of range: true={ti}, pred={pi}")
         cm[ti, pi] += 1
     return cm
@@ -107,7 +107,6 @@ def f1_macro(cm: np.ndarray) -> float:
 @dataclass(eq=False)
 class EvalReport:
     confusion: np.ndarray
-    accuracy: float
     per_class_precision: np.ndarray
     per_class_recall: np.ndarray
     f1_weighted: float
@@ -132,7 +131,6 @@ def summarize(epoch_log: list[EpochStats], final_confusion: np.ndarray) -> EvalR
         f1m = f1_macro(final_confusion)
     return EvalReport(
         confusion=np.asarray(final_confusion),
-        accuracy=accuracy_from_cm(final_confusion),
         per_class_precision=precision,
         per_class_recall=recall,
         f1_weighted=f1w,
@@ -222,35 +220,3 @@ def write_confusion(path: str | Path, cm: np.ndarray) -> None:
         writer = csv.writer(fh)
         for row in np.asarray(cm):
             writer.writerow([int(v) for v in row])
-
-
-def read_confusion(path: str | Path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = [[int(v) for v in row] for row in csv.reader(fh) if row]
-    if not rows:
-        raise DataError(f"{path}: empty confusion matrix")
-    return np.array(rows, dtype=np.int64)
-
-
-def read_epoch_log(path: str | Path) -> list[EpochStats]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["epoch", "train_loss", "train_acc", "test_loss", "test_acc"]:
-            raise DataError(f"{path}:1: malformed epochs header")
-        log = [
-            EpochStats(float(r[1]), float(r[2]), float(r[3]), float(r[4]))
-            for r in reader
-            if r
-        ]
-    if not log:
-        raise DataError(f"{path}: no epochs recorded")
-    return log
-
-
-def read_report(outdir: str | Path) -> EvalReport:
-    """Rebuild an EvalReport from a run directory written by write_report."""
-    outdir = Path(outdir)
-    log = read_epoch_log(outdir / "epochs.csv")
-    cm = read_confusion(outdir / "confusion.csv")
-    return summarize(log, cm)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .features import FeatureConfig, Normalizer
+from .features import STD_FLOOR, FeatureConfig, Normalizer
 from .network import ConvSpec, NetworkSpec, NetworkState, empty_network
 
 FORMAT_VERSION = 1
@@ -96,16 +96,23 @@ def load_model(path: str | Path) -> ModelBundle:
 
     normalizer = None
     if meta.get("has_normalizer"):
-        try:
-            normalizer = Normalizer(
-                mean1=arrays["norm.mean1"],
-                std1=arrays["norm.std1"],
-                mean2=arrays["norm.mean2"],
-                std2=arrays["norm.std2"],
-                fitted_on=meta.get("normalizer_fitted_on", ""),
-            )
-        except KeyError as e:
-            raise DataError(f"{path}: bundle is missing normalizer array {e}") from None
+        norm = {}
+        for attr in ("mean1", "std1", "mean2", "std2"):
+            name = f"norm.{attr}"
+            if name not in arrays:
+                raise DataError(f"{path}: bundle is missing normalizer array {name!r}")
+            arr = arrays[name]
+            if arr.shape != (feature_config.nbins,):
+                raise DataError(
+                    f"{path}: normalizer array {name!r} has shape {arr.shape}, "
+                    f"the features need ({feature_config.nbins},)"
+                )
+            if not np.isfinite(arr).all():
+                raise DataError(f"{path}: normalizer array {name!r} holds non-finite values")
+            if attr.startswith("std") and arr.min() < STD_FLOOR:
+                raise DataError(f"{path}: normalizer array {name!r} holds stds below {STD_FLOOR}")
+            norm[attr] = arr
+        normalizer = Normalizer(**norm, fitted_on=meta.get("normalizer_fitted_on", ""))
     rate = meta.get("sample_rate")
     return ModelBundle(
         state=state,

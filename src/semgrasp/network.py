@@ -104,18 +104,6 @@ class Conv1dLayer:
     stride: int = 1
     activation: str = "relu"
 
-    @property
-    def num_filters(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def kernel(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def in_channels(self) -> int:
-        return self.weights.shape[2]
-
 
 @dataclass
 class DenseLayer:

@@ -20,6 +20,7 @@ from .metrics import EpochStats
 from .network import (
     NetworkSpec,
     NetworkState,
+    _check_sizes,
     cross_entropy,
     forward,
     init_network,
@@ -39,19 +40,13 @@ class TrainConfig:
     epochs: int = 300
     batch_size: int = 32
     learning_rate: float = 0.01
-    optimizer: str = "sgd_momentum"  # sgd | sgd_momentum
-    momentum: float = 0.9
+    momentum: float = 0.9  # 0 gives plain SGD
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        _check_sizes(self, ("epochs", "batch_size"))
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.optimizer not in ("sgd", "sgd_momentum"):
-            raise ValueError(f"optimizer must be 'sgd' or 'sgd_momentum', got {self.optimizer!r}")
         is_number = isinstance(self.momentum, (int, float)) and not isinstance(self.momentum, bool)
         if not (is_number and 0 <= self.momentum < 1):
             raise ValueError(f"momentum must be a number in [0, 1), got {self.momentum!r}")
@@ -86,7 +81,7 @@ def train(
     cfg: TrainConfig,
     progress=None,
 ) -> tuple[NetworkState, list[EpochStats]]:
-    """Run cfg.epochs of mini-batch SGD; returns final state and epoch log.
+    """Run cfg.epochs of mini-batch SGD with momentum; returns final state and epoch log.
 
     train/test sets must be non-empty and disjoint. progress, if given, is
     called as progress(epoch, EpochStats) after every epoch. Raises
@@ -105,8 +100,7 @@ def train(
     rng_shuffle = np.random.default_rng([cfg.seed, SHUFFLE_STREAM])
     state = init_network(spec, rng_init)
 
-    use_momentum = cfg.optimizer == "sgd_momentum"
-    velocity = {name: np.zeros_like(arr) for name, arr in state.parameters()} if use_momentum else None
+    velocity = {name: np.zeros_like(arr) for name, arr in state.parameters()}
 
     n = len(y_tr)
     log: list[EpochStats] = []
@@ -118,14 +112,10 @@ def train(
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, f"batch loss = {loss}")
             for name, arr in state.parameters():
-                g = grads[name]
-                if use_momentum:
-                    v = velocity[name]
-                    v *= cfg.momentum
-                    v -= cfg.learning_rate * g
-                    arr += v
-                else:
-                    arr -= cfg.learning_rate * g
+                v = velocity[name]
+                v *= cfg.momentum
+                v -= cfg.learning_rate * grads[name]
+                arr += v
         train_loss, train_acc = evaluate(state, x1_tr, x2_tr, y_tr)
         test_loss, test_acc = evaluate(state, x1_te, x2_te, y_te)
         if not (np.isfinite(train_loss) and np.isfinite(test_loss)):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semgrasp.dataset import generate_synthetic, split_train_test
+from semgrasp.dataset import generate_synthetic, split_by_labels
 from semgrasp.features import FeatureConfig, apply_normalizer, extract_all, fit_normalizer
 
 
@@ -18,7 +18,7 @@ def synth_features(synth_dataset):
 @pytest.fixture(scope="session")
 def normalized_split(synth_dataset, synth_features):
     """(train_features, test_features) of the session dataset, z-scored on train."""
-    plan = split_train_test(synth_dataset, 0.7, seed=5)
+    plan = split_by_labels([r.label for r in synth_dataset.records], 0.7, seed=5)
     train = [synth_features[i] for i in plan.train_indices]
     test = [synth_features[i] for i in plan.test_indices]
     norm = fit_normalizer(train)

@@ -24,12 +24,11 @@ def test_init_state_stage_zero():
     x = np.array([1.0, 2.0, 3.0])
     s = init_state(x)
     assert s.stage == 0
-    assert s.signal_length == 3
     np.testing.assert_array_equal(s.forward_errors, x)
     np.testing.assert_array_equal(s.backward_errors, x)
     assert s.ar_coeffs == [] and s.reflection_coeffs == []
     # stage-0 error: forward plus backward sums over the whole signal
-    assert s.error_power == pytest.approx(2 * np.dot(x, x))
+    assert stage_error(s) == pytest.approx(2 * np.dot(x, x))
 
 
 def test_update_errors_zero_reflection_is_shift():
@@ -161,7 +160,6 @@ def test_stage_error_zero_series():
     assert r == 1.0  # alternating signal is perfectly predicted by x[n] = -x[n-1]
     s1 = update_prediction_errors(s0, r)
     assert stage_error(s1) == 0.0
-    assert s1.error_power == 0.0
 
 
 def test_stage_error_monotone_nonincreasing():
@@ -207,6 +205,20 @@ def test_burg_fit_order_ten_reflection_invariants(synth_dataset):
     assert all(abs(r) <= 1.0 + 1e-12 for r in model.reflection_coeffs)
     assert len(model.ar_coeffs) == 10
     assert model.noise_variance > 0
+
+
+def test_burg_fit_matches_stage_api():
+    # burg_fit is the stage API run `order` times; its noise variance is the
+    # final stage error over the 2 * (N - order) summed terms
+    x = sinusoid(40.0, 300, rate=500.0, noise=0.3, seed=6)
+    order = 7
+    s = init_state(x)
+    for _ in range(order):
+        s = update_prediction_errors(s, compute_reflection(s))
+    model = burg_fit(x, order, 500.0)
+    assert model.noise_variance == stage_error(s) / (2 * (len(x) - order))
+    assert model.reflection_coeffs == s.reflection_coeffs
+    assert model.ar_coeffs == s.ar_coeffs
 
 
 def test_burg_fit_rejects_bad_inputs():
@@ -271,7 +283,6 @@ def test_psd_grid_and_invariants():
     model = BurgModel(order=2, ar_coeffs=[-0.5, 0.2], reflection_coeffs=[0.0, 0.2],
                       noise_variance=1.0, sample_rate=500.0)
     psd = psd_from_model(model, 33)
-    assert psd.nbins == 33
     assert len(psd.frequencies) == len(psd.power) == 33
     assert psd.frequencies[0] == 0.0
     assert psd.frequencies[-1] == 250.0

@@ -12,7 +12,6 @@ from helpers import rewrite_bundle
 from semgrasp.cli import main, resolve_config
 from semgrasp.dataset import LABELS, generate_synthetic, load_dataset, write_dataset
 from semgrasp.features import load_features_csv
-from semgrasp.metrics import read_confusion, read_epoch_log
 from semgrasp.model_io import load_model
 
 
@@ -169,10 +168,10 @@ def test_train_artifacts_and_byte_determinism(dataset_dir, tmp_path, capsys):
     summary = _read_summary(out_a)
     assert float(summary["model_accuracy"]) >= 0.95
     echo = json.loads((out_a / "config.echo").read_text())
-    assert echo["training"]["optimizer"] == "sgd_momentum"  # default materialized
+    assert echo["training"]["momentum"] == 0.9  # default materialized
     assert echo["seed"] == 3
     assert echo["out"] == str(out_a)
-    log = read_epoch_log(out_a / "epochs.csv")
+    log = np.loadtxt(out_a / "epochs.csv", delimiter=",", skiprows=1, ndmin=2)
     assert len(log) == 25
 
 
@@ -198,6 +197,10 @@ def test_train_unknown_config_key(dataset_dir, tmp_path, capsys):
         {"seed": -1},
         {"reference_accuracy": "abc"},
         {"training": {"momentum": "x"}},
+        {"training": {"epochs": 2.5}},
+        {"training": {"batch_size": 1.5}},
+        {"training": {"epochs": True}},
+        {"training": {"optimizer": "sgd"}},
         {"network": {"activation": "tanh"}},
         {"features_config": {"nbins": 32.5}},
         {"network": {"conv_layers": [[8, 5, 1], [16, 5, 2]], "dense_units": 16.7}},
@@ -210,7 +213,8 @@ def test_train_unknown_config_key(dataset_dir, tmp_path, capsys):
         {"features": "feats.csv", "dataset": None, "subset": "subject=s1"},
     ],
     ids=[
-        "seed", "reference_accuracy", "momentum", "activation", "nbins",
+        "seed", "reference_accuracy", "momentum", "epochs_fraction", "batch_size_fraction",
+        "epochs_bool", "optimizer", "activation", "nbins",
         "dense_units_fraction", "kernel_fraction", "stride_bool", "zero_filters",
         "subset_syntax", "subset_kind", "subset_type", "subset_feature_dump",
     ],
@@ -285,6 +289,7 @@ def test_train_subset_single_subject_arithmetic(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--subset", "subject=s9",
                  "--out", str(tmp_path / "out2")]) == 2
     assert "no records" in capsys.readouterr().err
+    assert not (tmp_path / "out2").exists()
     # sessions rotate d1..d3 within each class: d1 holds 10 of each class
     out3 = tmp_path / "out3"
     assert main(["train", "--config", str(cfg), "--subset", "session=d1",
@@ -293,6 +298,19 @@ def test_train_subset_single_subject_arithmetic(tmp_path, capsys):
         roles = [row["role"] for row in csv.DictReader(fh)]
     assert len(roles) == 60
     assert roles.count("train") == 42
+
+
+def test_train_empty_test_split_leaves_no_run_directory(dataset_dir, tmp_path, capsys):
+    # ceil(12 * 0.95) = 12: every record of each class would go to train
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path / "cfg.json", dataset=str(dataset_dir), out=str(out), split_fraction=0.95
+    )
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "test set" in err
+    assert not out.exists()
 
 
 def test_train_from_feature_dump(dataset_dir, tmp_path, capsys):
@@ -374,11 +392,12 @@ def test_eval_on_training_split_matches_logged_accuracy(
 
     out = tmp_path / "eval_out"
     assert main(["eval", str(trained_run / "model.bin"), str(train_half), "--out", str(out)]) == 0
-    final_train_acc = read_epoch_log(trained_run / "epochs.csv")[-1].train_acc
+    epochs = np.loadtxt(trained_run / "epochs.csv", delimiter=",", skiprows=1, ndmin=2)
+    final_train_acc = epochs[-1, 2]  # columns: epoch, train_loss, train_acc, ...
     eval_acc = float(_read_summary(out)["accuracy"])
     assert eval_acc >= final_train_acc - 1e-9
 
-    cm = read_confusion(out / "confusion.csv")
+    cm = np.loadtxt(out / "confusion.csv", delimiter=",", dtype=np.int64)
     counts = Dataset(records=[sub[i] for i in train_idx]).class_counts()
     for k, lab in enumerate(LABELS):
         assert cm[k].sum() == counts[lab]
@@ -432,6 +451,21 @@ def test_predict_inconsistent_bundle_is_data_error(trained_run, dataset_dir, tmp
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert "head.weights" in err
+
+
+def test_predict_zero_normalizer_std_is_data_error(trained_run, dataset_dir, tmp_path, capsys):
+    bad = tmp_path / "model.bin"
+    shutil.copy(trained_run / "model.bin", bad)
+
+    def zero_std2(meta, arrays):
+        arrays["norm.std2"] = np.zeros_like(arrays["norm.std2"])
+
+    rewrite_bundle(bad, zero_std2)
+    assert main(["predict", str(bad), str(dataset_dir / "rec00000.csv")]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert "norm.std2" in captured.err
+    assert captured.out == ""
 
 
 def test_predict_missing_record_file(trained_run, tmp_path, capsys):

@@ -11,7 +11,6 @@ from semgrasp.dataset import (
     load_dataset,
     read_record_csv,
     split_by_labels,
-    split_train_test,
     write_dataset,
 )
 from semgrasp.errors import DataError
@@ -151,28 +150,28 @@ def test_read_record_csv_missing_file(tmp_path):
 
 
 def test_split_arithmetic_900_and_1800():
-    plan = split_train_test(_balanced_dataset(150), 0.7, seed=0)
+    plan = split_by_labels([r.label for r in _balanced_dataset(150).records], 0.7, seed=0)
     assert len(plan.train_indices) == 630
     assert len(plan.test_indices) == 270
-    plan = split_train_test(_balanced_dataset(300), 0.7, seed=0)
+    plan = split_by_labels([r.label for r in _balanced_dataset(300).records], 0.7, seed=0)
     assert len(plan.train_indices) == 1260
     assert len(plan.test_indices) == 540
 
 
 def test_split_is_disjoint_and_covers():
     ds = _balanced_dataset(11)
-    plan = split_train_test(ds, 0.7, seed=3)
+    plan = split_by_labels([r.label for r in ds.records], 0.7, seed=3)
     train, test = set(plan.train_indices), set(plan.test_indices)
     assert not train & test
     assert sorted(train | test) == list(range(len(ds)))
 
 
 def test_split_deterministic_and_seed_sensitive():
-    ds = _balanced_dataset(20)
-    a = split_train_test(ds, 0.7, seed=9)
-    b = split_train_test(ds, 0.7, seed=9)
+    labels = [r.label for r in _balanced_dataset(20).records]
+    a = split_by_labels(labels, 0.7, seed=9)
+    b = split_by_labels(labels, 0.7, seed=9)
     assert a == b
-    c = split_train_test(ds, 0.7, seed=10)
+    c = split_by_labels(labels, 0.7, seed=10)
     assert c.train_indices != a.train_indices
 
 
@@ -199,6 +198,9 @@ def test_split_rejects_tiny_class_and_bad_fraction():
         split_by_labels(["C", "C"], 1.0, seed=0)
     with pytest.raises(DataError, match="empty"):
         split_by_labels([], 0.7, seed=0)
+    # ceil(6 * 0.99) = 6 of 6 go to train
+    with pytest.raises(DataError, match="no record for the test set"):
+        split_by_labels(["C"] * 6 + ["T"] * 6, 0.99, seed=0)
 
 
 # ----------------------------------------------------------------- synthetic
@@ -249,7 +251,7 @@ def test_synthetic_classes_separable_by_nearest_centroid(seed):
             psd = psd_from_model(burg_fit(chan, 10, rec.sample_rate), 64)
             v.append(np.log10(np.maximum(psd.power, 1e-12)))
         feats[i] = np.concatenate(v)
-    plan = split_train_test(ds, 0.7, seed=seed)
+    plan = split_by_labels([r.label for r in ds.records], 0.7, seed=seed)
     centroids = {
         lab: np.mean([feats[i] for i in plan.train_indices if ds.records[i].label == lab], axis=0)
         for lab in LABELS

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from semgrasp.metrics import (
     f1_macro,
     f1_weighted,
     precision_recall,
-    read_report,
     summarize,
     write_report,
 )
@@ -187,7 +188,10 @@ def test_report_round_trip(tmp_path, rng):
     ]
     report = summarize(log, cm)
     write_report(tmp_path, report, extras={"reference_accuracy": 0.9852})
-    back = read_report(tmp_path)
+    epochs = np.loadtxt(tmp_path / "epochs.csv", delimiter=",", skiprows=1, ndmin=2)
+    np.testing.assert_array_equal(epochs[:, 0], np.arange(1, 26))
+    back_cm = np.loadtxt(tmp_path / "confusion.csv", delimiter=",", dtype=np.int64)
+    back = summarize([EpochStats(*row[1:]) for row in epochs], back_cm)
     np.testing.assert_array_equal(back.confusion, report.confusion)
     assert back.epoch_log == report.epoch_log
     assert back.model_accuracy == report.model_accuracy
@@ -196,7 +200,12 @@ def test_report_round_trip(tmp_path, rng):
     assert back.average_accuracy == report.average_accuracy
     assert back.f1_weighted == report.f1_weighted
     np.testing.assert_array_equal(back.per_class_precision, report.per_class_precision)
-    summary = (tmp_path / "summary.csv").read_text()
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        header, values = csv.reader(fh)
+    summary = dict(zip(header, values))
+    assert float(summary["model_accuracy"]) == report.model_accuracy
+    assert float(summary["f1_weighted"]) == report.f1_weighted
+    assert int(summary["max_accuracy_epoch"]) == report.max_accuracy_epoch
     assert "reference_accuracy" in summary
     assert "gap_to_reference" in summary
     text = (tmp_path / "summary.txt").read_text()

@@ -93,6 +93,18 @@ def _drop_conv_bias(meta, arrays):
     del arrays["ch2.conv0.bias"]
 
 
+def _short_std(meta, arrays):
+    arrays["norm.std1"] = arrays["norm.std1"][:-1]
+
+
+def _zero_std(meta, arrays):
+    arrays["norm.std2"] = np.zeros_like(arrays["norm.std2"])
+
+
+def _nan_mean(meta, arrays):
+    arrays["norm.mean1"][3] = np.nan
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -100,8 +112,12 @@ def _drop_conv_bias(meta, arrays):
         (_small_nbins, "nbins must be >= 8"),
         (_cut_head_column, "'head.weights' has shape"),
         (_drop_conv_bias, "missing weight array 'ch2.conv0.bias'"),
+        (_short_std, r"'norm.std1' has shape \(31,\)"),
+        (_zero_std, "'norm.std2' holds stds below"),
+        (_nan_mean, "'norm.mean1' holds non-finite"),
     ],
-    ids=["no_network", "small_nbins", "cut_head_column", "missing_array"],
+    ids=["no_network", "small_nbins", "cut_head_column", "missing_array", "short_std",
+         "zero_std", "nan_mean"],
 )
 def test_load_rejects_inconsistent_bundles(tmp_path, synth_features, edit, message):
     path = tmp_path / "model.bin"

@@ -63,7 +63,7 @@ def test_training_deterministic_given_seed(normalized_split):
 
 def test_plain_sgd_also_trains(normalized_split):
     train_feats, test_feats = normalized_split
-    cfg = TrainConfig(epochs=40, optimizer="sgd", learning_rate=0.1, seed=1)
+    cfg = TrainConfig(epochs=40, momentum=0.0, learning_rate=0.1, seed=1)
     _, log = train(SMALL_SPEC, train_feats, test_feats, cfg)
     assert log[-1].train_acc >= 0.9
 
@@ -92,12 +92,12 @@ def test_train_validates_inputs(normalized_split):
     bad_spec = NetworkSpec(input_bins=64, conv_layers=[ConvSpec(4, 3, 1)], dense_units=8)
     with pytest.raises(ValueError, match="bins"):
         train(bad_spec, train_feats, test_feats, TrainConfig(epochs=1, seed=0))
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
+    for bad in ({"epochs": 0}, {"epochs": 2.5}, {"epochs": True}, {"batch_size": 1.5},
+                {"batch_size": 0}):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            TrainConfig(**bad)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="adamw")
     for momentum in ("x", 1.0, -0.1):
         with pytest.raises(ValueError, match="momentum"):
             TrainConfig(momentum=momentum)
