@@ -18,6 +18,7 @@ import numpy as np
 from .burg import burg_fit, psd_from_model
 from .dataset import LABEL_TO_INDEX, EmgRecord, _fmt
 from .errors import DataError, DegenerateSignalError
+from .network import _check_sizes
 
 STD_FLOOR = 1e-8
 
@@ -30,12 +31,7 @@ class FeatureConfig:
     normalization: str = "zscore"  # zscore | none
 
     def __post_init__(self):
-        for name in ("ar_order", "nbins"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.ar_order < 1:
-            raise ValueError(f"ar_order must be >= 1, got {self.ar_order}")
+        _check_sizes(self, ("ar_order", "nbins"))
         if self.nbins < 8:
             raise ValueError(f"nbins must be >= 8, got {self.nbins}")
         if not self.log_floor > 0:
@@ -53,13 +49,16 @@ class FeatureVector:
 
 @dataclass
 class Normalizer:
-    """Per-feature z-score statistics for both channels; stds are floored."""
+    """Per-feature z-score statistics, [2, nbins]: one row per channel; stds are floored."""
 
-    mean1: np.ndarray
-    std1: np.ndarray
-    mean2: np.ndarray
-    std2: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
     fitted_on: str = ""
+
+
+def stack_channels(features: list[FeatureVector]) -> np.ndarray:
+    """The two channels of every vector as one [n, 2, nbins] array."""
+    return np.stack([(f.channel1_features, f.channel2_features) for f in features])
 
 
 def extract_features(record: EmgRecord, cfg: FeatureConfig) -> FeatureVector:
@@ -86,29 +85,22 @@ def fit_normalizer(features: list[FeatureVector], fitted_on: str = "") -> Normal
     """Per-feature mean and population std over the list, std floored at 1e-8."""
     if not features:
         raise DataError("cannot fit a normalizer on an empty feature list")
-    m1 = np.stack([f.channel1_features for f in features])
-    m2 = np.stack([f.channel2_features for f in features])
+    x = stack_channels(features)
     return Normalizer(
-        mean1=m1.mean(axis=0),
-        std1=np.maximum(m1.std(axis=0), STD_FLOOR),
-        mean2=m2.mean(axis=0),
-        std2=np.maximum(m2.std(axis=0), STD_FLOOR),
-        fitted_on=fitted_on,
+        mean=x.mean(axis=0), std=np.maximum(x.std(axis=0), STD_FLOOR), fitted_on=fitted_on
     )
 
 
 def apply_normalizer(norm: Normalizer, fv: FeatureVector) -> FeatureVector:
-    if len(fv.channel1_features) != len(norm.mean1) or len(fv.channel2_features) != len(
-        norm.mean2
-    ):
+    nbins = norm.mean.shape[1]
+    if len(fv.channel1_features) != nbins or len(fv.channel2_features) != nbins:
         raise DataError(
-            f"feature dimension mismatch: normalizer expects "
-            f"{len(norm.mean1)}/{len(norm.mean2)}, got "
+            f"feature dimension mismatch: normalizer expects {nbins}/{nbins}, got "
             f"{len(fv.channel1_features)}/{len(fv.channel2_features)}"
         )
     return FeatureVector(
-        channel1_features=(fv.channel1_features - norm.mean1) / norm.std1,
-        channel2_features=(fv.channel2_features - norm.mean2) / norm.std2,
+        channel1_features=(fv.channel1_features - norm.mean[0]) / norm.std[0],
+        channel2_features=(fv.channel2_features - norm.mean[1]) / norm.std[1],
         label=fv.label,
     )
 
@@ -117,19 +109,17 @@ def extract_all(records: list[EmgRecord], cfg: FeatureConfig) -> list[FeatureVec
     return [extract_features(r, cfg) for r in records]
 
 
+def _dump_header(nbins: int) -> list[str]:
+    return ["label"] + [f"ch{ch}_f{i}" for ch in (1, 2) for i in range(nbins)]
+
+
 def save_features_csv(path: str | Path, features: list[FeatureVector]) -> None:
     """Write features as CSV: label,ch1_f0..ch1_f{n-1},ch2_f0..ch2_f{n-1}."""
     if not features:
         raise DataError("no features to write")
-    nbins = len(features[0].channel1_features)
-    header = (
-        ["label"]
-        + [f"ch1_f{i}" for i in range(nbins)]
-        + [f"ch2_f{i}" for i in range(nbins)]
-    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(_dump_header(len(features[0].channel1_features)))
         for fv in features:
             writer.writerow(
                 [fv.label]
@@ -149,22 +139,15 @@ def load_features_csv(path: str | Path) -> list[FeatureVector]:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}:1: empty feature file") from None
-        if not header or header[0] != "label" or (len(header) - 1) % 2 != 0:
-            raise DataError(f"{path}:1: malformed feature header")
         nbins = (len(header) - 1) // 2
-        expected = (
-            ["label"]
-            + [f"ch1_f{i}" for i in range(nbins)]
-            + [f"ch2_f{i}" for i in range(nbins)]
-        )
-        if header != expected:
+        if header != _dump_header(nbins):
             raise DataError(f"{path}:1: feature header does not match the dump schema")
         out: list[FeatureVector] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(expected):
-                raise DataError(f"{path}:{lineno}: expected {len(expected)} columns, got {len(row)}")
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
             label = row[0]
             if label not in LABEL_TO_INDEX:
                 raise DataError(f"{path}:{lineno}: unknown label {label!r}")

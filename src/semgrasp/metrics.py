@@ -1,8 +1,8 @@
 """Classification metrics and run reports.
 
 Conventions: confusion rows are true classes, columns are predictions;
-precision/recall with an empty denominator are reported as 0 alongside a
-MetricsWarning; weighted F1 weights per-class F1 by true-class support.
+precision/recall (and per-class F1) with an empty denominator are reported
+as 0; weighted F1 weights per-class F1 by true-class support.
 "Model accuracy" is the test accuracy of the last epoch, "max accuracy" the
 peak across epochs (1-based epoch index), "average accuracy" the mean over
 epochs.
@@ -11,7 +11,6 @@ epochs.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -20,10 +19,6 @@ import numpy as np
 
 from .dataset import LABELS, NUM_CLASSES, _fmt, label_to_index
 from .errors import DataError
-
-
-class MetricsWarning(UserWarning):
-    """Signals a zero-denominator precision or recall."""
 
 
 class EpochStats(NamedTuple):
@@ -59,35 +54,19 @@ def accuracy_from_cm(cm: np.ndarray) -> float:
     return float(np.trace(cm)) / float(cm.sum())
 
 
-def precision_recall(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class precision (column-wise) and recall (row-wise).
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(len(den)), where=den > 0)
 
-    Zero denominators yield 0 and a MetricsWarning.
-    """
-    cm = np.asarray(cm)
-    n = cm.shape[0]
-    precision = np.zeros(n)
-    recall = np.zeros(n)
-    col_sums = cm.sum(axis=0)
-    row_sums = cm.sum(axis=1)
-    for k in range(n):
-        if col_sums[k] == 0:
-            warnings.warn(f"class {k} never predicted; precision set to 0", MetricsWarning)
-        else:
-            precision[k] = cm[k, k] / col_sums[k]
-        if row_sums[k] == 0:
-            warnings.warn(f"class {k} has no true samples; recall set to 0", MetricsWarning)
-        else:
-            recall[k] = cm[k, k] / row_sums[k]
-    return precision, recall
+
+def precision_recall(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class precision (column-wise) and recall (row-wise); 0 where a denominator is 0."""
+    return _ratio(np.diag(cm), np.sum(cm, axis=0)), _ratio(np.diag(cm), np.sum(cm, axis=1))
 
 
 def _per_class_f1(cm: np.ndarray) -> np.ndarray:
     precision, recall = precision_recall(cm)
-    f1 = np.zeros(len(precision))
-    nz = (precision + recall) > 0
-    f1[nz] = 2.0 * precision[nz] * recall[nz] / (precision[nz] + recall[nz])
-    return f1
+    return _ratio(2.0 * precision * recall, precision + recall)
 
 
 def f1_weighted(cm: np.ndarray) -> float:
@@ -124,17 +103,13 @@ def summarize(epoch_log: list[EpochStats], final_confusion: np.ndarray) -> EvalR
         raise DataError("epoch log is empty")
     test_accs = np.array([e.test_acc for e in epoch_log])
     best = int(np.argmax(test_accs))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MetricsWarning)
-        precision, recall = precision_recall(final_confusion)
-        f1w = f1_weighted(final_confusion)
-        f1m = f1_macro(final_confusion)
+    precision, recall = precision_recall(final_confusion)
     return EvalReport(
         confusion=np.asarray(final_confusion),
         per_class_precision=precision,
         per_class_recall=recall,
-        f1_weighted=f1w,
-        f1_macro=f1m,
+        f1_weighted=f1_weighted(final_confusion),
+        f1_macro=f1_macro(final_confusion),
         epoch_log=list(epoch_log),
         model_accuracy=float(test_accs[-1]),
         max_accuracy=float(test_accs[best]),

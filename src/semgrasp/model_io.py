@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import zipfile
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
@@ -23,6 +24,8 @@ from .network import ConvSpec, NetworkSpec, NetworkState, empty_network
 
 FORMAT_VERSION = 1
 _META_KEY = "__meta__"
+# bundle name, Normalizer field and channel row of each normalizer array, in file order
+_NORM_ARRAYS = [(f"norm.{attr}{row + 1}", attr, row) for row in (0, 1) for attr in ("mean", "std")]
 
 
 @dataclass
@@ -47,10 +50,8 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
     }
     arrays = {name: arr for name, arr in bundle.state.parameters()}
     if bundle.normalizer is not None:
-        arrays["norm.mean1"] = bundle.normalizer.mean1
-        arrays["norm.std1"] = bundle.normalizer.std1
-        arrays["norm.mean2"] = bundle.normalizer.mean2
-        arrays["norm.std2"] = bundle.normalizer.std2
+        for name, attr, row in _NORM_ARRAYS:
+            arrays[name] = getattr(bundle.normalizer, attr)[row]
     with open(path, "wb") as fh:
         np.savez(fh, **{_META_KEY: np.array(json.dumps(meta)), **arrays})
 
@@ -77,6 +78,16 @@ def load_model(path: str | Path) -> ModelBundle:
         spec = NetworkSpec(**{**net, "conv_layers": [ConvSpec(*c) for c in net["conv_layers"]]})
         feature_config = FeatureConfig(**meta["feature_config"])
         state = empty_network(spec)
+        if feature_config.nbins != spec.input_bins:
+            raise ValueError(
+                f"feature_config.nbins is {feature_config.nbins} "
+                f"but network.input_bins is {spec.input_bins}"
+            )
+        rate = meta.get("sample_rate")
+        is_number = isinstance(rate, (int, float)) and not isinstance(rate, bool)
+        # the upper bound refuses infinity, and integers too large for a float
+        if rate is not None and not (is_number and 0 < rate <= sys.float_info.max):
+            raise ValueError(f"sample_rate must be null or a finite number > 0, got {rate!r}")
     except KeyError as e:
         raise DataError(f"{path}: bundle metadata is missing {e}") from None
     except (TypeError, ValueError) as e:
@@ -96,9 +107,8 @@ def load_model(path: str | Path) -> ModelBundle:
 
     normalizer = None
     if meta.get("has_normalizer"):
-        norm = {}
-        for attr in ("mean1", "std1", "mean2", "std2"):
-            name = f"norm.{attr}"
+        rows = {"mean": [], "std": []}
+        for name, attr, _ in _NORM_ARRAYS:
             if name not in arrays:
                 raise DataError(f"{path}: bundle is missing normalizer array {name!r}")
             arr = arrays[name]
@@ -109,11 +119,14 @@ def load_model(path: str | Path) -> ModelBundle:
                 )
             if not np.isfinite(arr).all():
                 raise DataError(f"{path}: normalizer array {name!r} holds non-finite values")
-            if attr.startswith("std") and arr.min() < STD_FLOOR:
+            if attr == "std" and arr.min() < STD_FLOOR:
                 raise DataError(f"{path}: normalizer array {name!r} holds stds below {STD_FLOOR}")
-            norm[attr] = arr
-        normalizer = Normalizer(**norm, fitted_on=meta.get("normalizer_fitted_on", ""))
-    rate = meta.get("sample_rate")
+            rows[attr].append(arr)
+        normalizer = Normalizer(
+            mean=np.stack(rows["mean"]),
+            std=np.stack(rows["std"]),
+            fitted_on=meta.get("normalizer_fitted_on", ""),
+        )
     return ModelBundle(
         state=state,
         feature_config=feature_config,

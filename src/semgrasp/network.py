@@ -285,15 +285,15 @@ def _stack_forward(convs: list[Conv1dLayer], dense: DenseLayer, x: np.ndarray):
     return hidden, (conv_caches, act.shape, flat, pre_d)
 
 
-def forward(state: NetworkState, x1: np.ndarray, x2: np.ndarray):
-    """Full forward pass. Returns (probs [batch, n_classes], cache)."""
-    if x1.shape != x2.shape:
-        raise ValueError(f"channel batches disagree: {x1.shape} vs {x2.shape}")
+def forward(state: NetworkState, x: np.ndarray):
+    """Full forward pass of x [batch, 2, input_bins]; returns (probs [batch, n_classes], cache)."""
+    if x.ndim != 3 or x.shape[1] != 2:
+        raise ValueError(f"network input must be [batch, 2, bins], got shape {x.shape}")
     (h1, cache1), (h2, cache2) = _run_stacks(
         _stack_forward,
-        len(x1),
-        (state.conv_stacks[0], state.dense_layers[0], x1),
-        (state.conv_stacks[1], state.dense_layers[1], x2),
+        len(x),
+        (state.conv_stacks[0], state.dense_layers[0], x[:, 0]),
+        (state.conv_stacks[1], state.dense_layers[1], x[:, 1]),
     )
     fused = np.concatenate([h1, h2], axis=1)
     logits = fused @ state.head.weights.T + state.head.bias
@@ -367,9 +367,9 @@ def backward(state: NetworkState, cache, labels: np.ndarray) -> dict[str, np.nda
     return grads | grads1 | grads2
 
 
-def loss_and_gradients(state: NetworkState, x1, x2, labels):
-    """Forward + backward on one batch; returns (loss, gradients)."""
-    probs, cache = forward(state, x1, x2)
+def loss_and_gradients(state: NetworkState, x, labels):
+    """Forward + backward on one batch x [batch, 2, input_bins]; returns (loss, gradients)."""
+    probs, cache = forward(state, x)
     loss = cross_entropy(probs, labels)
     grads = backward(state, cache, labels)
     return loss, grads

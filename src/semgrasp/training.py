@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import LABEL_TO_INDEX, index_to_label
 from .errors import TrainingDivergedError
-from .features import FeatureVector
+from .features import FeatureVector, stack_channels
 from .metrics import EpochStats
 from .network import (
     NetworkSpec,
@@ -53,24 +53,22 @@ class TrainConfig:
 
 
 def features_to_arrays(features: list[FeatureVector]):
-    """Stack feature vectors into (x1, x2, labels) training arrays."""
-    x1 = np.stack([f.channel1_features for f in features])
-    x2 = np.stack([f.channel2_features for f in features])
+    """Stack feature vectors into (x [n, 2, nbins], y [n]) training arrays."""
     y = np.array([LABEL_TO_INDEX[f.label] for f in features], dtype=np.int64)
-    return x1, x2, y
+    return stack_channels(features), y
 
 
-def _forward_chunks(state: NetworkState, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+def _forward_chunks(state: NetworkState, x: np.ndarray) -> np.ndarray:
     """Probabilities for a whole set, forwarded in fixed-size chunks."""
     return np.vstack([
-        forward(state, x1[start : start + _EVAL_CHUNK], x2[start : start + _EVAL_CHUNK])[0]
-        for start in range(0, len(x1), _EVAL_CHUNK)
+        forward(state, x[start : start + _EVAL_CHUNK])[0]
+        for start in range(0, len(x), _EVAL_CHUNK)
     ])
 
 
-def evaluate(state: NetworkState, x1: np.ndarray, x2: np.ndarray, y: np.ndarray):
+def evaluate(state: NetworkState, x: np.ndarray, y: np.ndarray):
     """Loss and accuracy over a full set, evaluated in fixed-size chunks."""
-    probs = _forward_chunks(state, x1, x2)
+    probs = _forward_chunks(state, x)
     return cross_entropy(probs, y), int((probs.argmax(axis=1) == y).sum()) / len(y)
 
 
@@ -89,11 +87,11 @@ def train(
     """
     if not train_features or not test_features:
         raise ValueError("train and test sets must both be non-empty")
-    x1_tr, x2_tr, y_tr = features_to_arrays(train_features)
-    x1_te, x2_te, y_te = features_to_arrays(test_features)
-    if x1_tr.shape[1] != spec.input_bins:
+    x_tr, y_tr = features_to_arrays(train_features)
+    x_te, y_te = features_to_arrays(test_features)
+    if x_tr.shape[2] != spec.input_bins:
         raise ValueError(
-            f"features have {x1_tr.shape[1]} bins but the network expects {spec.input_bins}"
+            f"features have {x_tr.shape[2]} bins but the network expects {spec.input_bins}"
         )
 
     rng_init = np.random.default_rng([cfg.seed, INIT_STREAM])
@@ -108,7 +106,7 @@ def train(
         order = rng_shuffle.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grads = loss_and_gradients(state, x1_tr[batch], x2_tr[batch], y_tr[batch])
+            loss, grads = loss_and_gradients(state, x_tr[batch], y_tr[batch])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, f"batch loss = {loss}")
             for name, arr in state.parameters():
@@ -116,8 +114,8 @@ def train(
                 v *= cfg.momentum
                 v -= cfg.learning_rate * grads[name]
                 arr += v
-        train_loss, train_acc = evaluate(state, x1_tr, x2_tr, y_tr)
-        test_loss, test_acc = evaluate(state, x1_te, x2_te, y_te)
+        train_loss, train_acc = evaluate(state, x_tr, y_tr)
+        test_loss, test_acc = evaluate(state, x_te, y_te)
         if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
             raise TrainingDivergedError(epoch, "epoch evaluation loss non-finite")
         stats = EpochStats(train_loss, train_acc, test_loss, test_acc)
@@ -138,6 +136,5 @@ def predict(state: NetworkState, fv: FeatureVector) -> tuple[str, np.ndarray]:
 
 def predict_batch(state: NetworkState, features: list[FeatureVector]):
     """Predicted class indices and probabilities for a list of feature vectors."""
-    x1, x2, _ = features_to_arrays(features)
-    probs = _forward_chunks(state, x1, x2)
+    probs = _forward_chunks(state, stack_channels(features))
     return probs.argmax(axis=1), probs

@@ -70,7 +70,7 @@ def sinusoid(freq_hz: float, n: int, rate: float = 500.0, noise: float = 0.05,
     return np.sin(2.0 * np.pi * freq_hz * t) + noise * rng.standard_normal(n)
 
 
-def fd_gradient_check(state, x1, x2, y, h: float = 1e-5) -> float:
+def fd_gradient_check(state, x, y, h: float = 1e-5) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
     Perturbs every scalar parameter in place; parameters whose analytic and
@@ -78,7 +78,7 @@ def fd_gradient_check(state, x1, x2, y, h: float = 1e-5) -> float:
     """
     from semgrasp.network import cross_entropy, forward, loss_and_gradients
 
-    _, grads = loss_and_gradients(state, x1, x2, y)
+    _, grads = loss_and_gradients(state, x, y)
     worst = 0.0
     for name, arr in state.parameters():
         g = grads[name]
@@ -87,9 +87,9 @@ def fd_gradient_check(state, x1, x2, y, h: float = 1e-5) -> float:
             ix = it.multi_index
             orig = arr[ix]
             arr[ix] = orig + h
-            up = cross_entropy(forward(state, x1, x2)[0], y)
+            up = cross_entropy(forward(state, x)[0], y)
             arr[ix] = orig - h
-            down = cross_entropy(forward(state, x1, x2)[0], y)
+            down = cross_entropy(forward(state, x)[0], y)
             arr[ix] = orig
             numeric = (up - down) / (2.0 * h)
             analytic = g[ix]

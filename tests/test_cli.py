@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 
 from helpers import rewrite_bundle
 
+import semgrasp
 from semgrasp.cli import main, resolve_config
 from semgrasp.dataset import LABELS, generate_synthetic, load_dataset, write_dataset
 from semgrasp.features import load_features_csv
@@ -95,6 +99,32 @@ def test_convert_missing_channel_file(export_dir, tmp_path, capsys):
             (group / f.name).write_text(f.read_text())
     assert main(["convert", str(broken), str(tmp_path / "out")]) == 2
     assert "H_ch2.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line3, message",
+    [
+        ("0.5,abc,1.0", "T_ch2.csv:3: malformed value"),
+        ("0.5,nan,1.0", "T_ch2.csv:3: non-finite sample value"),
+        ("0.5,1.0", "T_ch2.csv:3: row has 2 samples, expected 16"),
+    ],
+    ids=["malformed", "nan", "short_row"],
+)
+def test_convert_bad_matrix_value_names_file_and_line(
+    export_dir, tmp_path, capsys, line3, message
+):
+    group = tmp_path / "in" / "subject1"
+    shutil.copytree(export_dir / "subject1", group)
+    rows = (group / "T_ch2.csv").read_text().splitlines()
+    rows[2] = line3
+    (group / "T_ch2.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert main(["convert", str(group.parent), str(out)]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_convert_refuses_nonempty_output(export_dir, tmp_path, capsys):
@@ -403,6 +433,25 @@ def test_eval_on_training_split_matches_logged_accuracy(
         assert cm[k].sum() == counts[lab]
 
 
+def test_eval_on_missing_classes_writes_nothing_to_stderr(trained_run, dataset_dir, tmp_path):
+    # classes never seen or never predicted have empty precision/recall denominators
+    from semgrasp.dataset import Dataset
+
+    records = [r for r in load_dataset(dataset_dir).records if r.label in ("C", "T")]
+    two_class = tmp_path / "two_class"
+    write_dataset(Dataset(records=records, name="two_class"), two_class)
+    out = tmp_path / "eval_out"
+    src = Path(semgrasp.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "semgrasp.cli", "eval", str(trained_run / "model.bin"),
+         str(two_class), "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert int(_read_summary(out)["samples"]) == len(records)
+
+
 def test_eval_unknown_label_is_data_error(trained_run, tmp_path, capsys):
     bad = tmp_path / "bad"
     bad.mkdir()
@@ -451,6 +500,34 @@ def test_predict_inconsistent_bundle_is_data_error(trained_run, dataset_dir, tmp
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert "head.weights" in err
+
+
+def _nbins_off_network(meta, arrays):
+    meta["feature_config"].update(nbins=64, normalization="none")
+    meta["has_normalizer"] = False
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_nbins_off_network, "feature_config.nbins is 64 but network.input_bins is 32"),
+        (lambda meta, arrays: meta.update(sample_rate="abc"), "sample_rate must be null or"),
+        (lambda meta, arrays: meta.update(sample_rate=0), "sample_rate must be null or"),
+    ],
+    ids=["nbins_off_network", "rate_string", "rate_zero"],
+)
+def test_predict_bad_bundle_metadata_is_data_error(
+    trained_run, dataset_dir, tmp_path, capsys, edit, message
+):
+    bad = tmp_path / "model.bin"
+    shutil.copy(trained_run / "model.bin", bad)
+    rewrite_bundle(bad, edit)
+    assert main(["predict", str(bad), str(dataset_dir / "rec00000.csv")]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert str(bad) in captured.err
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_predict_zero_normalizer_std_is_data_error(trained_run, dataset_dir, tmp_path, capsys):

@@ -84,18 +84,17 @@ def test_feature_config_validation():
 def test_fit_single_vector_floors_std(rng):
     v = _fv(rng.standard_normal(8), rng.standard_normal(8))
     norm = fit_normalizer([v])
-    np.testing.assert_array_equal(norm.mean1, v.channel1_features)
-    np.testing.assert_array_equal(norm.mean2, v.channel2_features)
-    assert np.all(norm.std1 == 1e-8)
-    assert np.all(norm.std2 == 1e-8)
+    np.testing.assert_array_equal(norm.mean[0], v.channel1_features)
+    np.testing.assert_array_equal(norm.mean[1], v.channel2_features)
+    assert norm.std.shape == (2, 8)
+    assert np.all(norm.std == 1e-8)
 
 
 def test_fit_symmetric_pair_means_zero(rng):
     v = rng.standard_normal(8)
     w = rng.standard_normal(8)
     norm = fit_normalizer([_fv(v, w), _fv(-v, -w)])
-    np.testing.assert_allclose(norm.mean1, 0.0, atol=1e-15)
-    np.testing.assert_allclose(norm.mean2, 0.0, atol=1e-15)
+    np.testing.assert_allclose(norm.mean, 0.0, atol=1e-15)
 
 
 def test_fit_and_reapply_standardizes(rng):
@@ -117,20 +116,18 @@ def test_fit_requires_nonempty_list():
 def test_fit_is_bit_reproducible(synth_features):
     a = fit_normalizer(synth_features[:40])
     b = fit_normalizer(synth_features[:40])
-    np.testing.assert_array_equal(a.mean1, b.mean1)
-    np.testing.assert_array_equal(a.std1, b.std1)
-    np.testing.assert_array_equal(a.mean2, b.mean2)
-    np.testing.assert_array_equal(a.std2, b.std2)
+    np.testing.assert_array_equal(a.mean, b.mean)
+    np.testing.assert_array_equal(a.std, b.std)
 
 
 def test_apply_centering_and_identity(rng):
     v = rng.standard_normal(8)
     w = rng.standard_normal(8)
-    norm = Normalizer(mean1=v, std1=np.ones(8), mean2=w, std2=np.ones(8))
+    norm = Normalizer(mean=np.stack([v, w]), std=np.ones((2, 8)))
     out = apply_normalizer(norm, _fv(v, w))
     np.testing.assert_array_equal(out.channel1_features, np.zeros(8))
     np.testing.assert_array_equal(out.channel2_features, np.zeros(8))
-    ident = Normalizer(mean1=np.zeros(8), std1=np.ones(8), mean2=np.zeros(8), std2=np.ones(8))
+    ident = Normalizer(mean=np.zeros((2, 8)), std=np.ones((2, 8)))
     same = apply_normalizer(ident, _fv(v, w))
     np.testing.assert_array_equal(same.channel1_features, v)
     np.testing.assert_array_equal(same.channel2_features, w)
@@ -142,8 +139,8 @@ def test_apply_round_trip_inverse(rng):
     norm = fit_normalizer(feats)
     f = feats[7]
     z = apply_normalizer(norm, f)
-    back1 = z.channel1_features * norm.std1 + norm.mean1
-    back2 = z.channel2_features * norm.std2 + norm.mean2
+    back1 = z.channel1_features * norm.std[0] + norm.mean[0]
+    back2 = z.channel2_features * norm.std[1] + norm.mean[1]
     np.testing.assert_allclose(back1, f.channel1_features, rtol=1e-12)
     np.testing.assert_allclose(back2, f.channel2_features, rtol=1e-12)
 
@@ -188,9 +185,10 @@ def test_features_csv_round_trip(tmp_path, synth_features):
 
 def test_features_csv_schema_errors(tmp_path):
     p = tmp_path / "bad.csv"
-    p.write_text("label,ch1_f0,ch2_f1\nC,1.0,2.0\n")
-    with pytest.raises(DataError, match="schema"):
-        load_features_csv(p)
+    for header in ("label,ch1_f0,ch2_f1", "feat,ch1_f0,ch2_f0", "label,ch1_f0", ""):
+        p.write_text(f"{header}\nC,1.0,2.0\n")
+        with pytest.raises(DataError, match="schema"):
+            load_features_csv(p)
     p.write_text("label,ch1_f0,ch2_f0\nQ,1.0,2.0\n")
     with pytest.raises(DataError, match="unknown label"):
         load_features_csv(p)

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from semgrasp.errors import DataError
 from semgrasp.metrics import (
     EpochStats,
-    MetricsWarning,
     accuracy_from_cm,
     confusion_matrix,
     f1_macro,
@@ -87,14 +87,35 @@ def test_precision_recall_perfect():
     np.testing.assert_array_equal(recall, np.ones(6))
 
 
-def test_precision_zero_denominator_warns():
+def test_precision_zero_denominator_is_zero_without_warning():
     cm = np.eye(6, dtype=np.int64)
     cm[0, 0] = 0
     cm[0, 1] = 5  # every class-0 sample lands in column 1: class 0 never predicted
-    with pytest.warns(MetricsWarning, match="never predicted"):
+    cm[5, 5] = 0  # class 5 has no true samples and is never predicted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         precision, recall = precision_recall(cm)
     assert precision[0] == 0.0
     assert recall[0] == 0.0
+    assert precision[5] == 0.0
+    assert recall[5] == 0.0
+
+
+def test_precision_recall_match_a_per_class_loop():
+    # random matrices with many empty rows and columns; the loop is the reference
+    rng = np.random.default_rng(2931)
+    for _ in range(300):
+        cm = rng.integers(0, 20, size=(6, 6))
+        cm[rng.random((6, 6)) < rng.random()] = 0
+        expected_p, expected_r = np.zeros(6), np.zeros(6)
+        for k in range(6):
+            if cm[:, k].sum() > 0:
+                expected_p[k] = cm[k, k] / cm[:, k].sum()
+            if cm[k].sum() > 0:
+                expected_r[k] = cm[k, k] / cm[k].sum()
+        precision, recall = precision_recall(cm)
+        assert np.array_equal(precision, expected_p)
+        assert np.array_equal(recall, expected_r)
 
 
 def test_precision_recall_two_class_hand_case():

@@ -33,15 +33,16 @@ def test_save_load_round_trip_bit_exact_predictions(tmp_path, synth_features, rn
 
     x1 = rng.standard_normal((5, 32))
     x2 = rng.standard_normal((5, 32))
-    probs_orig, _ = forward(bundle.state, x1, x2)
-    probs_back, _ = forward(back.state, x1, x2)
+    x = np.stack([x1, x2], axis=1)
+    probs_orig, _ = forward(bundle.state, x)
+    probs_back, _ = forward(back.state, x)
     np.testing.assert_array_equal(probs_orig, probs_back)
 
     assert back.feature_config == bundle.feature_config
     assert back.sample_rate == 500.0
     assert back.dataset_name == "unit"
     assert back.normalizer.fitted_on == "unit"
-    for name in ("mean1", "std1", "mean2", "std2"):
+    for name in ("mean", "std"):
         np.testing.assert_array_equal(
             getattr(back.normalizer, name), getattr(bundle.normalizer, name)
         )
@@ -85,6 +86,17 @@ def _small_nbins(meta, arrays):
     meta["feature_config"]["nbins"] = 4
 
 
+def _nbins_off_network(meta, arrays):
+    meta["feature_config"]["nbins"] = 64
+
+
+def _rate(value):
+    def edit(meta, arrays):
+        meta["sample_rate"] = value
+
+    return edit
+
+
 def _cut_head_column(meta, arrays):
     arrays["head.weights"] = arrays["head.weights"][:, :-1]
 
@@ -110,14 +122,23 @@ def _nan_mean(meta, arrays):
     [
         (_drop_network, "missing 'network'"),
         (_small_nbins, "nbins must be >= 8"),
+        (_nbins_off_network, "feature_config.nbins is 64 but network.input_bins is 32"),
+        (_rate("abc"), "sample_rate must be null or a finite number > 0, got 'abc'"),
+        (_rate(0), "sample_rate must be null or a finite number > 0, got 0"),
+        (_rate(-500.0), "sample_rate must be null or a finite number > 0, got -500.0"),
+        (_rate(True), "sample_rate must be null or a finite number > 0, got True"),
+        (_rate(float("nan")), "sample_rate must be null or a finite number > 0, got nan"),
+        (_rate(float("inf")), "sample_rate must be null or a finite number > 0, got inf"),
+        (_rate(10**400), "sample_rate must be null or a finite number > 0, got 1000"),
         (_cut_head_column, "'head.weights' has shape"),
         (_drop_conv_bias, "missing weight array 'ch2.conv0.bias'"),
         (_short_std, r"'norm.std1' has shape \(31,\)"),
         (_zero_std, "'norm.std2' holds stds below"),
         (_nan_mean, "'norm.mean1' holds non-finite"),
     ],
-    ids=["no_network", "small_nbins", "cut_head_column", "missing_array", "short_std",
-         "zero_std", "nan_mean"],
+    ids=["no_network", "small_nbins", "nbins_off_network", "rate_string", "rate_zero",
+         "rate_negative", "rate_bool", "rate_nan", "rate_inf", "rate_huge_int",
+         "cut_head_column", "missing_array", "short_std", "zero_std", "nan_mean"],
 )
 def test_load_rejects_inconsistent_bundles(tmp_path, synth_features, edit, message):
     path = tmp_path / "model.bin"
@@ -125,6 +146,16 @@ def test_load_rejects_inconsistent_bundles(tmp_path, synth_features, edit, messa
     rewrite_bundle(path, edit)
     with pytest.raises(DataError, match=message):
         load_model(path)
+
+
+def test_bundle_keeps_its_array_order(tmp_path, synth_features):
+    bundle = _bundle(synth_features)
+    path = tmp_path / "model.bin"
+    save_model(path, bundle)
+    with np.load(path) as data:
+        names = data.files
+    norm_names = ["norm.mean1", "norm.std1", "norm.mean2", "norm.std2"]
+    assert names == ["__meta__"] + [n for n, _ in bundle.state.parameters()] + norm_names
 
 
 def test_load_rejects_wrong_version(tmp_path, synth_features):
@@ -147,7 +178,7 @@ def test_trained_model_round_trips_through_disk(tmp_path, normalized_split):
     back = load_model(path)
     from semgrasp.training import features_to_arrays
 
-    x1, x2, _ = features_to_arrays(test_feats)
-    a, _ = forward(state, x1, x2)
-    b, _ = forward(back.state, x1, x2)
+    x, _ = features_to_arrays(test_feats)
+    a, _ = forward(state, x)
+    b, _ = forward(back.state, x)
     np.testing.assert_array_equal(a, b)

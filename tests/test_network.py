@@ -40,7 +40,7 @@ def _desk_net(seed=0, bins=8, batch=3, conv_layers=None):
     x1 = rng.standard_normal((batch, bins))
     x2 = rng.standard_normal((batch, bins))
     y = rng.integers(0, 6, size=batch)
-    return state, x1, x2, y
+    return state, np.stack([x1, x2], axis=1), y
 
 
 def _identity_conv():
@@ -267,40 +267,35 @@ def test_cross_entropy_batch_average_and_mismatch():
 
 def test_gradients_match_finite_differences():
     for seed in range(3):
-        state, x1, x2, y = _desk_net(seed)
-        assert fd_gradient_check(state, x1, x2, y) < 1e-4
+        state, x, y = _desk_net(seed)
+        assert fd_gradient_check(state, x, y) < 1e-4
 
 
 def test_gradients_through_strided_conv_input_match_finite_differences():
     # a second, strided conv makes backward scatter an input gradient into the first
     for seed in range(3):
-        state, x1, x2, y = _desk_net(
+        state, x, y = _desk_net(
             seed, bins=12, conv_layers=[ConvSpec(2, 3, 1), ConvSpec(3, 3, 2)]
         )
-        assert fd_gradient_check(state, x1, x2, y) < 1e-4
+        assert fd_gradient_check(state, x, y) < 1e-4
 
 
 def test_zero_loss_batch_has_stationary_head_bias():
-    state, x1, x2, _ = _desk_net(1)
+    state, x, _ = _desk_net(1)
     y = np.array([2, 2, 2])
     state.head.bias[2] += 1000.0  # drives the softmax to an exact one-hot
-    probs, cache = forward(state, x1, x2)
+    probs, cache = forward(state, x)
     assert probs[:, 2] == pytest.approx(1.0, abs=1e-12)
     grads = backward(state, cache, y)
     assert np.abs(grads["head.bias"]).max() < 1e-8
 
 
 def test_batch_duplication_is_additive_before_averaging():
-    state, x1, x2, _ = _desk_net(4, batch=2)
-    ga = loss_and_gradients(state, x1[:1], x2[:1], [0])[1]
-    gb = loss_and_gradients(state, x1[1:], x2[1:], [3])[1]
-    gab = loss_and_gradients(state, x1, x2, [0, 3])[1]
-    gaab = loss_and_gradients(
-        state,
-        np.vstack([x1[:1], x1]),
-        np.vstack([x2[:1], x2]),
-        [0, 0, 3],
-    )[1]
+    state, x, _ = _desk_net(4, batch=2)
+    ga = loss_and_gradients(state, x[:1], [0])[1]
+    gb = loss_and_gradients(state, x[1:], [3])[1]
+    gab = loss_and_gradients(state, x, [0, 3])[1]
+    gaab = loss_and_gradients(state, np.vstack([x[:1], x]), [0, 0, 3])[1]
     for name in ga:
         np.testing.assert_allclose(gab[name], (ga[name] + gb[name]) / 2, atol=1e-12)
         np.testing.assert_allclose(gaab[name], (2 * ga[name] + gb[name]) / 3, atol=1e-12)
@@ -309,10 +304,10 @@ def test_batch_duplication_is_additive_before_averaging():
 # ------------------------------------------------------ channel-stack thread
 
 
-def _sequential_forward_backward(state, x1, x2, y):
+def _sequential_forward_backward(state, x, y):
     """forward + backward with the two stacks composed on the calling thread."""
-    h1, cache1 = _stack_forward(state.conv_stacks[0], state.dense_layers[0], x1)
-    h2, cache2 = _stack_forward(state.conv_stacks[1], state.dense_layers[1], x2)
+    h1, cache1 = _stack_forward(state.conv_stacks[0], state.dense_layers[0], x[:, 0])
+    h2, cache2 = _stack_forward(state.conv_stacks[1], state.dense_layers[1], x[:, 1])
     fused = np.concatenate([h1, h2], axis=1)
     probs = softmax(fused @ state.head.weights.T + state.head.bias)
     d_logits = probs.copy()
@@ -334,10 +329,10 @@ def _sequential_forward_backward(state, x1, x2, y):
 def test_threaded_stacks_bit_identical_to_sequential(batch):
     rng = np.random.default_rng(batch)
     state = init_network(NetworkSpec(input_bins=128), rng)
-    x1, x2 = rng.standard_normal((2, batch, 128))
+    x = rng.standard_normal((2, batch, 128)).transpose(1, 0, 2)
     y = rng.integers(0, 6, size=batch)
-    expected_probs, expected_grads = _sequential_forward_backward(state, x1, x2, y)
-    probs, cache = forward(state, x1, x2)
+    expected_probs, expected_grads = _sequential_forward_backward(state, x, y)
+    probs, cache = forward(state, x)
     grads = backward(state, cache, y)
     assert np.array_equal(probs, expected_probs)
     assert sorted(grads) == sorted(name for name, _ in state.parameters())
@@ -346,7 +341,7 @@ def test_threaded_stacks_bit_identical_to_sequential(batch):
 
 
 def test_ch2_stack_error_reaches_caller_unchanged(monkeypatch):
-    state, x1, x2, y = _desk_net(batch=network._CONCURRENT_MIN_ROWS)
+    state, x, y = _desk_net(batch=network._CONCURRENT_MIN_ROWS)
     error = ValueError("ch2 stack failed")
     raised_on = []
     real_forward, real_backward = _stack_forward, _stack_backward
@@ -363,11 +358,11 @@ def test_ch2_stack_error_reaches_caller_unchanged(monkeypatch):
             raise error
         return real_backward(convs, dense, cache, d_hidden, prefix)
 
-    _, cache = forward(state, x1, x2)
+    _, cache = forward(state, x)
     monkeypatch.setattr(network, "_stack_forward", failing_forward)
     monkeypatch.setattr(network, "_stack_backward", failing_backward)
     with pytest.raises(ValueError) as info:
-        forward(state, x1, x2)
+        forward(state, x)
     assert info.value is error
     with pytest.raises(ValueError) as info:
         backward(state, cache, y)
@@ -378,17 +373,17 @@ def test_ch2_stack_error_reaches_caller_unchanged(monkeypatch):
     monkeypatch.undo()
     state.dense_layers[1].weights = state.dense_layers[1].weights[:, :-1]
     with pytest.raises(ValueError, match="mismatch"):
-        forward(state, x1, x2)
+        forward(state, x)
 
 
 def test_concurrent_callers_get_sequential_results():
-    state, x1, x2, y = _desk_net(3, batch=network._CONCURRENT_MIN_ROWS)
-    expected = loss_and_gradients(state, x1, x2, y)[1]
+    state, x, y = _desk_net(3, batch=network._CONCURRENT_MIN_ROWS)
+    expected = loss_and_gradients(state, x, y)[1]
     results = []
 
     def worker():
         for _ in range(20):
-            results.append(loss_and_gradients(state, x1, x2, y)[1])
+            results.append(loss_and_gradients(state, x, y)[1])
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for t in threads:
@@ -402,16 +397,16 @@ def test_concurrent_callers_get_sequential_results():
             assert np.array_equal(grads[name], g), name
 
 
-def _forward_matches(state, x1, x2, expected):
-    if not np.array_equal(forward(state, x1, x2)[0], expected):
+def _forward_matches(state, x, expected):
+    if not np.array_equal(forward(state, x)[0], expected):
         raise SystemExit(1)
 
 
 def test_forked_child_runs_its_own_stack_thread():
-    state, x1, x2, _ = _desk_net(2, batch=network._CONCURRENT_MIN_ROWS)
-    expected = forward(state, x1, x2)[0]  # the parent's worker thread now exists
+    state, x, _ = _desk_net(2, batch=network._CONCURRENT_MIN_ROWS)
+    expected = forward(state, x)[0]  # the parent's worker thread now exists
     child = multiprocessing.get_context("fork").Process(
-        target=_forward_matches, args=(state, x1, x2, expected)
+        target=_forward_matches, args=(state, x, expected)
     )
     child.start()
     try:
@@ -425,8 +420,8 @@ def test_forked_child_runs_its_own_stack_thread():
 
 
 def test_channel_swap_symmetry():
-    state, x1, x2, _ = _desk_net(6)
-    base, _ = forward(state, x1, x2)
+    state, x, _ = _desk_net(6)
+    base, _ = forward(state, x)
     d = state.spec.dense_units
     swapped = NetworkSpec(
         input_bins=state.spec.input_bins,
@@ -447,17 +442,24 @@ def test_channel_swap_symmetry():
         dense_layers=(state.dense_layers[1], state.dense_layers[0]),
         head=head,
     )
-    out, _ = forward(mirrored, x2, x1)
+    out, _ = forward(mirrored, x[:, ::-1])
     np.testing.assert_allclose(out, base, atol=1e-10)
 
 
+def test_forward_refuses_input_without_a_channel_axis():
+    state, x, _ = _desk_net(8)
+    for bad in (x[:, 0], x[:, :1], np.concatenate([x, x], axis=1)):
+        with pytest.raises(ValueError, match=r"\[batch, 2, bins\]"):
+            forward(state, bad)
+
+
 def test_head_permutation_equivariance():
-    state, x1, x2, _ = _desk_net(7)
-    base, _ = forward(state, x1, x2)
+    state, x, _ = _desk_net(7)
+    base, _ = forward(state, x)
     perm = np.array([3, 0, 5, 1, 4, 2])
     state.head.weights[:] = state.head.weights[perm]
     state.head.bias[:] = state.head.bias[perm]
-    out, _ = forward(state, x1, x2)
+    out, _ = forward(state, x)
     np.testing.assert_allclose(out, base[:, perm], atol=1e-12)
 
 
@@ -467,10 +469,11 @@ def test_initial_loss_near_uniform():
     data_rng = np.random.default_rng(999)
     x1 = data_rng.standard_normal((36, 32))
     x2 = data_rng.standard_normal((36, 32))
+    x = np.stack([x1, x2], axis=1)
     y = np.repeat(np.arange(6), 6)
     for seed in range(20):
         state = init_network(spec, np.random.default_rng(seed))
-        probs, _ = forward(state, x1, x2)
+        probs, _ = forward(state, x)
         assert lo <= cross_entropy(probs, y) <= hi
 
 

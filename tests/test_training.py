@@ -24,9 +24,10 @@ def _log_equal(a, b):
 
 
 def test_features_to_arrays_shapes(synth_features):
-    x1, x2, y = features_to_arrays(synth_features[:10])
-    assert x1.shape == (10, 32)
-    assert x2.shape == (10, 32)
+    x, y = features_to_arrays(synth_features[:10])
+    assert x.shape == (10, 2, 32)
+    np.testing.assert_array_equal(x[3, 0], synth_features[3].channel1_features)
+    np.testing.assert_array_equal(x[3, 1], synth_features[3].channel2_features)
     assert y.shape == (10,)
     assert y.dtype == np.int64
 
@@ -144,11 +145,10 @@ def test_predict_batch_replays_logged_test_accuracy(normalized_split):
     train_feats, test_feats = normalized_split
     state, log = train(SMALL_SPEC, train_feats, test_feats, TrainConfig(epochs=10, seed=5))
     preds, probs = predict_batch(state, test_feats)
-    _, _, y = features_to_arrays(test_feats)
+    x, y = features_to_arrays(test_feats)
     acc = float((preds == y).mean())
     assert acc == pytest.approx(log[-1].test_acc, abs=1e-12)
-    x1, x2, _ = features_to_arrays(test_feats)
-    loss, acc2 = evaluate(state, x1, x2, y)
+    loss, acc2 = evaluate(state, x, y)
     assert acc2 == pytest.approx(acc, abs=1e-12)
 
 
@@ -156,11 +156,11 @@ def test_evaluate_accuracy_independent_of_chunk_size(normalized_split, monkeypat
     train_feats, test_feats = normalized_split
     state, _ = train(SMALL_SPEC, train_feats, test_feats, TrainConfig(epochs=3, seed=4))
     # six copies of the training set: 324 rows, 11 chunks of 32 or two of 256
-    x1, x2, y = (np.concatenate([a] * 6) for a in features_to_arrays(train_feats))
+    x, y = (np.concatenate([a] * 6) for a in features_to_arrays(train_feats))
     assert len(y) == 324
     results = {}
     for chunk in (32, 256):
         monkeypatch.setattr(training, "_EVAL_CHUNK", chunk)
-        results[chunk] = evaluate(state, x1, x2, y)
+        results[chunk] = evaluate(state, x, y)
     assert results[32][1] == results[256][1]
     assert results[32][0] == pytest.approx(results[256][0], rel=1e-12)
