@@ -46,7 +46,7 @@ from .metrics import (
     write_summary_csv,
 )
 from .model_io import ModelBundle, load_model, save_model
-from .network import ConvSpec, NetworkSpec
+from .network import ConvSpec, NetworkSpec, _is_finite_number
 from .training import TrainConfig, predict, predict_batch, train
 
 _NETWORK_DEFAULTS = NetworkSpec(input_bins=FeatureConfig().nbins)
@@ -68,6 +68,27 @@ _CONFIG_DEFAULTS: dict = {
         "activation": _NETWORK_DEFAULTS.activation,
     },
     "training": {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
+}
+
+
+_NULL_OR_STRING = (lambda v: v is None or isinstance(v, str), "null or a string")
+# each top-level key: the check its value must pass, and what the check accepts
+_TOP_LEVEL_RULES = {
+    "dataset": _NULL_OR_STRING,
+    "features": _NULL_OR_STRING,
+    "out": _NULL_OR_STRING,
+    "subset": (
+        lambda v: v == "all" or isinstance(v, str) and v.startswith(("subject=", "session=")),
+        "'all', 'subject=<id>' or 'session=<id>'",
+    ),
+    "seed": (lambda v: _is_finite_number(v) and isinstance(v, int) and v >= 0, "an integer >= 0"),
+    "split_fraction": (lambda v: _is_finite_number(v) and 0 < v < 1, "a number in (0, 1)"),
+    "sample_rate": (
+        lambda v: v is None or _is_finite_number(v) and v > 0, "null or a finite number > 0"
+    ),
+    "reference_accuracy": (
+        lambda v: v is None or _is_finite_number(v) and 0 <= v <= 1, "null or a number in [0, 1]"
+    ),
 }
 
 
@@ -109,20 +130,15 @@ def resolve_config(
         else:
             cfg[key] = value
 
-    if seed is not None:
-        cfg["seed"] = seed
-    if out is not None:
-        cfg["out"] = out
-    if subset is not None:
-        cfg["subset"] = subset
+    for key, flag in (("seed", seed), ("out", out), ("subset", subset)):
+        if flag is not None:
+            cfg[key] = flag
 
     if cfg["seed"] is None:
         raise ConfigError("seed is mandatory: set it in the config or pass --seed")
-    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
-    ref = cfg["reference_accuracy"]
-    if ref is not None and (isinstance(ref, bool) or not isinstance(ref, (int, float))):
-        raise ConfigError(f"reference_accuracy must be null or a number, got {ref!r}")
+    for key, (accepts, accepted) in _TOP_LEVEL_RULES.items():
+        if not accepts(cfg[key]):
+            raise ConfigError(f"{key} must be {accepted}, got {cfg[key]!r}")
     if cfg["out"] is None:
         raise ConfigError("output directory is mandatory: set 'out' or pass --out")
     if (cfg["dataset"] is None) == (cfg["features"] is None):
@@ -131,56 +147,32 @@ def resolve_config(
         raise ConfigError(f"dataset path not found: {cfg['dataset']}")
     if cfg["features"] is not None and not Path(cfg["features"]).is_file():
         raise ConfigError(f"features file not found: {cfg['features']}")
-    if not isinstance(cfg["split_fraction"], (int, float)) or not 0 < cfg["split_fraction"] < 1:
-        raise ConfigError(f"split_fraction must lie in (0,1), got {cfg['split_fraction']!r}")
+    if cfg["features"] is not None and cfg["subset"] != "all":
+        raise ConfigError("subset selection needs the raw dataset, not a feature dump")
     return cfg
 
 
-def _feature_config(cfg: dict) -> FeatureConfig:
+def _build_sections(cfg: dict) -> tuple[FeatureConfig, TrainConfig, NetworkSpec]:
+    """The dataclasses behind features_config, training and network, in that order."""
+    section = "features_config"
     try:
-        return FeatureConfig(**cfg["features_config"])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad features_config: {e}") from None
-
-
-def _network_spec(cfg: dict, input_bins: int) -> NetworkSpec:
-    net = cfg["network"]
-    try:
-        conv_layers = [ConvSpec(f, k, z) for f, k, z in net["conv_layers"]]
+        fcfg = FeatureConfig(**cfg["features_config"])
+        section = "training config"
+        tcfg = TrainConfig(seed=cfg["seed"], **cfg["training"])
+        section = "network config"
+        net = cfg["network"]
+        if not isinstance(net["conv_layers"], list):
+            raise TypeError(f"conv_layers must be a list, got {net['conv_layers']!r}")
         spec = NetworkSpec(
-            input_bins=input_bins,
-            conv_layers=conv_layers,
+            input_bins=fcfg.nbins,
+            conv_layers=[ConvSpec(f, k, z) for f, k, z in net["conv_layers"]],
             dense_units=net["dense_units"],
             activation=net["activation"],
         )
         spec.flat_dim()  # validates the conv chain against the input length
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad network config: {e}") from None
-    return spec
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    try:
-        return TrainConfig(seed=cfg["seed"], **cfg["training"])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad training config: {e}") from None
-
-
-def _subset_filter(cfg: dict) -> dict[str, str]:
-    """Dataset.subset keyword for cfg['subset']; empty for 'all'."""
-    subset = cfg["subset"]
-    if subset == "all":
-        return {}
-    if not isinstance(subset, str) or "=" not in subset:
-        raise ConfigError(
-            f"bad subset {subset!r}: expected 'all', 'subject=<id>' or 'session=<id>'"
-        )
-    kind, _, value = subset.partition("=")
-    if kind not in ("subject", "session"):
-        raise ConfigError(f"bad subset kind {kind!r}: expected 'subject' or 'session'")
-    if cfg["dataset"] is None:
-        raise ConfigError("subset selection needs the raw dataset, not a feature dump")
-    return {kind: value}
+        raise ConfigError(f"bad {section}: {e}") from None
+    return fcfg, tcfg, spec
 
 
 def _write_split_csv(path: Path, n: int, train_indices: list[int]) -> None:
@@ -193,15 +185,13 @@ def _write_split_csv(path: Path, n: int, train_indices: list[int]) -> None:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args.config, args.seed, args.out, args.subset)
-    fcfg = _feature_config(cfg)
-    tcfg = _train_config(cfg)
-    spec = _network_spec(cfg, input_bins=fcfg.nbins)
-    subset = _subset_filter(cfg)
+    fcfg, tcfg, spec = _build_sections(cfg)
 
     if cfg["dataset"] is not None:
         ds = load_dataset(cfg["dataset"])
-        if subset:
-            ds = ds.subset(**subset)
+        if cfg["subset"] != "all":
+            kind, _, value = cfg["subset"].partition("=")
+            ds = ds.subset(**{kind: value})
             if not ds.records:
                 raise DataError(f"subset {cfg['subset']!r} selected no records")
         print(f"dataset: {ds.name}, {len(ds)} records, rate {ds.sample_rate} Hz")

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .network import _is_finite_number
 
 LABELS = ("C", "T", "L", "H", "P", "S")
 LABEL_TO_INDEX = {lab: i for i, lab in enumerate(LABELS)}
@@ -67,8 +68,8 @@ class EmgRecord:
             raise DataError(f"{name}: empty channel data")
         if n1 != n2:
             raise DataError(f"{name}: channel length mismatch ({n1} vs {n2})")
-        if not self.sample_rate > 0:
-            raise DataError(f"{name}: sample_rate must be positive, got {self.sample_rate}")
+        if not (_is_finite_number(self.sample_rate) and self.sample_rate > 0):
+            raise DataError(f"{name}: sample_rate must be finite and > 0, got {self.sample_rate}")
         if not np.isfinite(self.channel1).all() or not np.isfinite(self.channel2).all():
             raise DataError(f"{name}: non-finite sample value")
 

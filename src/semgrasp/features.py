@@ -18,7 +18,7 @@ import numpy as np
 from .burg import burg_fit, psd_from_model
 from .dataset import LABEL_TO_INDEX, EmgRecord, _fmt
 from .errors import DataError, DegenerateSignalError
-from .network import _check_sizes
+from .network import _check_sizes, _is_finite_number
 
 STD_FLOOR = 1e-8
 
@@ -34,8 +34,8 @@ class FeatureConfig:
         _check_sizes(self, ("ar_order", "nbins"))
         if self.nbins < 8:
             raise ValueError(f"nbins must be >= 8, got {self.nbins}")
-        if not self.log_floor > 0:
-            raise ValueError(f"log_floor must be positive, got {self.log_floor}")
+        if not (_is_finite_number(self.log_floor) and self.log_floor > 0):
+            raise ValueError(f"log_floor must be a finite number > 0, got {self.log_floor!r}")
         if self.normalization not in ("zscore", "none"):
             raise ValueError(f"normalization must be 'zscore' or 'none', got {self.normalization!r}")
 

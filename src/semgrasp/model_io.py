@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import json
-import sys
 import zipfile
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .features import STD_FLOOR, FeatureConfig, Normalizer
-from .network import ConvSpec, NetworkSpec, NetworkState, empty_network
+from .network import ConvSpec, NetworkSpec, NetworkState, _is_finite_number, empty_network
 
 FORMAT_VERSION = 1
 _META_KEY = "__meta__"
@@ -84,9 +83,7 @@ def load_model(path: str | Path) -> ModelBundle:
                 f"but network.input_bins is {spec.input_bins}"
             )
         rate = meta.get("sample_rate")
-        is_number = isinstance(rate, (int, float)) and not isinstance(rate, bool)
-        # the upper bound refuses infinity, and integers too large for a float
-        if rate is not None and not (is_number and 0 < rate <= sys.float_info.max):
+        if rate is not None and not (_is_finite_number(rate) and rate > 0):
             raise ValueError(f"sample_rate must be null or a finite number > 0, got {rate!r}")
     except KeyError as e:
         raise DataError(f"{path}: bundle metadata is missing {e}") from None

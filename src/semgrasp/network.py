@@ -13,7 +13,9 @@ given seed, code and BLAS thread count.
 
 from __future__ import annotations
 
+import contextvars
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -52,11 +54,13 @@ def _run_stacks(fn, rows: int, ch1_args: tuple, ch2_args: tuple):
     thread while this thread runs ch1; numpy releases the GIL inside matmul
     and ufunc loops, so the two overlap. Each call runs exactly the numpy
     calls it would run alone, so the results do not depend on the thread.
-    An exception in either call reaches the caller, after both have finished.
+    The ch2 call runs in a copy of this thread's context, which carries
+    numpy's error state. An exception in either call reaches the caller,
+    after both have finished.
     """
     if rows < _CONCURRENT_MIN_ROWS:
         return fn(*ch1_args), fn(*ch2_args)
-    future = _ch2_executor.submit(fn, *ch2_args)
+    future = _ch2_executor.submit(contextvars.copy_context().run, fn, *ch2_args)
     try:
         out1 = fn(*ch1_args)
     finally:
@@ -152,10 +156,17 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
+def _is_finite_number(value) -> bool:
+    """An int or float, not a bool, within the float range: refuses NaN, infinities
+    and integers too large for a float (which math.isfinite would overflow on)."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return is_number and abs(value) <= sys.float_info.max
+
+
 def _check_sizes(obj, names: tuple[str, ...]) -> None:
     for name in names:
         value = getattr(obj, name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if not (_is_finite_number(value) and isinstance(value, int) and value >= 1):
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 

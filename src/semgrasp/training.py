@@ -21,6 +21,7 @@ from .network import (
     NetworkSpec,
     NetworkState,
     _check_sizes,
+    _is_finite_number,
     cross_entropy,
     forward,
     init_network,
@@ -45,10 +46,9 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_sizes(self, ("epochs", "batch_size"))
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        is_number = isinstance(self.momentum, (int, float)) and not isinstance(self.momentum, bool)
-        if not (is_number and 0 <= self.momentum < 1):
+        if not (_is_finite_number(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
+        if not (_is_finite_number(self.momentum) and 0 <= self.momentum < 1):
             raise ValueError(f"momentum must be a number in [0, 1), got {self.momentum!r}")
 
 
@@ -83,7 +83,7 @@ def train(
 
     train/test sets must be non-empty and disjoint. progress, if given, is
     called as progress(epoch, EpochStats) after every epoch. Raises
-    TrainingDivergedError naming the epoch if any loss goes non-finite.
+    TrainingDivergedError naming the epoch, not a numpy warning, if a loss goes non-finite.
     """
     if not train_features or not test_features:
         raise ValueError("train and test sets must both be non-empty")
@@ -102,26 +102,27 @@ def train(
 
     n = len(y_tr)
     log: list[EpochStats] = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng_shuffle.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            loss, grads = loss_and_gradients(state, x_tr[batch], y_tr[batch])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch, f"batch loss = {loss}")
-            for name, arr in state.parameters():
-                v = velocity[name]
-                v *= cfg.momentum
-                v -= cfg.learning_rate * grads[name]
-                arr += v
-        train_loss, train_acc = evaluate(state, x_tr, y_tr)
-        test_loss, test_acc = evaluate(state, x_te, y_te)
-        if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
-            raise TrainingDivergedError(epoch, "epoch evaluation loss non-finite")
-        stats = EpochStats(train_loss, train_acc, test_loss, test_acc)
-        log.append(stats)
-        if progress is not None:
-            progress(epoch, stats)
+    with np.errstate(all="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng_shuffle.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                loss, grads = loss_and_gradients(state, x_tr[batch], y_tr[batch])
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(epoch, f"batch loss = {loss}")
+                for name, arr in state.parameters():
+                    v = velocity[name]
+                    v *= cfg.momentum
+                    v -= cfg.learning_rate * grads[name]
+                    arr += v
+            train_loss, train_acc = evaluate(state, x_tr, y_tr)
+            test_loss, test_acc = evaluate(state, x_te, y_te)
+            if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
+                raise TrainingDivergedError(epoch, "epoch evaluation loss non-finite")
+            stats = EpochStats(train_loss, train_acc, test_loss, test_acc)
+            log.append(stats)
+            if progress is not None:
+                progress(epoch, stats)
     return state, log
 
 

@@ -13,7 +13,7 @@ import pytest
 from helpers import rewrite_bundle
 
 import semgrasp
-from semgrasp.cli import main, resolve_config
+from semgrasp.cli import _CONFIG_DEFAULTS, main, resolve_config
 from semgrasp.dataset import LABELS, generate_synthetic, load_dataset, write_dataset
 from semgrasp.features import load_features_csv
 from semgrasp.model_io import load_model
@@ -124,6 +124,16 @@ def test_convert_bad_matrix_value_names_file_and_line(
     assert len(captured.err.splitlines()) == 1, captured.err
     assert message in captured.err
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["-1", "inf"])
+def test_convert_bad_rate_writes_nothing(export_dir, tmp_path, capsys, rate):
+    out = tmp_path / "out"
+    assert main(["convert", str(export_dir), str(out), f"--rate={rate}"]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert "sample_rate must be finite and > 0" in captured.err
     assert not out.exists()
 
 
@@ -400,9 +410,111 @@ def test_train_divergence_exit_code(dataset_dir, tmp_path, capsys):
         network={"conv_layers": [[4, 3, 1]], "dense_units": 8, "activation": "identity"},
         training={"epochs": 20, "learning_rate": 1e40},
     )
-    with np.errstate(all="ignore"):
-        assert main(["train", "--config", str(cfg)]) == 3
-    assert "diverged at epoch" in capsys.readouterr().err
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "diverged at epoch" in err
+
+
+# ----------------------------------------------------------- config contract
+
+# JSON value kinds every config key is probed with, as raw config text
+_PROBE_VALUES = [
+    "null", "true", "0", "-1", "2.5", "NaN", "1e308", "1e400", "9" * 400, '"x"', "[]", "{}"
+]
+
+
+def _config_key_paths():
+    """Every key of the config, top-level and nested, as a tuple path."""
+    for key, default in _CONFIG_DEFAULTS.items():
+        yield (key,)
+        if isinstance(default, dict):
+            yield from ((key, sub) for sub in default)
+
+
+# the probes a valid config may hold: each of them trains (or diverges, exit 3)
+_ACCEPTED_PROBES = {
+    "features=null", 'out="x"', "seed=0", "sample_rate=null", "sample_rate=2.5",
+    "sample_rate=1e308", "reference_accuracy=null", "reference_accuracy=0",
+    "features_config={}", "features_config.log_floor=2.5", "features_config.log_floor=1e308",
+    "network={}", "network.conv_layers=[]", "training={}", "training.learning_rate=2.5",
+    "training.learning_rate=1e308", "training.momentum=0",
+}
+
+
+def _probe_row(edits: dict, row_id: str):
+    return pytest.param(edits, row_id in _ACCEPTED_PROBES, id=row_id)
+
+
+_PROBE_ROWS = [
+    _probe_row({path: text}, f"{'.'.join(path)}={'400digits' if len(text) > 9 else text}")
+    for path in _config_key_paths()
+    for text in _PROBE_VALUES
+] + [
+    _probe_row(
+        {("dataset",): "null", ("features",): "@DUMP@", ("sample_rate",): '"abc"'},
+        "feature_dump_with_string_sample_rate",
+    ),
+    _probe_row({("network", "conv_layers"): "[[2, 3]]"}, "two_entry_conv_layer"),
+]
+
+
+@pytest.fixture(scope="module")
+def probe_inputs(tmp_path_factory):
+    """A tiny dataset and its feature dump, for one-epoch probe runs."""
+    base = tmp_path_factory.mktemp("probe")
+    write_dataset(generate_synthetic(4, 64, seed=2), base / "data")
+    assert main(["extract", str(base / "data"), "--out", str(base / "f.csv"), "--nbins", "16"]) == 0
+    return base / "data", base / "f.csv"
+
+
+def _probe_config(edits: dict, data: Path, dump: Path) -> str:
+    """JSON text of a small one-epoch config with each edited key set to raw text."""
+    cfg = {
+        "dataset": str(data),
+        "out": "run",
+        "seed": 1,
+        "features_config": {"ar_order": 4, "nbins": 16},
+        "network": {"conv_layers": [[2, 3, 1]], "dense_units": 4},
+        "training": {"epochs": 1, "batch_size": 8},
+    }
+    for i, path in enumerate(edits):
+        *parents, leaf = path
+        section = cfg
+        for key in parents:
+            section = section.setdefault(key, {})
+        section[leaf] = f"@EDIT{i}@"
+    text = json.dumps(cfg)
+    for i, value in enumerate(edits.values()):
+        text = text.replace(f'"@EDIT{i}@"', value.replace("@DUMP@", json.dumps(str(dump))))
+    return text
+
+
+@pytest.mark.parametrize("edits, accepted", _PROBE_ROWS)
+def test_config_value_meets_exit_contract(
+    probe_inputs, tmp_path, monkeypatch, capsys, edits, accepted
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)  # relative outputs such as "x" land here
+    (tmp_path / "cfg.json").write_text(_probe_config(edits, *probe_inputs))
+    code = main(["train", "--config", str(tmp_path / "cfg.json")])
+    err = capsys.readouterr().err
+    assert code in ((0, 3) if accepted else (1,)), err
+    assert len(err.splitlines()) <= 1, err
+    if code not in (0, 3):
+        assert list(work.iterdir()) == [], err
+    if code == 0:
+        (bundle,) = work.rglob("model.bin")
+        load_model(bundle)
+
+
+def test_extract_non_finite_log_floor_is_config_error(probe_inputs, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert main(["extract", str(probe_inputs[0]), "--out", str(out), "--log-floor", "inf"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["config error: log_floor must be a finite number > 0, got inf"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------- eval and predict

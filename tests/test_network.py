@@ -376,6 +376,14 @@ def test_ch2_stack_error_reaches_caller_unchanged(monkeypatch):
         forward(state, x)
 
 
+def test_ch2_stack_runs_in_callers_numpy_error_state():
+    state, x, _ = _desk_net(batch=network._CONCURRENT_MIN_ROWS)
+    state.dense_layers[1].weights[:] = 1e308  # overflows in the ch2 stack only
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            forward(state, x)
+
+
 def test_concurrent_callers_get_sequential_results():
     state, x, y = _desk_net(3, batch=network._CONCURRENT_MIN_ROWS)
     expected = loss_and_gradients(state, x, y)[1]

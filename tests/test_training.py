@@ -80,9 +80,8 @@ def test_divergence_guard_names_epoch():
     spec = NetworkSpec(
         input_bins=16, conv_layers=[ConvSpec(4, 3, 1)], dense_units=8, activation="identity"
     )
-    with np.errstate(all="ignore"):
-        with pytest.raises(TrainingDivergedError, match="epoch") as excinfo:
-            train(spec, train_feats, test_feats, TrainConfig(epochs=20, learning_rate=1e40, seed=3))
+    with pytest.raises(TrainingDivergedError, match="epoch") as excinfo:
+        train(spec, train_feats, test_feats, TrainConfig(epochs=20, learning_rate=1e40, seed=3))
     assert excinfo.value.epoch >= 1
 
 
