@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -198,11 +199,23 @@ def psd_from_model(model: BurgModel, nbins: int) -> PsdEstimate:
     if nbins < 8:
         raise ValueError(f"nbins must be >= 8, got {nbins}")
     rate = model.sample_rate
-    freqs = np.linspace(0.0, rate / 2.0, nbins)
+    freqs, basis = _psd_basis(nbins, model.order, rate)
     a = np.asarray(model.ar_coeffs, dtype=np.float64)
-    omega = 2.0 * math.pi * freqs / rate
-    j = np.arange(1, model.order + 1)
-    resp = 1.0 + np.exp(-1j * np.outer(omega, j)) @ a.astype(np.complex128)
+    resp = 1.0 + basis @ a.astype(np.complex128)
     denom = np.abs(resp) ** 2
     power = model.noise_variance / (rate * denom)
     return PsdEstimate(frequencies=freqs, power=power)
+
+
+@lru_cache(maxsize=16)
+def _psd_basis(nbins: int, order: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency grid and exp(-i omega_k j) matrix [nbins, order], read-only.
+
+    They depend on nothing but these three values, which stay fixed over a run.
+    """
+    freqs = np.linspace(0.0, rate / 2.0, nbins)
+    omega = 2.0 * math.pi * freqs / rate
+    basis = np.exp(-1j * np.outer(omega, np.arange(1, order + 1)))
+    for arr in (freqs, basis):
+        arr.setflags(write=False)
+    return freqs, basis

@@ -46,7 +46,7 @@ from .metrics import (
     write_summary_csv,
 )
 from .model_io import ModelBundle, load_model, save_model
-from .network import ConvSpec, NetworkSpec, _is_finite_number
+from .network import ConvSpec, NetworkSpec, _is_finite_number, empty_network
 from .training import TrainConfig, predict, predict_batch, train
 
 _NETWORK_DEFAULTS = NetworkSpec(input_bins=FeatureConfig().nbins)
@@ -169,7 +169,9 @@ def _build_sections(cfg: dict) -> tuple[FeatureConfig, TrainConfig, NetworkSpec]
             dense_units=net["dense_units"],
             activation=net["activation"],
         )
-        spec.flat_dim()  # validates the conv chain against the input length
+        # checks the conv chain against the input length, and that the arrays can be
+        # allocated at all (MemoryError), before any data is read or file written
+        empty_network(spec)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad {section}: {e}") from None
     return fcfg, tcfg, spec
@@ -406,6 +408,10 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        # sizes that pass every config check but do not fit this machine
+        print(f"config error: cannot allocate memory: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

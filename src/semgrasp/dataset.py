@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -201,11 +202,43 @@ def load_dataset(path: str | Path) -> Dataset:
     return ds
 
 
+def _parse_matrix(path: Path, columns: int | None = None) -> np.ndarray | None:
+    """The float64 matrix numpy's C parser reads from ``path``, or None.
+
+    None means "ask the line-by-line reader": numpy refused the text, or the
+    result has no rows, a value that is not finite, or not ``columns``
+    columns. Everything numpy accepts here, Python's ``csv`` + ``float`` read
+    to the same values, so the line-by-line readers stay the reference for
+    what a file holds and the only source of ``file:line`` errors.
+    """
+    try:
+        # an empty file makes loadtxt warn; the fallback reports it instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except (ValueError, OSError):
+        return None
+    if len(m) == 0 or columns not in (None, m.shape[1]) or not np.isfinite(m).all():
+        return None
+    return m
+
+
 def read_record_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read one interchange record file (two columns ch1,ch2, no header)."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"record file not found: {path}")
+    m = _parse_matrix(path, columns=2)
+    if m is not None:
+        # each channel is a C-contiguous row of one [2, n] copy. Copying the two
+        # columns apart instead left the heap about 20 MB larger after loading
+        # 900 records of 3000 samples (glibc malloc).
+        ch1, ch2 = m.T.copy()
+        return ch1, ch2
+    return _read_record_lines(path)
+
+
+def _read_record_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
     ch1: list[float] = []
     ch2: list[float] = []
     with open(path, newline="") as fh:
@@ -428,6 +461,11 @@ def convert_class_matrices(
 
 
 def _read_matrix(path: Path) -> np.ndarray:
+    m = _parse_matrix(path)
+    return m if m is not None else _read_matrix_lines(path)
+
+
+def _read_matrix_lines(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):

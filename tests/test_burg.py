@@ -6,6 +6,7 @@ from helpers import ar_realization, grid_search_reflection, sinusoid, trapezoid
 
 from semgrasp.burg import (
     BurgModel,
+    _psd_basis,
     burg_fit,
     compute_reflection,
     init_state,
@@ -291,6 +292,25 @@ def test_psd_grid_and_invariants():
     assert np.all(np.isfinite(psd.power))
     with pytest.raises(ValueError):
         psd_from_model(model, 7)
+
+
+def test_psd_basis_cache_keeps_power_bit_identical_and_read_only():
+    model = BurgModel(order=3, ar_coeffs=[-0.5, 0.2, 0.1], reflection_coeffs=[0.0, 0.0, 0.1],
+                      noise_variance=1.5, sample_rate=500.0)
+    first = psd_from_model(model, 64)
+    second = psd_from_model(model, 64)
+    assert first.power.tobytes() == second.power.tobytes()
+    # the direct, uncached evaluation of the same formula
+    freqs = np.linspace(0.0, 250.0, 64)
+    basis = np.exp(-1j * np.outer(2.0 * np.pi * freqs / 500.0, np.arange(1, 4)))
+    resp = 1.0 + basis @ np.asarray(model.ar_coeffs).astype(np.complex128)
+    assert first.power.tobytes() == (1.5 / (500.0 * np.abs(resp) ** 2)).tobytes()
+    assert first.frequencies.tobytes() == freqs.tobytes()
+    cached_freqs, cached_basis = _psd_basis(64, 3, 500.0)
+    assert cached_basis.tobytes() == basis.tobytes()
+    for arr in (cached_freqs, cached_basis, first.frequencies):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 def test_psd_integral_recovers_realization_variance():

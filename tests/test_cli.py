@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +457,8 @@ _PROBE_ROWS = [
         "feature_dump_with_string_sample_rate",
     ),
     _probe_row({("network", "conv_layers"): "[[2, 3]]"}, "two_entry_conv_layer"),
+    # an integer >= 1 whose dense weights (hundreds of GiB) cannot be allocated
+    _probe_row({("network", "dense_units"): "1000000000"}, "unallocatable_dense_units"),
 ]
 
 
@@ -660,6 +663,24 @@ def test_predict_zero_normalizer_std_is_data_error(trained_run, dataset_dir, tmp
 def test_predict_missing_record_file(trained_run, tmp_path, capsys):
     assert main(["predict", str(trained_run / "model.bin"), str(tmp_path / "nope.csv")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "record file holds no samples"), ("1,2,3\n", "r.csv:1: expected 2 values (ch1,ch2), got 3")],
+    ids=["empty", "three_columns"],
+)
+def test_predict_unreadable_record_writes_one_line(trained_run, tmp_path, capsys, text, message):
+    record = tmp_path / "r.csv"
+    record.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["predict", str(trained_run / "model.bin"), str(record)]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,10 @@ from semgrasp.burg import burg_fit, psd_from_model
 from semgrasp.dataset import (
     LABELS,
     Dataset,
+    _parse_matrix,
+    _read_matrix,
+    _read_matrix_lines,
+    _read_record_lines,
     generate_synthetic,
     load_dataset,
     read_record_csv,
@@ -144,6 +150,81 @@ def test_load_missing_manifest_column_named(tmp_path):
 def test_read_record_csv_missing_file(tmp_path):
     with pytest.raises(DataError, match="not found"):
         read_record_csv(tmp_path / "nope.csv")
+
+
+# Differential table: numpy's C parser reads a file first and the line-by-line
+# reader (csv + float) reads it again whenever the C parser's result is refused.
+# For every input, what the public reader returns or raises must be exactly
+# what the line-by-line reader alone returns or raises.
+_TEXT_ROWS = {
+    "plain": "1.5,-2.25\n3,4e-3\n",
+    "blank_line": "1,2\n\n3,4\n",
+    "whitespace_line": "1,2\n  \n3,4\n",
+    "hash_line": "1,2\n# note\n3,4\n",
+    "quoted": '"1.5","2"\n3,4\n',
+    "spaces_tabs": " 1 ,\t2\t\n3 , 4\n",
+    "underscore": "1_0,2\n3,4\n",
+    "nan": "1,2\nnan,4\n",
+    "inf": "1,2\n3,-inf\n",
+    "overflow": "1e400,2\n3,4\n",
+    "denormal": "4.9e-324,2\n3,4\n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "bare_cr": "1,2\r3,4\r",
+    "no_final_newline": "1,2\n3,4",
+    "empty": "",
+    "bom": "\ufeff1,2\n3,4\n",
+    "hex_float": "0x1p3,2\n3,4\n",
+    "fortran_exponent": "1d5,2\n3,4\n",
+    "nul_byte": "1,2\n3\x00,4\n",
+    "three_columns": "1,2,3\n4,5,6\n",
+    "one_column": "1\n2\n",
+}
+_RECORD_ROWS = {**_TEXT_ROWS, "trailing_comma": "1,2,\n3,4,\n", "ragged": "1,2\n3\n"}
+_MATRIX_ROWS = {**_TEXT_ROWS, "trailing_comma": "1,2,3,\n4,5,6,\n", "ragged": "1,2,3\n4,5\n"}
+# inputs the C parser must take on its own, so the table exercises both paths
+_FAST_ROWS = {"plain", "blank_line", "spaces_tabs", "denormal", "crlf", "bare_cr",
+              "no_final_newline"}
+
+
+def _outcome(read, path):
+    """What a reader yields: its arrays as (dtype, shape, contiguity, bytes), or its error."""
+    try:
+        out = read(path)
+    except DataError as e:
+        return "DataError", str(e)
+    arrays = out if isinstance(out, tuple) else (out,)
+    return [(a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for a in arrays]
+
+
+def _differential(tmp_path, row_id, text, read, read_lines, columns):
+    path = tmp_path / f"{row_id}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if row_id in _FAST_ROWS:
+        assert _parse_matrix(path, columns) is not None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _outcome(read, path) == _outcome(read_lines, path)
+    assert caught == []
+
+
+@pytest.mark.parametrize("row_id", _RECORD_ROWS)
+def test_read_record_csv_matches_line_reader(tmp_path, capsys, row_id):
+    _differential(tmp_path, row_id, _RECORD_ROWS[row_id], read_record_csv, _read_record_lines, 2)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("row_id", _MATRIX_ROWS)
+def test_read_matrix_matches_line_reader(tmp_path, capsys, row_id):
+    _differential(tmp_path, row_id, _MATRIX_ROWS[row_id], _read_matrix, _read_matrix_lines, None)
+    assert capsys.readouterr().err == ""
+
+
+def test_read_record_csv_underscore_value_reads_as_python_float(tmp_path):
+    # numpy refuses "1_0"; the line-by-line reader takes it as float("1_0") == 10.0
+    path = tmp_path / "r.csv"
+    path.write_text("1_0,2\n3,4\n")
+    ch1, ch2 = read_record_csv(path)
+    assert ch1.tolist() == [10.0, 3.0] and ch2.tolist() == [2.0, 4.0]
 
 
 # --------------------------------------------------------------------- split
