@@ -153,53 +153,61 @@ def load_dataset(path: str | Path) -> Dataset:
 
     base = root.resolve()
     records: list[EmgRecord] = []
-    with open(manifest, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{manifest}:1: empty manifest") from None
-        for col in MANIFEST_COLUMNS:
-            if col not in header:
-                raise DataError(f"{manifest}:1: missing manifest column {col!r}")
-        idx = {col: header.index(col) for col in MANIFEST_COLUMNS}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise DataError(
-                    f"{manifest}:{lineno}: expected {len(header)} columns, got {len(row)}"
-                )
-            fname = row[idx["file"]]
-            label = row[idx["label"]]
-            if label not in LABEL_TO_INDEX:
-                raise DataError(f"{manifest}:{lineno}: unknown label {label!r}")
-            try:
-                rate = float(row[idx["sample_rate"]])
-            except ValueError:
-                raise DataError(
-                    f"{manifest}:{lineno}: bad sample_rate {row[idx['sample_rate']]!r}"
-                ) from None
-            if not (math.isfinite(rate) and rate > 0):
-                raise DataError(f"{manifest}:{lineno}: sample_rate must be positive, got {rate}")
-            if not (root / fname).resolve().is_relative_to(base):
-                raise DataError(
-                    f"{manifest}:{lineno}: record file {fname!r} lies outside the dataset directory"
-                )
-            ch1, ch2 = read_record_csv(root / fname)
-            rec = EmgRecord(
-                channel1=ch1,
-                channel2=ch2,
-                sample_rate=rate,
-                label=label,
-                subject_id=row[idx["subject"]],
-                session_id=row[idx["session"]],
+    rows = _csv_rows(manifest)
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise DataError(f"{manifest}:1: empty manifest") from None
+    for col in MANIFEST_COLUMNS:
+        if col not in header:
+            raise DataError(f"{manifest}:1: missing manifest column {col!r}")
+    idx = {col: header.index(col) for col in MANIFEST_COLUMNS}
+    for lineno, row in rows:
+        if not row:
+            continue
+        if len(row) < len(header):
+            raise DataError(
+                f"{manifest}:{lineno}: expected {len(header)} columns, got {len(row)}"
             )
-            records.append(rec)
+        fname = row[idx["file"]]
+        label = row[idx["label"]]
+        if label not in LABEL_TO_INDEX:
+            raise DataError(f"{manifest}:{lineno}: unknown label {label!r}")
+        try:
+            rate = float(row[idx["sample_rate"]])
+        except ValueError:
+            raise DataError(
+                f"{manifest}:{lineno}: bad sample_rate {row[idx['sample_rate']]!r}"
+            ) from None
+        if not (math.isfinite(rate) and rate > 0):
+            raise DataError(f"{manifest}:{lineno}: sample_rate must be positive, got {rate}")
+        if not (root / fname).resolve().is_relative_to(base):
+            raise DataError(
+                f"{manifest}:{lineno}: record file {fname!r} lies outside the dataset directory"
+            )
+        ch1, ch2 = read_record_csv(root / fname)
+        rec = EmgRecord(
+            channel1=ch1,
+            channel2=ch2,
+            sample_rate=rate,
+            label=label,
+            subject_id=row[idx["subject"]],
+            session_id=row[idx["session"]],
+        )
+        records.append(rec)
 
     ds = Dataset(records=records, name=root.name)
     ds.validate()
     return ds
+
+
+def _csv_rows(path: Path):
+    """(line number, row) pairs of a CSV file; text that does not decode is a DataError."""
+    try:
+        with open(path, newline="") as fh:
+            yield from enumerate(csv.reader(fh), start=1)
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not {e.encoding} text ({e.reason})") from None
 
 
 def _parse_matrix(path: Path, columns: int | None = None) -> np.ndarray | None:
@@ -241,20 +249,19 @@ def read_record_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 def _read_record_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
     ch1: list[float] = []
     ch2: list[float] = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 values (ch1,ch2), got {len(row)}")
-            try:
-                v1, v2 = float(row[0]), float(row[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed value in row {row!r}") from None
-            if not (math.isfinite(v1) and math.isfinite(v2)):
-                raise DataError(f"{path}:{lineno}: non-finite sample value")
-            ch1.append(v1)
-            ch2.append(v2)
+    for lineno, row in _csv_rows(path):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise DataError(f"{path}:{lineno}: expected 2 values (ch1,ch2), got {len(row)}")
+        try:
+            v1, v2 = float(row[0]), float(row[1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed value in row {row!r}") from None
+        if not (math.isfinite(v1) and math.isfinite(v2)):
+            raise DataError(f"{path}:{lineno}: non-finite sample value")
+        ch1.append(v1)
+        ch2.append(v2)
     if not ch1:
         raise DataError(f"{path}: record file holds no samples")
     return np.array(ch1), np.array(ch2)
@@ -467,21 +474,20 @@ def _read_matrix(path: Path) -> np.ndarray:
 
 def _read_matrix_lines(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed value") from None
-            if not all(math.isfinite(v) for v in vals):
-                raise DataError(f"{path}:{lineno}: non-finite sample value")
-            if rows and len(vals) != len(rows[0]):
-                raise DataError(
-                    f"{path}:{lineno}: row has {len(vals)} samples, expected {len(rows[0])}"
-                )
-            rows.append(vals)
+    for lineno, row in _csv_rows(path):
+        if not row:
+            continue
+        try:
+            vals = [float(v) for v in row]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed value") from None
+        if not all(math.isfinite(v) for v in vals):
+            raise DataError(f"{path}:{lineno}: non-finite sample value")
+        if rows and len(vals) != len(rows[0]):
+            raise DataError(
+                f"{path}:{lineno}: row has {len(vals)} samples, expected {len(rows[0])}"
+            )
+        rows.append(vals)
     if not rows:
         raise DataError(f"{path}: empty matrix")
     return np.array(rows)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .burg import burg_fit, psd_from_model
-from .dataset import LABEL_TO_INDEX, EmgRecord, _fmt
+from .dataset import LABEL_TO_INDEX, EmgRecord, _csv_rows, _fmt
 from .errors import DataError, DegenerateSignalError
 from .network import _check_sizes, _is_finite_number
 
@@ -133,37 +133,36 @@ def load_features_csv(path: str | Path) -> list[FeatureVector]:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"feature file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    rows = _csv_rows(path)
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise DataError(f"{path}:1: empty feature file") from None
+    nbins = (len(header) - 1) // 2
+    if header != _dump_header(nbins):
+        raise DataError(f"{path}:1: feature header does not match the dump schema")
+    out: list[FeatureVector] = []
+    for lineno, row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+        label = row[0]
+        if label not in LABEL_TO_INDEX:
+            raise DataError(f"{path}:{lineno}: unknown label {label!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}:1: empty feature file") from None
-        nbins = (len(header) - 1) // 2
-        if header != _dump_header(nbins):
-            raise DataError(f"{path}:1: feature header does not match the dump schema")
-        out: list[FeatureVector] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            label = row[0]
-            if label not in LABEL_TO_INDEX:
-                raise DataError(f"{path}:{lineno}: unknown label {label!r}")
-            try:
-                vals = np.array([float(v) for v in row[1:]])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed feature value") from None
-            if not np.isfinite(vals).all():
-                raise DataError(f"{path}:{lineno}: non-finite feature value")
-            out.append(
-                FeatureVector(
-                    channel1_features=vals[:nbins],
-                    channel2_features=vals[nbins:],
-                    label=label,
-                )
+            vals = np.array([float(v) for v in row[1:]])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed feature value") from None
+        if not np.isfinite(vals).all():
+            raise DataError(f"{path}:{lineno}: non-finite feature value")
+        out.append(
+            FeatureVector(
+                channel1_features=vals[:nbins],
+                channel2_features=vals[nbins:],
+                label=label,
             )
+        )
     if not out:
         raise DataError(f"{path}: no feature rows found")
     return out

@@ -9,6 +9,7 @@ identical logs bit for bit.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,20 @@ def evaluate(state: NetworkState, x: np.ndarray, y: np.ndarray):
     return cross_entropy(probs, y), int((probs.argmax(axis=1) == y).sum()) / len(y)
 
 
+def _keep_freed_pages() -> None:
+    """Keep freed step temporaries in glibc's heap instead of refaulting them each step.
+
+    Both thresholds are set: setting either stops glibc adjusting both. No-op without mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's own ceiling on 64-bit
+    mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+
+
 def train(
     spec: NetworkSpec,
     train_features: list[FeatureVector],
@@ -84,7 +99,10 @@ def train(
     train/test sets must be non-empty and disjoint. progress, if given, is
     called as progress(epoch, EpochStats) after every epoch. Raises
     TrainingDivergedError naming the epoch, not a numpy warning, if a loss goes non-finite.
+    First sets glibc's mmap and trim thresholds once for the whole process; they stay set
+    afterwards, outside the determinism contract: results are byte-identical without them.
     """
+    _keep_freed_pages()
     if not train_features or not test_features:
         raise ValueError("train and test sets must both be non-empty")
     x_tr, y_tr = features_to_arrays(train_features)

@@ -667,12 +667,16 @@ def test_predict_missing_record_file(trained_run, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, message",
-    [("", "record file holds no samples"), ("1,2,3\n", "r.csv:1: expected 2 values (ch1,ch2), got 3")],
-    ids=["empty", "three_columns"],
+    [
+        (b"", "record file holds no samples"),
+        (b"1,2,3\n", "r.csv:1: expected 2 values (ch1,ch2), got 3"),
+        (b"1,2\n\xff3,4\n", "r.csv: not utf-8 text (invalid start byte)"),
+    ],
+    ids=["empty", "three_columns", "non_utf8"],
 )
 def test_predict_unreadable_record_writes_one_line(trained_run, tmp_path, capsys, text, message):
     record = tmp_path / "r.csv"
-    record.write_text(text)
+    record.write_bytes(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["predict", str(trained_run / "model.bin"), str(record)]) == 2

@@ -20,6 +20,7 @@ from semgrasp.dataset import (
     write_dataset,
 )
 from semgrasp.errors import DataError
+from semgrasp.features import load_features_csv
 
 
 def _balanced_dataset(per_class: int, length: int = 8) -> Dataset:
@@ -217,6 +218,24 @@ def test_read_record_csv_matches_line_reader(tmp_path, capsys, row_id):
 def test_read_matrix_matches_line_reader(tmp_path, capsys, row_id):
     _differential(tmp_path, row_id, _MATRIX_ROWS[row_id], _read_matrix, _read_matrix_lines, None)
     assert capsys.readouterr().err == ""
+
+
+# a byte that is not UTF-8 is a DataError naming the file, never a UnicodeDecodeError
+_NON_UTF8 = {
+    "record": (read_record_csv, "rec00000.csv", b"1,2\n\xff3,4\n"),
+    "matrix": (_read_matrix, "C_ch1.csv", b"1,2,3\n\xff4,5,6\n"),
+    "manifest": (load_dataset, "manifest.csv", b"file,label,subject,session,sample_rate\n\xff\n"),
+    "features": (load_features_csv, "f.csv", b"label,ch1_f0,ch2_f0\nC,1,\xff2\n"),
+}
+
+
+@pytest.mark.parametrize("reader", _NON_UTF8)
+def test_non_utf8_text_is_a_data_error_naming_the_file(tmp_path, reader):
+    read, name, data = _NON_UTF8[reader]
+    (tmp_path / name).write_bytes(data)
+    with pytest.raises(DataError) as err:
+        read(tmp_path if reader == "manifest" else tmp_path / name)
+    assert str(err.value) == f"{tmp_path / name}: not utf-8 text (invalid start byte)"
 
 
 def test_read_record_csv_underscore_value_reads_as_python_float(tmp_path):
