@@ -113,6 +113,8 @@ def resolve_config(
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: not valid JSON: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not {e.encoding} text ({e.reason})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
 

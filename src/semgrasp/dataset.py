@@ -210,61 +210,16 @@ def _csv_rows(path: Path):
         raise DataError(f"{path}: not {e.encoding} text ({e.reason})") from None
 
 
-def _parse_matrix(path: Path, columns: int | None = None) -> np.ndarray | None:
-    """The float64 matrix numpy's C parser reads from ``path``, or None.
-
-    None means "ask the line-by-line reader": numpy refused the text, or the
-    result has no rows, a value that is not finite, or not ``columns``
-    columns. Everything numpy accepts here, Python's ``csv`` + ``float`` read
-    to the same values, so the line-by-line readers stay the reference for
-    what a file holds and the only source of ``file:line`` errors.
-    """
-    try:
-        # an empty file makes loadtxt warn; the fallback reports it instead
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-    except (ValueError, OSError):
-        return None
-    if len(m) == 0 or columns not in (None, m.shape[1]) or not np.isfinite(m).all():
-        return None
-    return m
-
-
 def read_record_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read one interchange record file (two columns ch1,ch2, no header)."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"record file not found: {path}")
-    m = _parse_matrix(path, columns=2)
-    if m is not None:
-        # each channel is a C-contiguous row of one [2, n] copy. Copying the two
-        # columns apart instead left the heap about 20 MB larger after loading
-        # 900 records of 3000 samples (glibc malloc).
-        ch1, ch2 = m.T.copy()
-        return ch1, ch2
-    return _read_record_lines(path)
-
-
-def _read_record_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    ch1: list[float] = []
-    ch2: list[float] = []
-    for lineno, row in _csv_rows(path):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise DataError(f"{path}:{lineno}: expected 2 values (ch1,ch2), got {len(row)}")
-        try:
-            v1, v2 = float(row[0]), float(row[1])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed value in row {row!r}") from None
-        if not (math.isfinite(v1) and math.isfinite(v2)):
-            raise DataError(f"{path}:{lineno}: non-finite sample value")
-        ch1.append(v1)
-        ch2.append(v2)
-    if not ch1:
-        raise DataError(f"{path}: record file holds no samples")
-    return np.array(ch1), np.array(ch2)
+    # each channel is a C-contiguous row of one [2, n] copy. Copying the two
+    # columns apart instead left the heap about 20 MB larger after loading
+    # 900 records of 3000 samples (glibc malloc).
+    ch1, ch2 = _read_matrix(path, columns=2).T.copy()
+    return ch1, ch2
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -467,27 +422,45 @@ def convert_class_matrices(
     return len(records)
 
 
-def _read_matrix(path: Path) -> np.ndarray:
-    m = _parse_matrix(path)
-    return m if m is not None else _read_matrix_lines(path)
+def _read_matrix(path: Path, columns: int | None = None) -> np.ndarray:
+    """The float64 matrix of a numeric CSV file, one row per line.
+
+    numpy's C parser reads it first; its result is taken when it has rows,
+    ``columns`` columns (when given) and only finite values. Otherwise the
+    line-by-line reader, which reads everything numpy accepts to the same
+    values and is the only source of ``file:line`` errors, reads it again.
+    """
+    try:
+        # an empty file makes loadtxt warn; the line reader reports it instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except (ValueError, OSError):
+        pass  # the line reader says what numpy refused
+    else:
+        if len(m) > 0 and columns in (None, m.shape[1]) and np.isfinite(m).all():
+            return m
+    return _read_matrix_lines(path, columns)
 
 
-def _read_matrix_lines(path: Path) -> np.ndarray:
+def _read_matrix_lines(path: Path, columns: int | None = None) -> np.ndarray:
+    """Line-by-line reader: each row must be ``columns`` wide, else as wide as the first."""
     rows: list[list[float]] = []
+    width = columns
     for lineno, row in _csv_rows(path):
         if not row:
             continue
         try:
             vals = [float(v) for v in row]
         except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed value") from None
+            raise DataError(f"{path}:{lineno}: malformed value in row {row!r}") from None
         if not all(math.isfinite(v) for v in vals):
             raise DataError(f"{path}:{lineno}: non-finite sample value")
-        if rows and len(vals) != len(rows[0]):
-            raise DataError(
-                f"{path}:{lineno}: row has {len(vals)} samples, expected {len(rows[0])}"
-            )
+        if width is None:
+            width = len(vals)
+        if len(vals) != width:
+            raise DataError(f"{path}:{lineno}: row has {len(vals)} values, expected {width}")
         rows.append(vals)
     if not rows:
-        raise DataError(f"{path}: empty matrix")
+        raise DataError(f"{path}: file holds no samples")
     return np.array(rows)

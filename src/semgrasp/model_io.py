@@ -3,8 +3,9 @@
 The bundle is a zip of numpy arrays (written through an open handle so the
 file name is kept verbatim) plus one JSON metadata entry holding the format
 version, network hyperparameters, feature configuration, sample rate and
-normalizer bookkeeping. Arrays are stored as float64, so a reloaded model
-reproduces predictions bit-exactly for the same code and BLAS thread count.
+normalizer bookkeeping. Arrays are stored as float64 and a bundle holding
+any other dtype is refused, so a reloaded model reproduces predictions
+bit-exactly for the same code and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ def load_model(path: str | Path) -> ModelBundle:
             arrays = {k: data[k] for k in data.files if k != _META_KEY}
     except (zipfile.BadZipFile, ValueError, json.JSONDecodeError, io.UnsupportedOperation) as e:
         raise DataError(f"{path}: cannot read model bundle: {e}") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: bundle metadata must be a JSON object, got {meta!r}")
 
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
@@ -91,29 +94,14 @@ def load_model(path: str | Path) -> ModelBundle:
         raise DataError(f"{path}: bad bundle metadata: {e}") from None
     for prefix, layer in state.layers():
         for attr in ("weights", "bias"):
-            name = f"{prefix}.{attr}"
-            if name not in arrays:
-                raise DataError(f"{path}: bundle is missing weight array {name!r}")
-            expected = getattr(layer, attr).shape
-            if arrays[name].shape != expected:
-                raise DataError(
-                    f"{path}: weight array {name!r} has shape {arrays[name].shape}, "
-                    f"the network needs {expected}"
-                )
-            setattr(layer, attr, np.asarray(arrays[name], dtype=np.float64))
+            shape = getattr(layer, attr).shape
+            setattr(layer, attr, _bundle_array(path, arrays, "weight", f"{prefix}.{attr}", shape))
 
     normalizer = None
     if meta.get("has_normalizer"):
         rows = {"mean": [], "std": []}
         for name, attr, _ in _NORM_ARRAYS:
-            if name not in arrays:
-                raise DataError(f"{path}: bundle is missing normalizer array {name!r}")
-            arr = arrays[name]
-            if arr.shape != (feature_config.nbins,):
-                raise DataError(
-                    f"{path}: normalizer array {name!r} has shape {arr.shape}, "
-                    f"the features need ({feature_config.nbins},)"
-                )
+            arr = _bundle_array(path, arrays, "normalizer", name, (feature_config.nbins,))
             if not np.isfinite(arr).all():
                 raise DataError(f"{path}: normalizer array {name!r} holds non-finite values")
             if attr == "std" and arr.min() < STD_FLOOR:
@@ -132,3 +120,14 @@ def load_model(path: str | Path) -> ModelBundle:
         dataset_name=meta.get("dataset_name", ""),
     )
 
+
+def _bundle_array(path: Path, arrays: dict, kind: str, name: str, shape: tuple) -> np.ndarray:
+    """Bundle array ``name``, refused unless it is present, of ``shape`` and float64."""
+    if name not in arrays:
+        raise DataError(f"{path}: bundle is missing {kind} array {name!r}")
+    arr = arrays[name]
+    if arr.shape != shape:
+        raise DataError(f"{path}: {kind} array {name!r} has shape {arr.shape}, expected {shape}")
+    if arr.dtype != np.float64:
+        raise DataError(f"{path}: {kind} array {name!r} has dtype {arr.dtype}, expected float64")
+    return arr

@@ -107,7 +107,7 @@ def test_convert_missing_channel_file(export_dir, tmp_path, capsys):
     [
         ("0.5,abc,1.0", "T_ch2.csv:3: malformed value"),
         ("0.5,nan,1.0", "T_ch2.csv:3: non-finite sample value"),
-        ("0.5,1.0", "T_ch2.csv:3: row has 2 samples, expected 16"),
+        ("0.5,1.0", "T_ch2.csv:3: row has 2 values, expected 16"),
     ],
     ids=["malformed", "nan", "short_row"],
 )
@@ -221,6 +221,16 @@ def test_train_seed_mandatory(dataset_dir, tmp_path, capsys):
     cfg.write_text(json.dumps({"dataset": str(dataset_dir), "out": str(tmp_path / "o")}))
     assert main(["train", "--config", str(cfg)]) == 1
     assert "seed is mandatory" in capsys.readouterr().err
+
+
+def test_train_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"seed": 1, "dataset": "\xff"}')
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"config error: {cfg}: not utf-8 text (invalid start byte)"]
+    assert not out.exists()
 
 
 def test_train_unknown_config_key(dataset_dir, tmp_path, capsys):
@@ -668,8 +678,8 @@ def test_predict_missing_record_file(trained_run, tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [
-        (b"", "record file holds no samples"),
-        (b"1,2,3\n", "r.csv:1: expected 2 values (ch1,ch2), got 3"),
+        (b"", "r.csv: file holds no samples"),
+        (b"1,2,3\n", "r.csv:1: row has 3 values, expected 2"),
         (b"1,2\n\xff3,4\n", "r.csv: not utf-8 text (invalid start byte)"),
     ],
     ids=["empty", "three_columns", "non_utf8"],

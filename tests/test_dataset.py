@@ -6,13 +6,12 @@ import pytest
 from helpers import make_record
 
 from semgrasp.burg import burg_fit, psd_from_model
+from semgrasp import dataset
 from semgrasp.dataset import (
     LABELS,
     Dataset,
-    _parse_matrix,
     _read_matrix,
     _read_matrix_lines,
-    _read_record_lines,
     generate_synthetic,
     load_dataset,
     read_record_csv,
@@ -182,7 +181,8 @@ _TEXT_ROWS = {
 }
 _RECORD_ROWS = {**_TEXT_ROWS, "trailing_comma": "1,2,\n3,4,\n", "ragged": "1,2\n3\n"}
 _MATRIX_ROWS = {**_TEXT_ROWS, "trailing_comma": "1,2,3,\n4,5,6,\n", "ragged": "1,2,3\n4,5\n"}
-# inputs the C parser must take on its own, so the table exercises both paths
+# inputs the C parser must take on its own (they still read with the line reader
+# patched to fail), so the table exercises both paths
 _FAST_ROWS = {"plain", "blank_line", "spaces_tabs", "denormal", "crlf", "bare_cr",
               "no_final_newline"}
 
@@ -197,11 +197,23 @@ def _outcome(read, path):
     return [(a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for a in arrays]
 
 
-def _differential(tmp_path, row_id, text, read, read_lines, columns):
+def _record_lines(path):
+    """The line reader's matrix, split into channels exactly as read_record_csv splits it."""
+    ch1, ch2 = _read_matrix_lines(path, 2).T.copy()
+    return ch1, ch2
+
+
+def _refuse_line_reader(path, columns=None):
+    raise AssertionError(f"{path} reached the line-by-line reader")
+
+
+def _differential(tmp_path, monkeypatch, row_id, text, read, read_lines):
     path = tmp_path / f"{row_id}.csv"
     path.write_bytes(text.encode("utf-8"))
     if row_id in _FAST_ROWS:
-        assert _parse_matrix(path, columns) is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(dataset, "_read_matrix_lines", _refuse_line_reader)
+            read(path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert _outcome(read, path) == _outcome(read_lines, path)
@@ -209,14 +221,18 @@ def _differential(tmp_path, row_id, text, read, read_lines, columns):
 
 
 @pytest.mark.parametrize("row_id", _RECORD_ROWS)
-def test_read_record_csv_matches_line_reader(tmp_path, capsys, row_id):
-    _differential(tmp_path, row_id, _RECORD_ROWS[row_id], read_record_csv, _read_record_lines, 2)
+def test_read_record_csv_matches_line_reader(tmp_path, capsys, monkeypatch, row_id):
+    _differential(
+        tmp_path, monkeypatch, row_id, _RECORD_ROWS[row_id], read_record_csv, _record_lines
+    )
     assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("row_id", _MATRIX_ROWS)
-def test_read_matrix_matches_line_reader(tmp_path, capsys, row_id):
-    _differential(tmp_path, row_id, _MATRIX_ROWS[row_id], _read_matrix, _read_matrix_lines, None)
+def test_read_matrix_matches_line_reader(tmp_path, capsys, monkeypatch, row_id):
+    _differential(
+        tmp_path, monkeypatch, row_id, _MATRIX_ROWS[row_id], _read_matrix, _read_matrix_lines
+    )
     assert capsys.readouterr().err == ""
 
 

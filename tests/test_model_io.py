@@ -117,6 +117,13 @@ def _nan_mean(meta, arrays):
     arrays["norm.mean1"][3] = np.nan
 
 
+def _retype(name, dtype):
+    def edit(meta, arrays):
+        arrays[name] = arrays[name].astype(dtype)
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -135,10 +142,14 @@ def _nan_mean(meta, arrays):
         (_short_std, r"'norm.std1' has shape \(31,\)"),
         (_zero_std, "'norm.std2' holds stds below"),
         (_nan_mean, "'norm.mean1' holds non-finite"),
+        (_retype("ch1.conv0.weights", str), "'ch1.conv0.weights' has dtype <U"),
+        (_retype("norm.mean2", str), "'norm.mean2' has dtype <U"),
+        (_retype("head.bias", np.complex128), "'head.bias' has dtype complex128, expected float64"),
     ],
     ids=["no_network", "small_nbins", "nbins_off_network", "rate_string", "rate_zero",
          "rate_negative", "rate_bool", "rate_nan", "rate_inf", "rate_huge_int",
-         "cut_head_column", "missing_array", "short_std", "zero_std", "nan_mean"],
+         "cut_head_column", "missing_array", "short_std", "zero_std", "nan_mean",
+         "string_weights", "string_normalizer", "complex_weights"],
 )
 def test_load_rejects_inconsistent_bundles(tmp_path, synth_features, edit, message):
     path = tmp_path / "model.bin"
@@ -146,6 +157,21 @@ def test_load_rejects_inconsistent_bundles(tmp_path, synth_features, edit, messa
     rewrite_bundle(path, edit)
     with pytest.raises(DataError, match=message):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "meta", [[1], 3, "x", True, None], ids=["array", "number", "string", "bool", "null"]
+)
+def test_load_rejects_metadata_that_is_not_an_object(tmp_path, synth_features, meta):
+    path = tmp_path / "model.bin"
+    save_model(path, _bundle(synth_features))
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != "__meta__"}
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
+    with pytest.raises(DataError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: bundle metadata must be a JSON object, got {meta!r}"
 
 
 def test_bundle_keeps_its_array_order(tmp_path, synth_features):
