@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,7 +143,11 @@ def _fmt(x: float) -> str:
 def load_dataset(path: str | Path) -> Dataset:
     """Load and validate a dataset directory in the interchange layout.
 
-    Every schema violation is reported with the offending file and line.
+    Every schema violation is reported with the offending file and line. The
+    manifest is checked first, up to its first bad row; then the records it
+    lists before that row are read (see _read_records), and the first record
+    error in manifest order is raised ahead of the manifest's own error, as a
+    row-by-row reader would.
     """
     root = Path(path)
     manifest = root / MANIFEST_NAME
@@ -151,8 +156,32 @@ def load_dataset(path: str | Path) -> Dataset:
     if not manifest.is_file():
         raise DataError(f"no records found: missing {manifest}")
 
+    entries: list[tuple[Path, str, float, str, str]] = []
+    manifest_error = None
+    try:
+        for entry in _manifest_entries(root, manifest):
+            entries.append(entry)
+    except DataError as e:
+        manifest_error = e
+    channels = _read_records([entry[0] for entry in entries])
+    if manifest_error is not None:
+        raise manifest_error
+    records = [
+        EmgRecord(channel1=ch1, channel2=ch2, sample_rate=rate, label=label,
+                  subject_id=subject, session_id=session)
+        for (ch1, ch2), (_, label, rate, subject, session) in zip(channels, entries)
+    ]
+    ds = Dataset(records=records, name=root.name)
+    ds.validate()
+    return ds
+
+
+def _manifest_entries(root: Path, manifest: Path):
+    """(record path, label, sample rate, subject, session) of each manifest row, in order.
+
+    Raises DataError at the first row that breaks the schema.
+    """
     base = root.resolve()
-    records: list[EmgRecord] = []
     rows = _csv_rows(manifest)
     try:
         _, header = next(rows)
@@ -185,20 +214,68 @@ def load_dataset(path: str | Path) -> Dataset:
             raise DataError(
                 f"{manifest}:{lineno}: record file {fname!r} lies outside the dataset directory"
             )
-        ch1, ch2 = read_record_csv(root / fname)
-        rec = EmgRecord(
-            channel1=ch1,
-            channel2=ch2,
-            sample_rate=rate,
-            label=label,
-            subject_id=row[idx["subject"]],
-            session_id=row[idx["session"]],
-        )
-        records.append(rec)
+        yield root / fname, label, rate, row[idx["subject"]], row[idx["session"]]
 
-    ds = Dataset(records=records, name=root.name)
-    ds.validate()
-    return ds
+
+# From this many records on, load_dataset reads them in worker processes.
+# Starting the pool costs about 15 ms, and a dataset of one chunk keeps only
+# one worker busy. On a 2-core x86 VM, 3000-row records read in workers took
+# 1.3-1.5x the in-process time up to 32 records, 0.89x at 48 and 0.73-0.84x
+# from 64 to 128 (medians of 7 loads each).
+_PARALLEL_MIN_RECORDS = 64
+# records per task sent to a worker
+_CHUNK_RECORDS = 32
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _read_chunk(paths: list[Path]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """read_record_csv of each path, in order; runs in a worker or in-process."""
+    return [read_record_csv(p) for p in paths]
+
+
+def _read_records(paths: list[Path]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The channels of each record file, in order; raises the first failing file's error.
+
+    With at least _PARALLEL_MIN_RECORDS files, two usable cores and the
+    ``fork`` start method, chunks of _CHUNK_RECORDS files are read in a pool
+    of forked worker processes, one per usable core. A forked worker calls
+    this module's read_record_csv as the parent sees it, and returns the
+    same arrays. A chunk whose worker died is read in-process. No worker
+    outlives the call. Otherwise every file is read in-process.
+
+    Forked, not spawned: a worker starts without importing numpy again, and
+    it runs only read_record_csv, so it never waits on a thread the fork
+    left behind (the network's channel-stack worker, BLAS threads).
+    """
+    cores = _usable_cores()
+    if len(paths) < _PARALLEL_MIN_RECORDS or cores < 2:
+        return _read_chunk(paths)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # a daemonic process (a multiprocessing.Pool worker) may start no processes
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return _read_chunk(paths)
+    chunks = [paths[i:i + _CHUNK_RECORDS] for i in range(0, len(paths), _CHUNK_RECORDS)]
+    pool = ProcessPoolExecutor(min(cores, len(chunks)), multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_read_chunk, chunk) for chunk in chunks]
+        channels = []
+        for chunk, future in zip(chunks, futures):
+            try:
+                channels += future.result()
+            except BrokenProcessPool:
+                channels += _read_chunk(chunk)
+        return channels
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _csv_rows(path: Path):

@@ -88,6 +88,14 @@ def load_model(path: str | Path) -> ModelBundle:
         rate = meta.get("sample_rate")
         if rate is not None and not (_is_finite_number(rate) and rate > 0):
             raise ValueError(f"sample_rate must be null or a finite number > 0, got {rate!r}")
+        has_normalizer = meta["has_normalizer"]
+        if not isinstance(has_normalizer, bool):
+            raise ValueError(f"has_normalizer must be true or false, got {has_normalizer!r}")
+        if has_normalizer != (feature_config.normalization == "zscore"):
+            raise ValueError(
+                f"has_normalizer is {json.dumps(has_normalizer)} "
+                f"but feature_config.normalization is {feature_config.normalization!r}"
+            )
     except KeyError as e:
         raise DataError(f"{path}: bundle metadata is missing {e}") from None
     except (TypeError, ValueError) as e:
@@ -98,7 +106,7 @@ def load_model(path: str | Path) -> ModelBundle:
             setattr(layer, attr, _bundle_array(path, arrays, "weight", f"{prefix}.{attr}", shape))
 
     normalizer = None
-    if meta.get("has_normalizer"):
+    if has_normalizer:
         rows = {"mean": [], "std": []}
         for name, attr, _ in _NORM_ARRAYS:
             arr = _bundle_array(path, arrays, "normalizer", name, (feature_config.nbins,))

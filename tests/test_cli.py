@@ -173,6 +173,17 @@ def test_validate_missing_manifest_column(tmp_path, capsys):
     assert "'session'" in capsys.readouterr().err
 
 
+def test_validate_bad_record_read_in_a_worker_is_one_line(dataset_dir, tmp_path, capsys):
+    # 72 records: with two usable cores, load_dataset reads them in worker processes
+    bad = tmp_path / "bad"
+    shutil.copytree(dataset_dir, bad)
+    (bad / "rec00050.csv").write_text("1,2,3\n4,5,6\n")
+    assert main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {bad / 'rec00050.csv'}:1: row has 3 values, expected 2\n"
+    assert captured.out == ""
+
+
 def test_extract_writes_loadable_dump(dataset_dir, tmp_path, capsys):
     out = tmp_path / "features.csv"
     assert main(["extract", str(dataset_dir), "--out", str(out), "--nbins", "16"]) == 0

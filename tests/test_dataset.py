@@ -1,3 +1,6 @@
+import math
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -150,6 +153,165 @@ def test_load_missing_manifest_column_named(tmp_path):
 def test_read_record_csv_missing_file(tmp_path):
     with pytest.raises(DataError, match="not found"):
         read_record_csv(tmp_path / "nope.csv")
+
+
+# ------------------------------------------------------------ parallel load
+#
+# From dataset._PARALLEL_MIN_RECORDS records on, load_dataset reads the record
+# files in forked worker processes. These tests pin the pool to two workers,
+# whatever the machine, and compare with the in-process reader (one core).
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+_PARENT_PID = os.getpid()
+_READ_CHUNK = dataset._read_chunk
+_READ_RECORD = dataset.read_record_csv
+
+
+def _read_chunk_dying_in_workers(paths):
+    """The chunk reader, but a worker handed the second chunk exits at once."""
+    if os.getpid() != _PARENT_PID and paths[0].name == f"rec{dataset._CHUNK_RECORDS:05d}.csv":
+        os._exit(1)
+    return _READ_CHUNK(paths)
+
+
+def _read_record_noting_pid(path):
+    """The record reader, leaving the reading process's id beside the record."""
+    path.with_suffix(".pid").write_text(str(os.getpid()))
+    return _READ_RECORD(path)
+
+
+def _synthetic_dir(tmp_path, records: int, name: str = "data"):
+    """A synthetic dataset directory whose manifest lists `records` records."""
+    root = tmp_path / name
+    write_dataset(generate_synthetic(math.ceil(records / len(LABELS)), 64, seed=3), root)
+    manifest = root / "manifest.csv"
+    manifest.write_text("".join(manifest.read_text().splitlines(keepends=True)[:records + 1]))
+    return root
+
+
+def _cores(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(dataset, "_usable_cores", lambda: n)
+
+
+def _load_error(root) -> str:
+    with pytest.raises(DataError) as err:
+        load_dataset(root)
+    return str(err.value)
+
+
+def _sequential_load(monkeypatch, root):
+    """load_dataset(root) in-process, its DataError message if it fails."""
+    with monkeypatch.context() as m:
+        _cores(m, 1)
+        try:
+            return load_dataset(root)
+        except DataError as e:
+            return str(e)
+
+
+def _assert_same_dataset(got, want) -> None:
+    assert got.name == want.name
+    assert len(got) == len(want)
+    for a, b in zip(got.records, want.records):
+        assert (a.label, a.subject_id, a.session_id, a.sample_rate) == (
+            b.label, b.subject_id, b.session_id, b.sample_rate)
+        for ch_a, ch_b in ((a.channel1, b.channel1), (a.channel2, b.channel2)):
+            assert ch_a.dtype == ch_b.dtype == np.float64
+            assert ch_a.shape == ch_b.shape
+            assert ch_a.tobytes() == ch_b.tobytes()
+
+
+def _break_record(root, index: int) -> str:
+    (root / f"rec{index:05d}.csv").write_text("1.0,2.0,3.0\n")
+    with pytest.raises(DataError) as err:
+        read_record_csv(root / f"rec{index:05d}.csv")
+    return str(err.value)
+
+
+def _break_manifest_row(root, index: int) -> str:
+    manifest = root / "manifest.csv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    fields = lines[index + 1].split(",")
+    lines[index + 1] = ",".join([fields[0], "Q", *fields[2:]])
+    manifest.write_text("".join(lines))
+    return f"{manifest}:{index + 2}: unknown label 'Q'"
+
+
+@needs_fork
+@pytest.mark.parametrize("records", [dataset._PARALLEL_MIN_RECORDS - 2,
+                                     dataset._PARALLEL_MIN_RECORDS + 2])
+def test_parallel_load_matches_sequential_load(tmp_path, monkeypatch, records):
+    root = _synthetic_dir(tmp_path, records)
+    _cores(monkeypatch, 2)
+    got = load_dataset(root)
+    assert len(got) == records
+    _assert_same_dataset(got, _sequential_load(monkeypatch, root))
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_records_are_read_in_workers_from_the_threshold_on(tmp_path, monkeypatch):
+    _cores(monkeypatch, 2)
+    monkeypatch.setattr(dataset, "read_record_csv", _read_record_noting_pid)
+    for records in (dataset._PARALLEL_MIN_RECORDS - 1, dataset._PARALLEL_MIN_RECORDS):
+        root = _synthetic_dir(tmp_path, records, name=f"data{records}")
+        assert len(load_dataset(root)) == records
+        pids = {int(p.read_text()) for p in root.glob("*.pid")}
+        if records < dataset._PARALLEL_MIN_RECORDS:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids and 1 <= len(pids) <= 2
+
+
+@needs_fork
+def test_parallel_load_raises_the_first_bad_record_in_manifest_order(tmp_path, monkeypatch):
+    root = _synthetic_dir(tmp_path, 3 * dataset._CHUNK_RECORDS)
+    # the second bad record opens the next chunk, so its worker fails first
+    first = _break_record(root, dataset._CHUNK_RECORDS - 1)
+    _break_record(root, dataset._CHUNK_RECORDS)
+    _cores(monkeypatch, 2)
+    assert _load_error(root) == first == _sequential_load(monkeypatch, root)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("record_first", [True, False], ids=["record_first", "manifest_first"])
+def test_parallel_load_orders_record_and_manifest_errors(tmp_path, monkeypatch, record_first):
+    records = dataset._PARALLEL_MIN_RECORDS + 16
+    root = _synthetic_dir(tmp_path, records)
+    # the manifest error comes after enough rows for the parallel path
+    manifest_message = _break_manifest_row(root, records - 8)
+    record_message = _break_record(root, 3 if record_first else records - 4)
+    _cores(monkeypatch, 2)
+    want = record_message if record_first else manifest_message
+    assert _load_error(root) == want == _sequential_load(monkeypatch, root)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_parallel_load_reads_a_dead_workers_chunks_in_process(tmp_path, monkeypatch, capfd):
+    root = _synthetic_dir(tmp_path, 3 * dataset._CHUNK_RECORDS)
+    want = _sequential_load(monkeypatch, root)
+    _cores(monkeypatch, 2)
+    monkeypatch.setattr(dataset, "_read_chunk", _read_chunk_dying_in_workers)
+    _assert_same_dataset(load_dataset(root), want)
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""
+
+
+def _record_count(root) -> int:
+    return len(load_dataset(root))
+
+
+@needs_fork
+def test_load_in_a_daemonic_process_reads_in_process(tmp_path, monkeypatch):
+    # a multiprocessing.Pool worker is daemonic and may start no processes
+    root = _synthetic_dir(tmp_path, dataset._PARALLEL_MIN_RECORDS + 2)
+    _cores(monkeypatch, 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_record_count, (root,)).get(timeout=60) == len(load_dataset(root))
 
 
 # Differential table: numpy's C parser reads a file first and the line-by-line

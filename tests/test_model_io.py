@@ -18,7 +18,7 @@ def _bundle(synth_features, with_normalizer=True):
     norm = fit_normalizer(synth_features[:20], fitted_on="unit") if with_normalizer else None
     return ModelBundle(
         state=state,
-        feature_config=FeatureConfig(nbins=32),
+        feature_config=FeatureConfig(nbins=32, normalization="zscore" if norm else "none"),
         normalizer=norm,
         sample_rate=500.0,
         dataset_name="unit",
@@ -117,6 +117,18 @@ def _nan_mean(meta, arrays):
     arrays["norm.mean1"][3] = np.nan
 
 
+def _has_normalizer(value, normalization="zscore"):
+    def edit(meta, arrays):
+        meta["has_normalizer"] = value
+        meta["feature_config"]["normalization"] = normalization
+
+    return edit
+
+
+def _drop_has_normalizer(meta, arrays):
+    del meta["has_normalizer"]
+
+
 def _retype(name, dtype):
     def edit(meta, arrays):
         arrays[name] = arrays[name].astype(dtype)
@@ -145,11 +157,22 @@ def _retype(name, dtype):
         (_retype("ch1.conv0.weights", str), "'ch1.conv0.weights' has dtype <U"),
         (_retype("norm.mean2", str), "'norm.mean2' has dtype <U"),
         (_retype("head.bias", np.complex128), "'head.bias' has dtype complex128, expected float64"),
+        (_has_normalizer(False),
+         "has_normalizer is false but feature_config.normalization is 'zscore'"),
+        (_has_normalizer(True, "none"),
+         "has_normalizer is true but feature_config.normalization is 'none'"),
+        (_has_normalizer(0), "has_normalizer must be true or false, got 0"),
+        (_has_normalizer(1), "has_normalizer must be true or false, got 1"),
+        (_has_normalizer("yes"), "has_normalizer must be true or false, got 'yes'"),
+        (_has_normalizer(None, "none"), "has_normalizer must be true or false, got None"),
+        (_drop_has_normalizer, "missing 'has_normalizer'"),
     ],
     ids=["no_network", "small_nbins", "nbins_off_network", "rate_string", "rate_zero",
          "rate_negative", "rate_bool", "rate_nan", "rate_inf", "rate_huge_int",
          "cut_head_column", "missing_array", "short_std", "zero_std", "nan_mean",
-         "string_weights", "string_normalizer", "complex_weights"],
+         "string_weights", "string_normalizer", "complex_weights", "normalizer_false_zscore",
+         "normalizer_true_none", "normalizer_zero", "normalizer_one", "normalizer_string",
+         "normalizer_null", "normalizer_missing"],
 )
 def test_load_rejects_inconsistent_bundles(tmp_path, synth_features, edit, message):
     path = tmp_path / "model.bin"
@@ -197,7 +220,10 @@ def test_trained_model_round_trips_through_disk(tmp_path, normalized_split):
     spec = NetworkSpec(input_bins=32, conv_layers=[ConvSpec(8, 5, 1)], dense_units=16)
     state, _ = train(spec, train_feats, test_feats, TrainConfig(epochs=5, seed=1))
     bundle = ModelBundle(
-        state=state, feature_config=FeatureConfig(nbins=32), normalizer=None, sample_rate=500.0
+        state=state,
+        feature_config=FeatureConfig(nbins=32, normalization="none"),
+        normalizer=None,
+        sample_rate=500.0,
     )
     path = tmp_path / "model.bin"
     save_model(path, bundle)
