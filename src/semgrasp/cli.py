@@ -17,6 +17,8 @@ import sys
 from dataclasses import asdict, astuple
 from pathlib import Path
 
+import numpy as np
+
 from .dataset import (
     LABELS,
     EmgRecord,
@@ -268,6 +270,12 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _require_finite(probs: np.ndarray, model) -> None:
+    """Refuse the probabilities of a bundle whose weights are not finite or overflow."""
+    if not np.isfinite(probs).all():
+        raise DataError(f"{model}: model bundle gives non-finite probabilities")
+
+
 def cmd_eval(args) -> int:
     bundle = load_model(args.model)
     ds = load_dataset(args.data)
@@ -279,7 +287,8 @@ def cmd_eval(args) -> int:
     feats = extract_all(ds.records, bundle.feature_config)
     if bundle.normalizer is not None:
         feats = [apply_normalizer(bundle.normalizer, f) for f in feats]
-    preds, _ = predict_batch(bundle.state, feats)
+    preds, probs = predict_batch(bundle.state, feats)
+    _require_finite(probs, args.model)
     cm = confusion_matrix([r.label for r in ds.records], preds)
     acc = accuracy_from_cm(cm)
     f1w = f1_weighted(cm)
@@ -314,6 +323,7 @@ def cmd_predict(args) -> int:
     if bundle.normalizer is not None:
         fv = apply_normalizer(bundle.normalizer, fv)
     label, probs = predict(bundle.state, fv)
+    _require_finite(probs, args.model)
     print("label," + ",".join(f"p_{lab}" for lab in LABELS))
     print(label + "," + ",".join(repr(float(p)) for p in probs))
     return 0

@@ -3,9 +3,12 @@
 The bundle is a zip of numpy arrays (written through an open handle so the
 file name is kept verbatim) plus one JSON metadata entry holding the format
 version, network hyperparameters, feature configuration, sample rate and
-normalizer bookkeeping. Arrays are stored as float64 and a bundle holding
-any other dtype is refused, so a reloaded model reproduces predictions
-bit-exactly for the same code and BLAS thread count.
+normalizer bookkeeping. The network's arrays are stored in its own dtype
+and load in it: float32 for a trained network, float64 for a bundle written
+before networks trained in float32. All of them must share one of these two
+dtypes; the normalizer's arrays must be float64. Any other bundle is refused,
+so a reloaded model reproduces predictions bit-exactly for the same code and
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import LABELS
 from .errors import DataError
 from .features import STD_FLOOR, FeatureConfig, Normalizer
 from .network import ConvSpec, NetworkSpec, NetworkState, _is_finite_number, empty_network
@@ -26,6 +30,8 @@ FORMAT_VERSION = 1
 _META_KEY = "__meta__"
 # bundle name, Normalizer field and channel row of each normalizer array, in file order
 _NORM_ARRAYS = [(f"norm.{attr}{row + 1}", attr, row) for row in (0, 1) for attr in ("mean", "std")]
+_WEIGHT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+_NORM_DTYPES = (np.dtype(np.float64),)
 
 
 @dataclass
@@ -72,13 +78,15 @@ def load_model(path: str | Path) -> ModelBundle:
         raise DataError(f"{path}: bundle metadata must be a JSON object, got {meta!r}")
 
     version = meta.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported model format version {version!r}")
 
     try:
         net = meta["network"]
         spec = NetworkSpec(**{**net, "conv_layers": [ConvSpec(*c) for c in net["conv_layers"]]})
         feature_config = FeatureConfig(**meta["feature_config"])
+        if spec.n_classes != len(LABELS):
+            raise ValueError(f"network.n_classes must be {len(LABELS)}, got {spec.n_classes}")
         state = empty_network(spec)
         if feature_config.nbins != spec.input_bins:
             raise ValueError(
@@ -100,16 +108,22 @@ def load_model(path: str | Path) -> ModelBundle:
         raise DataError(f"{path}: bundle metadata is missing {e}") from None
     except (TypeError, ValueError) as e:
         raise DataError(f"{path}: bad bundle metadata: {e}") from None
+    # the first weight array sets the dtype every other one must have
+    dtypes, expected = _WEIGHT_DTYPES, "float32 or float64"
     for prefix, layer in state.layers():
         for attr in ("weights", "bias"):
-            shape = getattr(layer, attr).shape
-            setattr(layer, attr, _bundle_array(path, arrays, "weight", f"{prefix}.{attr}", shape))
+            name, shape = f"{prefix}.{attr}", getattr(layer, attr).shape
+            arr = _bundle_array(path, arrays, "weight", name, shape, dtypes, expected)
+            setattr(layer, attr, arr)
+            if len(dtypes) > 1:
+                dtypes, expected = (arr.dtype,), f"{arr.dtype} like {name!r}"
 
     normalizer = None
     if has_normalizer:
         rows = {"mean": [], "std": []}
         for name, attr, _ in _NORM_ARRAYS:
-            arr = _bundle_array(path, arrays, "normalizer", name, (feature_config.nbins,))
+            shape = (feature_config.nbins,)
+            arr = _bundle_array(path, arrays, "normalizer", name, shape, _NORM_DTYPES, "float64")
             if not np.isfinite(arr).all():
                 raise DataError(f"{path}: normalizer array {name!r} holds non-finite values")
             if attr == "std" and arr.min() < STD_FLOOR:
@@ -129,13 +143,18 @@ def load_model(path: str | Path) -> ModelBundle:
     )
 
 
-def _bundle_array(path: Path, arrays: dict, kind: str, name: str, shape: tuple) -> np.ndarray:
-    """Bundle array ``name``, refused unless it is present, of ``shape`` and float64."""
+def _bundle_array(
+    path: Path, arrays: dict, kind: str, name: str, shape: tuple, dtypes: tuple, expected: str
+) -> np.ndarray:
+    """Bundle array ``name``, refused unless it is present, of ``shape`` and one of ``dtypes``.
+
+    ``expected`` words the accepted dtypes for the error message.
+    """
     if name not in arrays:
         raise DataError(f"{path}: bundle is missing {kind} array {name!r}")
     arr = arrays[name]
     if arr.shape != shape:
         raise DataError(f"{path}: {kind} array {name!r} has shape {arr.shape}, expected {shape}")
-    if arr.dtype != np.float64:
-        raise DataError(f"{path}: {kind} array {name!r} has dtype {arr.dtype}, expected float64")
+    if arr.dtype not in dtypes:
+        raise DataError(f"{path}: {kind} array {name!r} has dtype {arr.dtype}, expected {expected}")
     return arr

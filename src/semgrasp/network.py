@@ -9,6 +9,13 @@ while the calling thread runs ch1. Convolutions are evaluated as im2col matrix
 products so training stays fast without any framework dependency; all
 reductions use fixed summation order, so results are reproducible for a
 given seed, code and BLAS thread count.
+
+The code is dtype-generic: the parameters' dtype decides the dtype of the
+input, of every activation, cache and gradient. Training and inference run
+float32 networks; `init_network` draws float64 parameters, so the gradient
+checks run in float64 through the same code. `softmax` always returns
+float64 probabilities, so rows sum to one to float64 precision whatever the
+network's dtype.
 """
 
 from __future__ import annotations
@@ -137,7 +144,7 @@ def _conv_pre(x: np.ndarray, layer: Conv1dLayer):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax along the last axis; rows sum to one."""
+    """Max-shifted softmax along the last axis, in float64; rows sum to one."""
     logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -268,6 +275,14 @@ def empty_network(spec: NetworkSpec) -> NetworkState:
     )
 
 
+def cast_network(state: NetworkState, dtype) -> NetworkState:
+    """A copy of state with every parameter array converted to dtype."""
+    cast = empty_network(state.spec)
+    for (_, dst), (_, src) in zip(cast.layers(), state.layers()):
+        dst.weights, dst.bias = src.weights.astype(dtype), src.bias.astype(dtype)
+    return cast
+
+
 def init_network(spec: NetworkSpec, rng: np.random.Generator) -> NetworkState:
     """Uniform fan-in-scaled init (+-1/sqrt(fan_in)) in layers() order.
 
@@ -297,9 +312,13 @@ def _stack_forward(convs: list[Conv1dLayer], dense: DenseLayer, x: np.ndarray):
 
 
 def forward(state: NetworkState, x: np.ndarray):
-    """Full forward pass of x [batch, 2, input_bins]; returns (probs [batch, n_classes], cache)."""
+    """Full forward pass of x [batch, 2, input_bins]; returns (probs [batch, n_classes], cache).
+
+    x is converted to the parameters' dtype; probs are float64.
+    """
     if x.ndim != 3 or x.shape[1] != 2:
         raise ValueError(f"network input must be [batch, 2, bins], got shape {x.shape}")
+    x = x.astype(state.head.weights.dtype, copy=False)
     (h1, cache1), (h2, cache2) = _run_stacks(
         _stack_forward,
         len(x),
@@ -324,7 +343,7 @@ def _conv_backward(layer: Conv1dLayer, cache, d_pre: np.ndarray, need_dx: bool):
     if need_dx:
         dxw = (dpre_flat @ wmat.T).reshape(n_batch, out_len, kernel, in_ch)
         # scattered in [batch, length, streams] order, so each tap adds whole rows
-        dx = np.zeros((n_batch, m, in_ch))
+        dx = np.zeros((n_batch, m, in_ch), dtype=dxw.dtype)
         z = layer.stride
         for k in range(kernel):
             # windows at offset k are z apart, so the slice never overlaps itself
@@ -363,6 +382,8 @@ def backward(state: NetworkState, cache, labels: np.ndarray) -> dict[str, np.nda
     d_logits = probs.copy()
     d_logits[np.arange(n_batch), labels] -= 1.0
     d_logits /= n_batch
+    # the float64 softmax gradient, back in the parameters' dtype for the rest of the pass
+    d_logits = d_logits.astype(state.head.weights.dtype, copy=False)
 
     grads: dict[str, np.ndarray] = {}
     grads["head.weights"] = d_logits.T @ fused

@@ -5,6 +5,11 @@ Determinism contract: one config seed feeds two named sub-streams
 and per-epoch train/test statistics are recomputed on the full sets at
 epoch end, so identical inputs, seed, code and BLAS thread count reproduce
 identical logs bit for bit.
+
+The network trains and predicts in NETWORK_DTYPE (float32): the weights are
+drawn in float64, so the seed's random stream does not depend on it, and
+cast once. Features and the normalizer stay float64; the inputs are cast at
+the network boundary.
 """
 
 from __future__ import annotations
@@ -23,11 +28,15 @@ from .network import (
     NetworkState,
     _check_sizes,
     _is_finite_number,
+    cast_network,
     cross_entropy,
     forward,
     init_network,
     loss_and_gradients,
 )
+
+# the one dtype of the parameters, activations and gradients in training and inference
+NETWORK_DTYPE = np.float32
 
 # rows per evaluation forward: at 32 the conv im2col matrices stay in cache
 _EVAL_CHUNK = 32
@@ -60,11 +69,16 @@ def features_to_arrays(features: list[FeatureVector]):
 
 
 def _forward_chunks(state: NetworkState, x: np.ndarray) -> np.ndarray:
-    """Probabilities for a whole set, forwarded in fixed-size chunks."""
-    return np.vstack([
-        forward(state, x[start : start + _EVAL_CHUNK])[0]
-        for start in range(0, len(x), _EVAL_CHUNK)
-    ])
+    """Probabilities for a whole set, forwarded in fixed-size chunks.
+
+    numpy's floating-point warnings stay silent: a caller that needs finite
+    probabilities checks them.
+    """
+    with np.errstate(all="ignore"):
+        return np.vstack([
+            forward(state, x[start : start + _EVAL_CHUNK])[0]
+            for start in range(0, len(x), _EVAL_CHUNK)
+        ])
 
 
 def evaluate(state: NetworkState, x: np.ndarray, y: np.ndarray):
@@ -111,10 +125,11 @@ def train(
         raise ValueError(
             f"features have {x_tr.shape[2]} bins but the network expects {spec.input_bins}"
         )
+    x_tr, x_te = x_tr.astype(NETWORK_DTYPE), x_te.astype(NETWORK_DTYPE)
 
     rng_init = np.random.default_rng([cfg.seed, INIT_STREAM])
     rng_shuffle = np.random.default_rng([cfg.seed, SHUFFLE_STREAM])
-    state = init_network(spec, rng_init)
+    state = cast_network(init_network(spec, rng_init), NETWORK_DTYPE)
 
     velocity = {name: np.zeros_like(arr) for name, arr in state.parameters()}
 

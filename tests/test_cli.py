@@ -681,6 +681,52 @@ def test_predict_zero_normalizer_std_is_data_error(trained_run, dataset_dir, tmp
     assert captured.out == ""
 
 
+def _nan_head_bias(meta, arrays):
+    arrays["head.bias"][0] = np.nan
+
+
+def _inf_dense_weights(meta, arrays):
+    arrays["ch1.dense.weights"][0, 0] = np.inf
+
+
+def _retype(name, dtype):
+    def edit(meta, arrays):
+        arrays[name] = arrays[name].astype(dtype)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_nan_head_bias, "model bundle gives non-finite probabilities"),
+        (_inf_dense_weights, "model bundle gives non-finite probabilities"),
+        (_retype("head.bias", np.float64),
+         "weight array 'head.bias' has dtype float64, expected float32 like 'ch1.conv0.weights'"),
+        (_retype("ch1.conv0.weights", np.complex128),
+         "weight array 'ch1.conv0.weights' has dtype complex128, expected float32 or float64"),
+    ],
+    ids=["nan_head_bias", "inf_dense_weights", "mixed_dtypes", "complex_weights"],
+)
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_unusable_bundle_weights_are_one_line_data_errors(
+    trained_run, dataset_dir, tmp_path, capsys, edit, message, command
+):
+    bad = tmp_path / "model.bin"
+    shutil.copy(trained_run / "model.bin", bad)
+    rewrite_bundle(bad, edit)
+    out = tmp_path / "report"
+    target = dataset_dir / "rec00000.csv" if command == "predict" else dataset_dir
+    argv = [command, str(bad), str(target)] + (["--out", str(out)] if command == "eval" else [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"data error: {bad}: {message}"]
+    assert captured.out == "" and not out.exists()
+
+
 def test_predict_missing_record_file(trained_run, tmp_path, capsys):
     assert main(["predict", str(trained_run / "model.bin"), str(tmp_path / "nope.csv")]) == 2
     assert "not found" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from helpers import rewrite_bundle
 from semgrasp.errors import DataError
 from semgrasp.features import FeatureConfig, fit_normalizer
 from semgrasp.model_io import FORMAT_VERSION, ModelBundle, load_model, save_model
-from semgrasp.network import ConvSpec, NetworkSpec, forward, init_network
+from semgrasp.network import ConvSpec, NetworkSpec, cast_network, forward, init_network
 from semgrasp.training import TrainConfig, train
 
 
@@ -129,6 +129,24 @@ def _drop_has_normalizer(meta, arrays):
     del meta["has_normalizer"]
 
 
+def _n_classes(n):
+    # head arrays to match, so only the class count is wrong
+    def edit(meta, arrays):
+        meta["network"]["n_classes"] = n
+        width = arrays["head.weights"].shape[1]
+        arrays["head.weights"] = np.resize(arrays["head.weights"], (n, width))
+        arrays["head.bias"] = np.resize(arrays["head.bias"], n)
+
+    return edit
+
+
+def _format_version(value):
+    def edit(meta, arrays):
+        meta["format_version"] = value
+
+    return edit
+
+
 def _retype(name, dtype):
     def edit(meta, arrays):
         arrays[name] = arrays[name].astype(dtype)
@@ -156,7 +174,15 @@ def _retype(name, dtype):
         (_nan_mean, "'norm.mean1' holds non-finite"),
         (_retype("ch1.conv0.weights", str), "'ch1.conv0.weights' has dtype <U"),
         (_retype("norm.mean2", str), "'norm.mean2' has dtype <U"),
-        (_retype("head.bias", np.complex128), "'head.bias' has dtype complex128, expected float64"),
+        (_retype("head.bias", np.complex128),
+         "'head.bias' has dtype complex128, expected float64 like 'ch1.conv0.weights'"),
+        (_retype("ch1.conv0.weights", np.complex128),
+         "'ch1.conv0.weights' has dtype complex128, expected float32 or float64"),
+        (_retype("ch1.conv0.weights", np.float16),
+         "'ch1.conv0.weights' has dtype float16, expected float32 or float64"),
+        (_retype("ch2.dense.weights", np.float32),
+         "'ch2.dense.weights' has dtype float32, expected float64 like 'ch1.conv0.weights'"),
+        (_retype("norm.std1", np.float32), "'norm.std1' has dtype float32, expected float64"),
         (_has_normalizer(False),
          "has_normalizer is false but feature_config.normalization is 'zscore'"),
         (_has_normalizer(True, "none"),
@@ -166,13 +192,23 @@ def _retype(name, dtype):
         (_has_normalizer("yes"), "has_normalizer must be true or false, got 'yes'"),
         (_has_normalizer(None, "none"), "has_normalizer must be true or false, got None"),
         (_drop_has_normalizer, "missing 'has_normalizer'"),
+        (_n_classes(5), "network.n_classes must be 6, got 5"),
+        (_n_classes(7), "network.n_classes must be 6, got 7"),
+        # refused before the head is allocated, so not a MemoryError
+        (lambda meta, arrays: meta["network"].update(n_classes=10**12),
+         "network.n_classes must be 6, got 1000000000000"),
+        (_format_version(True), "unsupported model format version True"),
+        (_format_version(1.0), "unsupported model format version 1.0"),
+        (_format_version("1"), "unsupported model format version '1'"),
     ],
     ids=["no_network", "small_nbins", "nbins_off_network", "rate_string", "rate_zero",
          "rate_negative", "rate_bool", "rate_nan", "rate_inf", "rate_huge_int",
          "cut_head_column", "missing_array", "short_std", "zero_std", "nan_mean",
-         "string_weights", "string_normalizer", "complex_weights", "normalizer_false_zscore",
+         "string_weights", "string_normalizer", "complex_weights", "complex_first_weights",
+         "float16_weights", "mixed_weights", "float32_normalizer", "normalizer_false_zscore",
          "normalizer_true_none", "normalizer_zero", "normalizer_one", "normalizer_string",
-         "normalizer_null", "normalizer_missing"],
+         "normalizer_null", "normalizer_missing", "five_classes", "seven_classes",
+         "huge_classes", "version_true", "version_float", "version_string"],
 )
 def test_load_rejects_inconsistent_bundles(tmp_path, synth_features, edit, message):
     path = tmp_path / "model.bin"
@@ -234,3 +270,19 @@ def test_trained_model_round_trips_through_disk(tmp_path, normalized_split):
     a, _ = forward(state, x)
     b, _ = forward(back.state, x)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bundle_loads_in_the_dtype_it_was_saved_in(tmp_path, synth_features, rng, dtype):
+    # float64 bundles predate float32 training; they load and predict in float64
+    bundle = _bundle(synth_features)
+    bundle.state = cast_network(bundle.state, dtype)
+    path = tmp_path / "model.bin"
+    save_model(path, bundle)
+    back = load_model(path)
+    for (name, a), (back_name, b) in zip(bundle.state.parameters(), back.state.parameters()):
+        assert name == back_name and b.dtype == dtype
+        assert a.tobytes() == b.tobytes(), name
+    x = rng.standard_normal((40, 2, 32))
+    probs, _ = forward(bundle.state, x)
+    np.testing.assert_array_equal(forward(back.state, x)[0], probs)

@@ -12,10 +12,12 @@ from semgrasp.network import (
     ConvSpec,
     DenseLayer,
     NetworkSpec,
+    _conv_backward,
     _conv_pre,
     _stack_backward,
     _stack_forward,
     backward,
+    cast_network,
     conv_output_length,
     cross_entropy,
     forward,
@@ -299,6 +301,43 @@ def test_batch_duplication_is_additive_before_averaging():
     for name in ga:
         np.testing.assert_allclose(gab[name], (ga[name] + gb[name]) / 2, atol=1e-12)
         np.testing.assert_allclose(gaab[name], (2 * ga[name] + gb[name]) / 3, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [3, 20])  # 3 runs the stacks in turn, 20 together
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_parameter_dtype_decides_every_activation_and_gradient(dtype, batch):
+    # a silent upcast to float64 would keep results right and lose float32's speed
+    state, x, y = _desk_net(
+        batch=batch, bins=12, conv_layers=[ConvSpec(2, 3, 1), ConvSpec(3, 3, 2)]
+    )
+    state = cast_network(state, dtype)
+    assert x.dtype == np.float64  # forward converts its input
+    probs, (cache1, cache2, fused, _) = forward(state, x)
+    assert probs.dtype == np.float64
+    cached = [fused]
+    for conv_caches, _, flat, pre_d in (cache1, cache2):
+        cached += [flat, pre_d]
+        for _, xcol, wmat, pre in conv_caches:
+            cached += [xcol, wmat, pre]
+    assert [a.dtype for a in cached] == [np.dtype(dtype)] * len(cached)
+    _, grads = loss_and_gradients(state, x, y)
+    for name, param in state.parameters():
+        assert param.dtype == dtype, name
+        assert grads[name].dtype == dtype, name
+    # the input gradient that conv1 scatters back to conv0
+    conv1_cache = cache1[0][1]
+    _, _, dx = _conv_backward(state.conv_stacks[0][1], conv1_cache, conv1_cache[3], need_dx=True)
+    assert dx.dtype == dtype
+
+
+def test_cast_network_copies_every_parameter():
+    state, _, _ = _desk_net()
+    cast = cast_network(state, np.float32)
+    for (name, a), (cast_name, b) in zip(state.parameters(), cast.parameters()):
+        assert name == cast_name and b.dtype == np.float32
+        np.testing.assert_array_equal(b, a.astype(np.float32))
+    cast.head.bias[0] += 1.0
+    assert state.head.bias[0] != cast.head.bias[0]
 
 
 # ------------------------------------------------------ channel-stack thread

@@ -9,7 +9,7 @@ from semgrasp import training
 from semgrasp.dataset import LABELS
 from semgrasp.errors import TrainingDivergedError
 from semgrasp.features import FeatureVector
-from semgrasp.network import ConvSpec, DenseLayer, NetworkSpec
+from semgrasp.network import ConvSpec, DenseLayer, NetworkSpec, cast_network
 from semgrasp.training import (
     TrainConfig,
     evaluate,
@@ -159,15 +159,21 @@ def test_predict_batch_replays_logged_test_accuracy(normalized_split):
 def test_evaluate_accuracy_independent_of_chunk_size(normalized_split, monkeypatch):
     train_feats, test_feats = normalized_split
     state, _ = train(SMALL_SPEC, train_feats, test_feats, TrainConfig(epochs=3, seed=4))
+    assert {param.dtype for _, param in state.parameters()} == {np.dtype(training.NETWORK_DTYPE)}
+    # the float32 GEMMs of a 32-row and a 256-row chunk round differently, about
+    # 1e-10 relative in the loss, so the loss is compared on the float64 copy
+    state64 = cast_network(state, np.float64)
     # six copies of the training set: 324 rows, 11 chunks of 32 or two of 256
     x, y = (np.concatenate([a] * 6) for a in features_to_arrays(train_feats))
     assert len(y) == 324
-    results = {}
+    results, results64 = {}, {}
     for chunk in (32, 256):
         monkeypatch.setattr(training, "_EVAL_CHUNK", chunk)
         results[chunk] = evaluate(state, x, y)
+        results64[chunk] = evaluate(state64, x, y)
     assert results[32][1] == results[256][1]
-    assert results[32][0] == pytest.approx(results[256][0], rel=1e-12)
+    assert results64[32][1] == results64[256][1]
+    assert results64[32][0] == pytest.approx(results64[256][0], rel=1e-12)
 
 
 def _random_features(rng, n, nbins=128):
