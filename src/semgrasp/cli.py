@@ -14,7 +14,7 @@ import argparse
 import copy
 import json
 import sys
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,6 @@ from .features import (
     FeatureConfig,
     apply_normalizer,
     extract_all,
-    extract_features,
     fit_normalizer,
     load_features_csv,
     save_features_csv,
@@ -48,10 +47,10 @@ from .metrics import (
     write_summary_csv,
 )
 from .model_io import ModelBundle, load_model, save_model
-from .network import ConvSpec, NetworkSpec, _is_finite_number, empty_network
-from .training import TrainConfig, predict, predict_batch, train
+from .network import NetworkSpec, _is_finite_number, empty_network
+from .training import TrainConfig, predict_batch, train
 
-_NETWORK_DEFAULTS = NetworkSpec(input_bins=FeatureConfig().nbins)
+_NETWORK_DEFAULTS = NetworkSpec(input_bins=FeatureConfig().nbins).to_json()
 
 # every default below the top level comes from the dataclass that consumes it
 _CONFIG_DEFAULTS: dict = {
@@ -64,11 +63,8 @@ _CONFIG_DEFAULTS: dict = {
     "sample_rate": None,
     "reference_accuracy": None,
     "features_config": asdict(FeatureConfig()),
-    "network": {
-        "conv_layers": [list(astuple(c)) for c in _NETWORK_DEFAULTS.conv_layers],
-        "dense_units": _NETWORK_DEFAULTS.dense_units,
-        "activation": _NETWORK_DEFAULTS.activation,
-    },
+    # input_bins is features_config.nbins, and the class count is fixed
+    "network": {k: _NETWORK_DEFAULTS[k] for k in ("conv_layers", "dense_units", "activation")},
     "training": {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
 }
 
@@ -164,15 +160,7 @@ def _build_sections(cfg: dict) -> tuple[FeatureConfig, TrainConfig, NetworkSpec]
         section = "training config"
         tcfg = TrainConfig(seed=cfg["seed"], **cfg["training"])
         section = "network config"
-        net = cfg["network"]
-        if not isinstance(net["conv_layers"], list):
-            raise TypeError(f"conv_layers must be a list, got {net['conv_layers']!r}")
-        spec = NetworkSpec(
-            input_bins=fcfg.nbins,
-            conv_layers=[ConvSpec(f, k, z) for f, k, z in net["conv_layers"]],
-            dense_units=net["dense_units"],
-            activation=net["activation"],
-        )
+        spec = NetworkSpec.from_json({**cfg["network"], "input_bins": fcfg.nbins})
         # checks the conv chain against the input length, and that the arrays can be
         # allocated at all (MemoryError), before any data is read or file written
         empty_network(spec)
@@ -270,10 +258,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _require_finite(probs: np.ndarray, model) -> None:
-    """Refuse the probabilities of a bundle whose weights are not finite or overflow."""
+def _classify(bundle: ModelBundle, records: list[EmgRecord], model):
+    """Class indices and probabilities of the records; non-finite ones refuse the bundle."""
+    feats = extract_all(records, bundle.feature_config)
+    if bundle.normalizer is not None:
+        feats = [apply_normalizer(bundle.normalizer, f) for f in feats]
+    preds, probs = predict_batch(bundle.state, feats)
     if not np.isfinite(probs).all():
         raise DataError(f"{model}: model bundle gives non-finite probabilities")
+    return preds, probs
 
 
 def cmd_eval(args) -> int:
@@ -284,11 +277,7 @@ def cmd_eval(args) -> int:
             f"sample rate mismatch: model expects {bundle.sample_rate} Hz, "
             f"dataset has {ds.sample_rate} Hz"
         )
-    feats = extract_all(ds.records, bundle.feature_config)
-    if bundle.normalizer is not None:
-        feats = [apply_normalizer(bundle.normalizer, f) for f in feats]
-    preds, probs = predict_batch(bundle.state, feats)
-    _require_finite(probs, args.model)
+    preds, _ = _classify(bundle, ds.records, args.model)
     cm = confusion_matrix([r.label for r in ds.records], preds)
     acc = accuracy_from_cm(cm)
     f1w = f1_weighted(cm)
@@ -319,13 +308,9 @@ def cmd_predict(args) -> int:
         channel1=ch1, channel2=ch2, sample_rate=bundle.sample_rate, label=LABELS[0]
     )
     record.validate(name=str(args.record))
-    fv = extract_features(record, bundle.feature_config)
-    if bundle.normalizer is not None:
-        fv = apply_normalizer(bundle.normalizer, fv)
-    label, probs = predict(bundle.state, fv)
-    _require_finite(probs, args.model)
+    preds, probs = _classify(bundle, [record], args.model)
     print("label," + ",".join(f"p_{lab}" for lab in LABELS))
-    print(label + "," + ",".join(repr(float(p)) for p in probs))
+    print(LABELS[preds[0]] + "," + ",".join(repr(float(p)) for p in probs[0]))
     return 0
 
 

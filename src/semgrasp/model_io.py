@@ -1,14 +1,15 @@
 """Versioned model bundles: one binary file reproduces inference end to end.
 
 The bundle is a zip of numpy arrays (written through an open handle so the
-file name is kept verbatim) plus one JSON metadata entry holding the format
-version, network hyperparameters, feature configuration, sample rate and
-normalizer bookkeeping. The network's arrays are stored in its own dtype
-and load in it: float32 for a trained network, float64 for a bundle written
-before networks trained in float32. All of them must share one of these two
-dtypes; the normalizer's arrays must be float64. Any other bundle is refused,
-so a reloaded model reproduces predictions bit-exactly for the same code and
-BLAS thread count.
+file name is kept verbatim) plus one JSON metadata entry. All seven of its
+keys are required: format_version, network (NetworkSpec.to_json: conv layers
+are [filters, kernel, stride], as in the run config), feature_config,
+sample_rate, dataset_name, has_normalizer, normalizer_fitted_on. Unknown keys
+and arrays are refused. The network's arrays share one dtype and load in it:
+float32, or float64 for a bundle written before training moved to float32;
+the normalizer's arrays are float64. Any other bundle is refused, so a
+reloaded model reproduces predictions bit-exactly for the same code and BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .dataset import LABELS
 from .errors import DataError
 from .features import STD_FLOOR, FeatureConfig, Normalizer
-from .network import ConvSpec, NetworkSpec, NetworkState, _is_finite_number, empty_network
+from .network import NetworkSpec, NetworkState, _is_finite_number, empty_network
 
 FORMAT_VERSION = 1
 _META_KEY = "__meta__"
@@ -44,10 +45,9 @@ class ModelBundle:
 
 
 def save_model(path: str | Path, bundle: ModelBundle) -> None:
-    spec = bundle.state.spec
     meta = {
         "format_version": FORMAT_VERSION,
-        "network": {**asdict(spec), "conv_layers": [astuple(c) for c in spec.conv_layers]},
+        "network": bundle.state.spec.to_json(),
         "feature_config": asdict(bundle.feature_config),
         "sample_rate": bundle.sample_rate,
         "dataset_name": bundle.dataset_name,
@@ -77,14 +77,14 @@ def load_model(path: str | Path) -> ModelBundle:
     if not isinstance(meta, dict):
         raise DataError(f"{path}: bundle metadata must be a JSON object, got {meta!r}")
 
-    version = meta.get("format_version")
+    # each key is popped as it is read, so what is left over is unknown
+    version = meta.pop("format_version", None)
     if type(version) is not int or version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported model format version {version!r}")
 
     try:
-        net = meta["network"]
-        spec = NetworkSpec(**{**net, "conv_layers": [ConvSpec(*c) for c in net["conv_layers"]]})
-        feature_config = FeatureConfig(**meta["feature_config"])
+        spec = NetworkSpec.from_json(meta.pop("network"))
+        feature_config = FeatureConfig(**meta.pop("feature_config"))
         if spec.n_classes != len(LABELS):
             raise ValueError(f"network.n_classes must be {len(LABELS)}, got {spec.n_classes}")
         state = empty_network(spec)
@@ -93,10 +93,10 @@ def load_model(path: str | Path) -> ModelBundle:
                 f"feature_config.nbins is {feature_config.nbins} "
                 f"but network.input_bins is {spec.input_bins}"
             )
-        rate = meta.get("sample_rate")
+        rate = meta.pop("sample_rate")
         if rate is not None and not (_is_finite_number(rate) and rate > 0):
             raise ValueError(f"sample_rate must be null or a finite number > 0, got {rate!r}")
-        has_normalizer = meta["has_normalizer"]
+        has_normalizer = meta.pop("has_normalizer")
         if not isinstance(has_normalizer, bool):
             raise ValueError(f"has_normalizer must be true or false, got {has_normalizer!r}")
         if has_normalizer != (feature_config.normalization == "zscore"):
@@ -104,10 +104,13 @@ def load_model(path: str | Path) -> ModelBundle:
                 f"has_normalizer is {json.dumps(has_normalizer)} "
                 f"but feature_config.normalization is {feature_config.normalization!r}"
             )
+        dataset_name, fitted_on = meta.pop("dataset_name"), meta.pop("normalizer_fitted_on")
     except KeyError as e:
         raise DataError(f"{path}: bundle metadata is missing {e}") from None
     except (TypeError, ValueError) as e:
         raise DataError(f"{path}: bad bundle metadata: {e}") from None
+    if meta:
+        raise DataError(f"{path}: unknown bundle metadata key {next(iter(meta))!r}")
     # the first weight array sets the dtype every other one must have
     dtypes, expected = _WEIGHT_DTYPES, "float32 or float64"
     for prefix, layer in state.layers():
@@ -132,27 +135,29 @@ def load_model(path: str | Path) -> ModelBundle:
         normalizer = Normalizer(
             mean=np.stack(rows["mean"]),
             std=np.stack(rows["std"]),
-            fitted_on=meta.get("normalizer_fitted_on", ""),
+            fitted_on=fitted_on,
         )
+    if arrays:
+        raise DataError(f"{path}: unknown bundle array {next(iter(arrays))!r}")
     return ModelBundle(
         state=state,
         feature_config=feature_config,
         normalizer=normalizer,
         sample_rate=float(rate) if rate is not None else None,
-        dataset_name=meta.get("dataset_name", ""),
+        dataset_name=dataset_name,
     )
 
 
 def _bundle_array(
     path: Path, arrays: dict, kind: str, name: str, shape: tuple, dtypes: tuple, expected: str
 ) -> np.ndarray:
-    """Bundle array ``name``, refused unless it is present, of ``shape`` and one of ``dtypes``.
+    """Pop bundle array ``name``, refused unless it is present, of ``shape`` and one of ``dtypes``.
 
     ``expected`` words the accepted dtypes for the error message.
     """
     if name not in arrays:
         raise DataError(f"{path}: bundle is missing {kind} array {name!r}")
-    arr = arrays[name]
+    arr = arrays.pop(name)
     if arr.shape != shape:
         raise DataError(f"{path}: {kind} array {name!r} has shape {arr.shape}, expected {shape}")
     if arr.dtype not in dtypes:

@@ -24,7 +24,7 @@ import contextvars
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -203,6 +203,18 @@ class NetworkSpec:
         _check_sizes(self, ("input_bins", "dense_units", "n_classes"))
         if self.activation not in ("relu", "identity"):
             raise ValueError(f"activation must be 'relu' or 'identity', got {self.activation!r}")
+
+    def to_json(self) -> dict:
+        """The JSON form of the run config's network section and the bundle's network entry."""
+        return {**asdict(self), "conv_layers": [list(astuple(c)) for c in self.conv_layers]}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> NetworkSpec:
+        """The spec of a to_json form; each conv layer must be [filters, kernel, stride]."""
+        conv = obj["conv_layers"]
+        if not (isinstance(conv, list) and all(isinstance(c, list) and len(c) == 3 for c in conv)):
+            raise ValueError(f"conv_layers must be [filters, kernel, stride] lists, got {conv!r}")
+        return cls(**{**obj, "conv_layers": [ConvSpec(*c) for c in conv]})
 
     def flat_dim(self) -> int:
         """Flattened size of the last conv output feeding the dense layer."""

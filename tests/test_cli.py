@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -15,9 +16,24 @@ from helpers import rewrite_bundle
 
 import semgrasp
 from semgrasp.cli import _CONFIG_DEFAULTS, main, resolve_config
-from semgrasp.dataset import LABELS, generate_synthetic, load_dataset, write_dataset
-from semgrasp.features import load_features_csv
-from semgrasp.model_io import load_model
+from semgrasp.dataset import (
+    LABELS,
+    EmgRecord,
+    generate_synthetic,
+    load_dataset,
+    read_record_csv,
+    write_dataset,
+)
+from semgrasp.features import (
+    FeatureConfig,
+    Normalizer,
+    apply_normalizer,
+    extract_features,
+    load_features_csv,
+)
+from semgrasp.model_io import ModelBundle, load_model, save_model
+from semgrasp.network import NetworkSpec, init_network
+from semgrasp.training import predict
 
 
 def _write_config(path, **overrides):
@@ -752,6 +768,122 @@ def test_predict_unreadable_record_writes_one_line(trained_run, tmp_path, capsys
     assert len(captured.err.splitlines()) == 1, captured.err
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_predict_prints_what_training_predict_returns(trained_run, dataset_dir, capsys):
+    # training.predict is the sequence the benchmark's predict loop runs
+    model = trained_run / "model.bin"
+    bundle = load_model(model)
+    for record_path in sorted(dataset_dir.glob("rec*.csv")):
+        ch1, ch2 = read_record_csv(record_path)
+        record = EmgRecord(channel1=ch1, channel2=ch2, sample_rate=bundle.sample_rate, label="C")
+        fv = apply_normalizer(bundle.normalizer, extract_features(record, bundle.feature_config))
+        label, probs = predict(bundle.state, fv)
+        assert main(["predict", str(model), str(record_path)]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row == label + "," + ",".join(repr(float(p)) for p in probs), record_path.name
+
+
+# ------------------------------------------------------------ bundle contract
+
+# one value of each JSON kind, set in turn at every metadata key
+_BUNDLE_PROBE_VALUES = {
+    "null": None, "bool": True, "int": 3, "float": 2.5, "string": "x", "list": [], "object": {},
+}
+
+
+def _json_paths(node, path=()):
+    """Every key path below a JSON value: object keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _probe_bundle_layout():
+    """Metadata key paths and array names of a bundle shaped like the probe run's model."""
+    cfg = json.loads(_probe_config({}, Path("data"), Path("f.csv")))
+    fcfg = FeatureConfig(**cfg["features_config"])
+    spec = NetworkSpec.from_json({**cfg["network"], "input_bins": fcfg.nbins})
+    stats = np.ones((2, fcfg.nbins))
+    bundle = ModelBundle(init_network(spec, np.random.default_rng(0)), fcfg,
+                         Normalizer(stats, stats), sample_rate=500.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(Path(tmp) / "model.bin", bundle)
+        with np.load(Path(tmp) / "model.bin") as data:
+            meta = json.loads(str(data["__meta__"]))
+            names = [name for name in data.files if name != "__meta__"]
+    return list(_json_paths(meta)), names
+
+
+_BUNDLE_META_PATHS, _BUNDLE_ARRAYS = _probe_bundle_layout()
+
+
+def _array_fault(fault, arr):
+    """arr with one fault, or None to leave the array out."""
+    if fault == "missing":
+        return None
+    if fault == "wrong_shape":
+        return arr[..., :-1]
+    if fault == "wrong_dtype":
+        return arr.astype(np.float16)
+    arr = arr.copy()
+    arr.flat[0] = np.nan if fault == "nan" else np.inf
+    return arr
+
+
+_BUNDLE_PROBE_ROWS = [
+    pytest.param(("meta", path, value), id=f"{'.'.join(map(str, path))}={kind}")
+    for path in _BUNDLE_META_PATHS
+    for kind, value in _BUNDLE_PROBE_VALUES.items()
+] + [
+    pytest.param(("array", name, fault), id=f"{name}:{fault}")
+    for name in _BUNDLE_ARRAYS
+    for fault in ("missing", "wrong_shape", "wrong_dtype", "nan", "inf")
+]
+
+
+@pytest.fixture(scope="module")
+def probe_bundle(probe_inputs, tmp_path_factory):
+    """The probe run's trained model and one of its records."""
+    base = tmp_path_factory.mktemp("probe_bundle")
+    (base / "cfg.json").write_text(_probe_config({}, *probe_inputs))
+    assert main(["train", "--config", str(base / "cfg.json"), "--out", str(base / "run")]) == 0
+    model = base / "run" / "model.bin"
+    with np.load(model) as data:
+        assert list(_json_paths(json.loads(str(data["__meta__"])))) == _BUNDLE_META_PATHS
+        assert data.files[1:] == _BUNDLE_ARRAYS
+    return model, probe_inputs[0] / "rec00000.csv"
+
+
+@pytest.mark.parametrize("probe", _BUNDLE_PROBE_ROWS)
+def test_bundle_value_meets_exit_contract(probe_bundle, tmp_path, capsys, probe):
+    model, record = probe_bundle
+    where, key, value = probe
+
+    def edit(meta, arrays):
+        if where == "array":
+            faulty = _array_fault(value, arrays.pop(key))
+            if faulty is not None:
+                arrays[key] = faulty
+            return
+        *parents, leaf = key
+        for parent in parents:
+            meta = meta[parent]
+        meta[leaf] = value
+
+    bad = tmp_path / "model.bin"
+    shutil.copy(model, bad)
+    rewrite_bundle(bad, edit)
+    code = main(["predict", str(bad), str(record)])
+    captured = capsys.readouterr()
+    assert code in (0, 2), captured.err
+    assert len(captured.err.splitlines()) <= 1 and "Traceback" not in captured.err, captured.err
+    if code == 0:
+        _, row = captured.out.splitlines()
+        probs = np.array([float(v) for v in row.split(",")[1:]])
+        assert len(probs) == 6 and np.isfinite(probs).all(), row
+        assert abs(probs.sum() - 1.0) <= 1e-9, row
 
 
 def test_usage_errors_exit_one(capsys):

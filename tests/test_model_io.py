@@ -147,6 +147,13 @@ def _format_version(value):
     return edit
 
 
+def _drop(key):
+    def edit(meta, arrays):
+        del meta[key]
+
+    return edit
+
+
 def _retype(name, dtype):
     def edit(meta, arrays):
         arrays[name] = arrays[name].astype(dtype)
@@ -200,6 +207,15 @@ def _retype(name, dtype):
         (_format_version(True), "unsupported model format version True"),
         (_format_version(1.0), "unsupported model format version 1.0"),
         (_format_version("1"), "unsupported model format version '1'"),
+        # the run config's form: a [filters, kernel] pair no longer loads with stride 1
+        (lambda meta, arrays: meta["network"].update(conv_layers=[[4, 5]]),
+         r"conv_layers must be \[filters, kernel, stride\] lists, got \[\[4, 5\]\]"),
+        (_drop("sample_rate"), "missing 'sample_rate'"),
+        (_drop("dataset_name"), "missing 'dataset_name'"),
+        (_drop("normalizer_fitted_on"), "missing 'normalizer_fitted_on'"),
+        (lambda meta, arrays: meta.update(colour="red"), "unknown bundle metadata key 'colour'"),
+        (lambda meta, arrays: arrays.update(extra=np.zeros(3)), "unknown bundle array 'extra'"),
+        (_has_normalizer(False, "none"), "unknown bundle array 'norm.mean1'"),
     ],
     ids=["no_network", "small_nbins", "nbins_off_network", "rate_string", "rate_zero",
          "rate_negative", "rate_bool", "rate_nan", "rate_inf", "rate_huge_int",
@@ -208,7 +224,9 @@ def _retype(name, dtype):
          "float16_weights", "mixed_weights", "float32_normalizer", "normalizer_false_zscore",
          "normalizer_true_none", "normalizer_zero", "normalizer_one", "normalizer_string",
          "normalizer_null", "normalizer_missing", "five_classes", "seven_classes",
-         "huge_classes", "version_true", "version_float", "version_string"],
+         "huge_classes", "version_true", "version_float", "version_string", "conv_pair",
+         "rate_missing", "dataset_name_missing", "fitted_on_missing", "unknown_key",
+         "extra_array", "normalizer_arrays_without_normalizer"],
 )
 def test_load_rejects_inconsistent_bundles(tmp_path, synth_features, edit, message):
     path = tmp_path / "model.bin"
