@@ -15,6 +15,7 @@ import copy
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,14 @@ from .dataset import (
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .features import (
     FeatureConfig,
+    FeatureVector,
     apply_normalizer,
     extract_all,
+    feature_row,
     fit_normalizer,
     load_features_csv,
     save_features_csv,
+    unstack_channels,
 )
 from .metrics import (
     accuracy_from_cm,
@@ -182,15 +186,15 @@ def cmd_train(args) -> int:
     fcfg, tcfg, spec = _build_sections(cfg)
 
     if cfg["dataset"] is not None:
-        ds = load_dataset(cfg["dataset"])
+        ds = load_dataset(cfg["dataset"], partial(feature_row, cfg=fcfg))
         if cfg["subset"] != "all":
             kind, _, value = cfg["subset"].partition("=")
             ds = ds.subset(**{kind: value})
-            if not ds.records:
+            if not len(ds):
                 raise DataError(f"subset {cfg['subset']!r} selected no records")
         print(f"dataset: {ds.name}, {len(ds)} records, rate {ds.sample_rate} Hz")
-        feats = extract_all(ds.records, fcfg)
-        labels = [r.label for r in ds.records]
+        labels = ds.labels
+        feats = unstack_channels(ds.stack(), labels)
         sample_rate: float | None = ds.sample_rate
         data_name = ds.name
     else:
@@ -258,9 +262,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _classify(bundle: ModelBundle, records: list[EmgRecord], model):
-    """Class indices and probabilities of the records; non-finite ones refuse the bundle."""
-    feats = extract_all(records, bundle.feature_config)
+def _classify(bundle: ModelBundle, feats: list[FeatureVector], model):
+    """Class indices and probabilities of raw features; non-finite ones refuse the bundle."""
     if bundle.normalizer is not None:
         feats = [apply_normalizer(bundle.normalizer, f) for f in feats]
     preds, probs = predict_batch(bundle.state, feats)
@@ -271,14 +274,14 @@ def _classify(bundle: ModelBundle, records: list[EmgRecord], model):
 
 def cmd_eval(args) -> int:
     bundle = load_model(args.model)
-    ds = load_dataset(args.data)
+    ds = load_dataset(args.data, partial(feature_row, cfg=bundle.feature_config))
     if bundle.sample_rate is not None and ds.sample_rate != bundle.sample_rate:
         raise DataError(
             f"sample rate mismatch: model expects {bundle.sample_rate} Hz, "
             f"dataset has {ds.sample_rate} Hz"
         )
-    preds, _ = _classify(bundle, ds.records, args.model)
-    cm = confusion_matrix([r.label for r in ds.records], preds)
+    preds, _ = _classify(bundle, unstack_channels(ds.stack(), ds.labels), args.model)
+    cm = confusion_matrix(ds.labels, preds)
     acc = accuracy_from_cm(cm)
     f1w = f1_weighted(cm)
     f1m = f1_macro(cm)
@@ -308,7 +311,7 @@ def cmd_predict(args) -> int:
         channel1=ch1, channel2=ch2, sample_rate=bundle.sample_rate, label=LABELS[0]
     )
     record.validate(name=str(args.record))
-    preds, probs = _classify(bundle, [record], args.model)
+    preds, probs = _classify(bundle, extract_all([record], bundle.feature_config), args.model)
     print("label," + ",".join(f"p_{lab}" for lab in LABELS))
     print(LABELS[preds[0]] + "," + ",".join(repr(float(p)) for p in probs[0]))
     return 0
@@ -338,8 +341,8 @@ def cmd_extract(args) -> int:
         fcfg = FeatureConfig(ar_order=args.ar_order, nbins=args.nbins, log_floor=args.log_floor)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    ds = load_dataset(args.data)
-    feats = extract_all(ds.records, fcfg)
+    ds = load_dataset(args.data, partial(feature_row, cfg=fcfg))
+    feats = unstack_channels(ds.stack(), ds.labels)
     save_features_csv(args.out, feats)
     print(f"wrote {len(feats)} feature rows ({fcfg.nbins} bins/channel) to {args.out}")
     return 0

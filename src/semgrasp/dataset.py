@@ -20,6 +20,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -91,20 +92,9 @@ class Dataset:
         return len(self.records)
 
     def validate(self) -> None:
-        if not self.records:
-            raise DataError(f"{self.name}: no records found")
-        rate = self.records[0].sample_rate
-        length = self.records[0].n_samples
         for i, rec in enumerate(self.records):
             rec.validate(name=f"{self.name}[{i}]")
-            if rec.sample_rate != rate:
-                raise DataError(
-                    f"{self.name}[{i}]: sample rate {rec.sample_rate} differs from {rate}"
-                )
-            if rec.n_samples != length:
-                raise DataError(
-                    f"{self.name}[{i}]: length {rec.n_samples} differs from {length}"
-                )
+        _check_alike(self.name, [(r.sample_rate, r.n_samples) for r in self.records])
 
     def class_counts(self) -> dict[str, int]:
         counts = {lab: 0 for lab in LABELS}
@@ -116,15 +106,57 @@ class Dataset:
     def sample_rate(self) -> float:
         return self.records[0].sample_rate
 
-    def subset(self, subject: str | None = None, session: str | None = None) -> "Dataset":
-        recs = [
-            r
-            for r in self.records
-            if (subject is None or r.subject_id == subject)
-            and (session is None or r.session_id == session)
+
+def _check_alike(name: str, shapes: list[tuple[float, int]]) -> None:
+    """Every record's (sample rate, length) must be the first record's; none at all is an error."""
+    if not shapes:
+        raise DataError(f"{name}: no records found")
+    rate, length = shapes[0]
+    for i, (rec_rate, rec_length) in enumerate(shapes):
+        if rec_rate != rate:
+            raise DataError(f"{name}[{i}]: sample rate {rec_rate} differs from {rate}")
+        if rec_length != length:
+            raise DataError(f"{name}[{i}]: length {rec_length} differs from {length}")
+
+
+@dataclass
+class ReducedDataset:
+    """A loaded dataset whose records were each reduced to one row as they were read.
+
+    It holds no channels. rows[i] is what the reducer returned for record i,
+    or the DataError it raised; stack() raises the first such error, so a
+    record that cannot be reduced fails only the runs that select it.
+    """
+
+    name: str
+    sample_rate: float
+    labels: list[str]
+    subjects: list[str]
+    sessions: list[str]
+    rows: list
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def subset(self, subject: str | None = None, session: str | None = None) -> ReducedDataset:
+        keep = [
+            i
+            for i in range(len(self))
+            if (subject is None or self.subjects[i] == subject)
+            and (session is None or self.sessions[i] == session)
         ]
         tag = subject if subject is not None else session
-        return Dataset(records=recs, name=f"{self.name}/{tag}")
+        columns = (self.labels, self.subjects, self.sessions, self.rows)
+        return ReducedDataset(
+            f"{self.name}/{tag}", self.sample_rate, *([col[i] for i in keep] for col in columns)
+        )
+
+    def stack(self) -> np.ndarray:
+        """The rows as one [n, ...] array; raises the first record's reducer error."""
+        for row in self.rows:
+            if isinstance(row, DataError):
+                raise row
+        return np.stack(self.rows)
 
 
 @dataclass
@@ -135,19 +167,31 @@ class SplitPlan:
     test_indices: list[int]
 
 
+# (record path, label, sample rate, subject, session) of one manifest row
+_Entry = tuple[Path, str, float, str, str]
+# what load_dataset may reduce each record to, in the process that reads it
+_Reducer = Callable[[EmgRecord], np.ndarray]
+
+
 def _fmt(x: float) -> str:
     # repr of a Python float is the shortest string that round-trips exactly
     return repr(float(x))
 
 
-def load_dataset(path: str | Path) -> Dataset:
+def load_dataset(path: str | Path, reduce: _Reducer | None = None) -> Dataset | ReducedDataset:
     """Load and validate a dataset directory in the interchange layout.
 
     Every schema violation is reported with the offending file and line. The
     manifest is checked first, up to its first bad row; then the records it
     lists before that row are read (see _read_records), and the first record
     error in manifest order is raised ahead of the manifest's own error, as a
-    row-by-row reader would.
+    row-by-row reader would. Then every record must share the first one's
+    sample rate and length.
+
+    With ``reduce``, each record is reduced to ``reduce(record)`` in the
+    process that reads it, its channels are dropped there, and a
+    ReducedDataset is returned. A DataError that ``reduce`` raises takes the
+    record's row, and only ReducedDataset.stack raises it.
     """
     root = Path(path)
     manifest = root / MANIFEST_NAME
@@ -156,28 +200,29 @@ def load_dataset(path: str | Path) -> Dataset:
     if not manifest.is_file():
         raise DataError(f"no records found: missing {manifest}")
 
-    entries: list[tuple[Path, str, float, str, str]] = []
+    entries: list[_Entry] = []
     manifest_error = None
     try:
         for entry in _manifest_entries(root, manifest):
             entries.append(entry)
     except DataError as e:
         manifest_error = e
-    channels = _read_records([entry[0] for entry in entries])
+    read = _read_records(entries, reduce)
     if manifest_error is not None:
         raise manifest_error
-    records = [
-        EmgRecord(channel1=ch1, channel2=ch2, sample_rate=rate, label=label,
-                  subject_id=subject, session_id=session)
-        for (ch1, ch2), (_, label, rate, subject, session) in zip(channels, entries)
-    ]
-    ds = Dataset(records=records, name=root.name)
-    ds.validate()
-    return ds
+    # the reader and the manifest check already refuse what EmgRecord.validate would
+    _check_alike(root.name, [(rate, n) for (_, _, rate, _, _), (n, _) in zip(entries, read)])
+    rows = [row for _, row in read]
+    if reduce is None:
+        return Dataset(records=rows, name=root.name)
+    _, labels, _, subjects, sessions = zip(*entries)
+    return ReducedDataset(
+        root.name, entries[0][2], list(labels), list(subjects), list(sessions), rows
+    )
 
 
 def _manifest_entries(root: Path, manifest: Path):
-    """(record path, label, sample rate, subject, session) of each manifest row, in order.
+    """The _Entry of each manifest row, in order.
 
     Raises DataError at the first row that breaks the schema.
     """
@@ -231,28 +276,51 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _read_chunk(paths: list[Path]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """read_record_csv of each path, in order; runs in a worker or in-process."""
-    return [read_record_csv(p) for p in paths]
+def _read_chunk(entries: list[_Entry], reduce: _Reducer | None) -> list[tuple[int, object]]:
+    """(length, row) of each manifest entry's record, in order; runs in a worker or in-process.
+
+    The row is the EmgRecord itself without ``reduce``, else ``reduce(record)``
+    or the DataError that it raised. An error reading a file is raised.
+    """
+    out = []
+    for path, label, rate, subject, session in entries:
+        ch1, ch2 = read_record_csv(path)
+        record = EmgRecord(channel1=ch1, channel2=ch2, sample_rate=rate, label=label,
+                           subject_id=subject, session_id=session)
+        if reduce is None:
+            row = record
+        else:
+            try:
+                row = reduce(record)
+            except DataError as e:
+                row = e
+        out.append((len(ch1), row))
+    return out
 
 
-def _read_records(paths: list[Path]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The channels of each record file, in order; raises the first failing file's error.
+def _read_records(entries: list[_Entry], reduce: _Reducer | None) -> list[tuple[int, object]]:
+    """_read_chunk of all manifest entries, in order; raises the first failing file's error.
 
-    With at least _PARALLEL_MIN_RECORDS files, two usable cores and the
-    ``fork`` start method, chunks of _CHUNK_RECORDS files are read in a pool
-    of forked worker processes, one per usable core. A forked worker calls
-    this module's read_record_csv as the parent sees it, and returns the
-    same arrays. A chunk whose worker died is read in-process. No worker
-    outlives the call. Otherwise every file is read in-process.
+    With at least _PARALLEL_MIN_RECORDS entries, two usable cores and the
+    ``fork`` start method, chunks of _CHUNK_RECORDS entries are read and
+    reduced in a pool of forked worker processes, one per usable core, so
+    that only the rows travel back. A forked worker calls this module's
+    read_record_csv and ``reduce`` as the parent sees them, and returns the
+    same rows. A chunk whose worker died is redone in-process. No worker
+    outlives the call. Otherwise every entry is read in-process, and each
+    record's channels are dropped once it is reduced.
 
-    Forked, not spawned: a worker starts without importing numpy again, and
-    it runs only read_record_csv, so it never waits on a thread the fork
-    left behind (the network's channel-stack worker, BLAS threads).
+    Forked, not spawned: a worker starts without importing numpy again. It
+    never waits on a thread the fork left behind. The network's channel-stack
+    thread runs only inside a network call, which no worker makes. OpenBLAS,
+    which ``reduce`` reaches through numpy (np.dot, matmul), shuts its own
+    threads down in a pthread_atfork handler before every fork, and a child
+    starts new ones on its first call that wants them; the tests run with two
+    BLAS threads in one CI leg.
     """
     cores = _usable_cores()
-    if len(paths) < _PARALLEL_MIN_RECORDS or cores < 2:
-        return _read_chunk(paths)
+    if len(entries) < _PARALLEL_MIN_RECORDS or cores < 2:
+        return _read_chunk(entries, reduce)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -262,18 +330,18 @@ def _read_records(paths: list[Path]) -> list[tuple[np.ndarray, np.ndarray]]:
         "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
-        return _read_chunk(paths)
-    chunks = [paths[i:i + _CHUNK_RECORDS] for i in range(0, len(paths), _CHUNK_RECORDS)]
+        return _read_chunk(entries, reduce)
+    chunks = [entries[i:i + _CHUNK_RECORDS] for i in range(0, len(entries), _CHUNK_RECORDS)]
     pool = ProcessPoolExecutor(min(cores, len(chunks)), multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(_read_chunk, chunk) for chunk in chunks]
-        channels = []
+        futures = [pool.submit(_read_chunk, chunk, reduce) for chunk in chunks]
+        rows = []
         for chunk, future in zip(chunks, futures):
             try:
-                channels += future.result()
+                rows += future.result()
             except BrokenProcessPool:
-                channels += _read_chunk(chunk)
-        return channels
+                rows += _read_chunk(chunk, reduce)
+        return rows
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

@@ -61,6 +61,11 @@ def stack_channels(features: list[FeatureVector]) -> np.ndarray:
     return np.stack([(f.channel1_features, f.channel2_features) for f in features])
 
 
+def unstack_channels(x: np.ndarray, labels: list[str]) -> list[FeatureVector]:
+    """One vector per [2, nbins] row of x, holding views of its two channels."""
+    return [FeatureVector(row[0], row[1], label) for row, label in zip(x, labels)]
+
+
 def extract_features(record: EmgRecord, cfg: FeatureConfig) -> FeatureVector:
     """Per channel: AR fit -> spectral density -> log10 with a positive floor."""
     if record.n_samples <= cfg.ar_order + 1:
@@ -79,6 +84,12 @@ def extract_features(record: EmgRecord, cfg: FeatureConfig) -> FeatureVector:
         psd = psd_from_model(model, cfg.nbins)
         feats.append(np.log10(np.maximum(psd.power, cfg.log_floor)))
     return FeatureVector(channel1_features=feats[0], channel2_features=feats[1], label=record.label)
+
+
+def feature_row(record: EmgRecord, cfg: FeatureConfig) -> np.ndarray:
+    """extract_features(record, cfg) as one [2, nbins] row: load_dataset's reducer."""
+    fv = extract_features(record, cfg)
+    return np.stack((fv.channel1_features, fv.channel2_features))
 
 
 def fit_normalizer(features: list[FeatureVector], fitted_on: str = "") -> Normalizer:

@@ -4,7 +4,9 @@ The bundle is a zip of numpy arrays (written through an open handle so the
 file name is kept verbatim) plus one JSON metadata entry. All seven of its
 keys are required: format_version, network (NetworkSpec.to_json: conv layers
 are [filters, kernel, stride], as in the run config), feature_config,
-sample_rate, dataset_name, has_normalizer, normalizer_fitted_on. Unknown keys
+sample_rate, dataset_name, has_normalizer, normalizer_fitted_on. So is every
+field of network and feature_config: a missing one is not read as its
+default. dataset_name and normalizer_fitted_on are strings. Unknown keys
 and arrays are refused. The network's arrays share one dtype and load in it:
 float32, or float64 for a bundle written before training moved to float32;
 the normalizer's arrays are float64. Any other bundle is refused, so a
@@ -17,7 +19,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +85,8 @@ def load_model(path: str | Path) -> ModelBundle:
         raise DataError(f"{path}: unsupported model format version {version!r}")
 
     try:
-        spec = NetworkSpec.from_json(meta.pop("network"))
-        feature_config = FeatureConfig(**meta.pop("feature_config"))
+        spec = NetworkSpec.from_json(_section(meta, "network", NetworkSpec))
+        feature_config = FeatureConfig(**_section(meta, "feature_config", FeatureConfig))
         if spec.n_classes != len(LABELS):
             raise ValueError(f"network.n_classes must be {len(LABELS)}, got {spec.n_classes}")
         state = empty_network(spec)
@@ -105,6 +107,9 @@ def load_model(path: str | Path) -> ModelBundle:
                 f"but feature_config.normalization is {feature_config.normalization!r}"
             )
         dataset_name, fitted_on = meta.pop("dataset_name"), meta.pop("normalizer_fitted_on")
+        for key, value in (("dataset_name", dataset_name), ("normalizer_fitted_on", fitted_on)):
+            if not isinstance(value, str):
+                raise ValueError(f"{key} must be a string, got {value!r}")
     except KeyError as e:
         raise DataError(f"{path}: bundle metadata is missing {e}") from None
     except (TypeError, ValueError) as e:
@@ -146,6 +151,20 @@ def load_model(path: str | Path) -> ModelBundle:
         sample_rate=float(rate) if rate is not None else None,
         dataset_name=dataset_name,
     )
+
+
+def _section(meta: dict, key: str, cls) -> object:
+    """Pop metadata object ``key``, which must hold every field of dataclass ``cls``.
+
+    A missing field is a KeyError naming its path; a value that is not an
+    object is left for ``cls`` to refuse.
+    """
+    section = meta.pop(key)
+    if isinstance(section, dict):
+        for f in fields(cls):
+            if f.name not in section:
+                raise KeyError(f"{key}.{f.name}")
+    return section
 
 
 def _bundle_array(

@@ -378,6 +378,68 @@ def test_train_subset_single_subject_arithmetic(tmp_path, capsys):
     assert roles.count("train") == 42
 
 
+# dataset_dir's record k has class k // 12 and subject s{k % 12 % 5 + 1}, so
+# subject=s1 selects records 0, 5, 10, 12, ... Each fault, and the message
+# that reports it (None: the fault does not fail the run).
+def _precedence_faults(root: Path) -> dict:
+    constant = "0.5,0.25\n" * 256
+    return {
+        "read": (("rec00050.csv", "1,2,3\n4,5,6\n"),
+                 f"{root / 'rec00050.csv'}:1: row has 3 values, expected 2"),
+        # after 64 rows, so the records before it are read in worker processes
+        "manifest": (None, f"{root / 'manifest.csv'}:72: unknown label 'Q'"),
+        "length": (("rec00040.csv", "1.0,2.0\n" * 100), "data[40]: length 100 differs from 256"),
+        "empty_subset": (None, "subset 'subject=s9' selected no records"),
+        "degenerate_out": (("rec00001.csv", constant), None),
+        "degenerate_in": (("rec00005.csv", constant),
+                          "channel1 of record (label=C, subject=s1, session=d3): signal is constant"),
+    }
+
+
+# faults in the dataset -> the fault whose message wins
+_PRECEDENCE_ROWS = {
+    "read_error": (("read", "manifest", "length", "degenerate_in"), "read"),
+    "manifest_error": (("manifest", "length", "degenerate_in"), "manifest"),
+    "length_mismatch": (("length", "empty_subset", "degenerate_in"), "length"),
+    "empty_subset": (("empty_subset", "degenerate_in"), "empty_subset"),
+    "degenerate_in_subset": (("degenerate_out", "degenerate_in"), "degenerate_in"),
+    "degenerate_outside_subset": (("degenerate_out",), "degenerate_out"),
+}
+
+
+@pytest.mark.parametrize("faults, winner", _PRECEDENCE_ROWS.values(), ids=_PRECEDENCE_ROWS.keys())
+def test_train_reports_the_first_fault_whether_records_load_in_workers_or_not(
+    dataset_dir, tmp_path, monkeypatch, capsys, faults, winner
+):
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    known = _precedence_faults(data)
+    for fault in faults:
+        edit, _ = known[fault]
+        if edit is not None:
+            (data / edit[0]).write_text(edit[1])
+    if "manifest" in faults:
+        lines = (data / "manifest.csv").read_text().splitlines(keepends=True)
+        fields = lines[71].split(",")
+        lines[71] = ",".join([fields[0], "Q", *fields[2:]])
+        (data / "manifest.csv").write_text("".join(lines))
+    subset = "subject=s9" if "empty_subset" in faults else "subject=s1"
+    cfg = _write_config(tmp_path / "cfg.json", dataset=str(data), split_fraction=0.5,
+                        training={"epochs": 1, "batch_size": 16, "learning_rate": 0.01})
+    outcomes = []
+    for cores in (2, 1):
+        monkeypatch.setattr(semgrasp.dataset, "_usable_cores", lambda: cores)
+        out = tmp_path / f"run{cores}"
+        code = main(["train", "--config", str(cfg), "--out", str(out), "--subset", subset])
+        outcomes.append((code, capsys.readouterr().err, out.exists()))
+    message = known[winner][1]
+    want = (0, "", True) if message is None else (2, f"data error: {message}\n", False)
+    assert outcomes == [want, want]
+    if message is None:
+        assert (tmp_path / "run2" / "model.bin").read_bytes() == (
+            tmp_path / "run1" / "model.bin").read_bytes()
+
+
 def test_train_empty_test_split_leaves_no_run_directory(dataset_dir, tmp_path, capsys):
     # ceil(12 * 0.95) = 12: every record of each class would go to train
     out = tmp_path / "out"
@@ -837,6 +899,11 @@ _BUNDLE_PROBE_ROWS = [
     for path in _BUNDLE_META_PATHS
     for kind, value in _BUNDLE_PROBE_VALUES.items()
 ] + [
+    # every object key, nested ones too, is required
+    pytest.param(("missing", path, None), id=f"{'.'.join(map(str, path))}:missing")
+    for path in _BUNDLE_META_PATHS
+    if isinstance(path[-1], str)
+] + [
     pytest.param(("array", name, fault), id=f"{name}:{fault}")
     for name in _BUNDLE_ARRAYS
     for fault in ("missing", "wrong_shape", "wrong_dtype", "nan", "inf")
@@ -870,13 +937,19 @@ def test_bundle_value_meets_exit_contract(probe_bundle, tmp_path, capsys, probe)
         *parents, leaf = key
         for parent in parents:
             meta = meta[parent]
-        meta[leaf] = value
+        if where == "missing":
+            del meta[leaf]
+        else:
+            meta[leaf] = value
 
     bad = tmp_path / "model.bin"
     shutil.copy(model, bad)
     rewrite_bundle(bad, edit)
     code = main(["predict", str(bad), str(record)])
     captured = capsys.readouterr()
+    names = ("dataset_name", "normalizer_fitted_on")
+    if where == "missing" or where == "meta" and key[0] in names and not isinstance(value, str):
+        assert code == 2, captured.out
     assert code in (0, 2), captured.err
     assert len(captured.err.splitlines()) <= 1 and "Traceback" not in captured.err, captured.err
     if code == 0:

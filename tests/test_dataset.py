@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from helpers import make_record
 
 from semgrasp.burg import burg_fit, psd_from_model
-from semgrasp import dataset
+from semgrasp import dataset, features
 from semgrasp.dataset import (
     LABELS,
     Dataset,
@@ -22,7 +23,13 @@ from semgrasp.dataset import (
     write_dataset,
 )
 from semgrasp.errors import DataError
-from semgrasp.features import load_features_csv
+from semgrasp.features import (
+    FeatureConfig,
+    extract_all,
+    feature_row,
+    load_features_csv,
+    stack_channels,
+)
 
 
 def _balanced_dataset(per_class: int, length: int = 8) -> Dataset:
@@ -158,8 +165,9 @@ def test_read_record_csv_missing_file(tmp_path):
 # ------------------------------------------------------------ parallel load
 #
 # From dataset._PARALLEL_MIN_RECORDS records on, load_dataset reads the record
-# files in forked worker processes. These tests pin the pool to two workers,
-# whatever the machine, and compare with the in-process reader (one core).
+# files in forked worker processes, which also reduce each record to its
+# features when asked. These tests pin the pool to two workers, whatever the
+# machine, and compare with the in-process reader (one core).
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
@@ -167,19 +175,28 @@ needs_fork = pytest.mark.skipif(
 _PARENT_PID = os.getpid()
 _READ_CHUNK = dataset._read_chunk
 _READ_RECORD = dataset.read_record_csv
+_EXTRACT = features.extract_features
+_FEATURES = FeatureConfig(ar_order=4, nbins=16)
+_TO_FEATURES = partial(feature_row, cfg=_FEATURES)
 
 
-def _read_chunk_dying_in_workers(paths):
+def _read_chunk_dying_in_workers(entries, reduce):
     """The chunk reader, but a worker handed the second chunk exits at once."""
-    if os.getpid() != _PARENT_PID and paths[0].name == f"rec{dataset._CHUNK_RECORDS:05d}.csv":
+    if os.getpid() != _PARENT_PID and entries[0][0].name == f"rec{dataset._CHUNK_RECORDS:05d}.csv":
         os._exit(1)
-    return _READ_CHUNK(paths)
+    return _READ_CHUNK(entries, reduce)
 
 
 def _read_record_noting_pid(path):
     """The record reader, leaving the reading process's id beside the record."""
     path.with_suffix(".pid").write_text(str(os.getpid()))
     return _READ_RECORD(path)
+
+
+def _extract_noting_pid(record, cfg, folder):
+    """The feature extractor, leaving a file named after the extracting process's id."""
+    (folder / str(os.getpid())).touch()
+    return _EXTRACT(record, cfg)
 
 
 def _synthetic_dir(tmp_path, records: int, name: str = "data"):
@@ -201,12 +218,12 @@ def _load_error(root) -> str:
     return str(err.value)
 
 
-def _sequential_load(monkeypatch, root):
-    """load_dataset(root) in-process, its DataError message if it fails."""
+def _sequential_load(monkeypatch, root, reduce=None):
+    """load_dataset(root, reduce) in-process, its DataError message if it fails."""
     with monkeypatch.context() as m:
         _cores(m, 1)
         try:
-            return load_dataset(root)
+            return load_dataset(root, reduce)
         except DataError as e:
             return str(e)
 
@@ -221,6 +238,15 @@ def _assert_same_dataset(got, want) -> None:
             assert ch_a.dtype == ch_b.dtype == np.float64
             assert ch_a.shape == ch_b.shape
             assert ch_a.tobytes() == ch_b.tobytes()
+
+
+def _assert_same_features(got, want) -> None:
+    """Reduced loads with the same metadata and byte-identical feature rows."""
+    assert (got.name, got.sample_rate, got.labels, got.subjects, got.sessions) == (
+        want.name, want.sample_rate, want.labels, want.subjects, want.sessions)
+    x, want_x = got.stack(), want.stack()
+    assert x.dtype == want_x.dtype == np.float64
+    assert x.shape == want_x.shape and x.tobytes() == want_x.tobytes()
 
 
 def _break_record(root, index: int) -> str:
@@ -247,7 +273,13 @@ def test_parallel_load_matches_sequential_load(tmp_path, monkeypatch, records):
     _cores(monkeypatch, 2)
     got = load_dataset(root)
     assert len(got) == records
-    _assert_same_dataset(got, _sequential_load(monkeypatch, root))
+    want = _sequential_load(monkeypatch, root)
+    _assert_same_dataset(got, want)
+    reduced = load_dataset(root, _TO_FEATURES)
+    assert len(reduced) == records
+    _assert_same_features(reduced, _sequential_load(monkeypatch, root, _TO_FEATURES))
+    x = stack_channels(extract_all(want.records, _FEATURES))
+    assert reduced.stack().tobytes() == x.tobytes()
     assert multiprocessing.active_children() == []
 
 
@@ -256,13 +288,20 @@ def test_records_are_read_in_workers_from_the_threshold_on(tmp_path, monkeypatch
     _cores(monkeypatch, 2)
     monkeypatch.setattr(dataset, "read_record_csv", _read_record_noting_pid)
     for records in (dataset._PARALLEL_MIN_RECORDS - 1, dataset._PARALLEL_MIN_RECORDS):
-        root = _synthetic_dir(tmp_path, records, name=f"data{records}")
-        assert len(load_dataset(root)) == records
-        pids = {int(p.read_text()) for p in root.glob("*.pid")}
-        if records < dataset._PARALLEL_MIN_RECORDS:
-            assert pids == {os.getpid()}
-        else:
-            assert os.getpid() not in pids and 1 <= len(pids) <= 2
+        for reduce in (None, _TO_FEATURES):
+            root = _synthetic_dir(tmp_path, records, name=f"data{records}-{reduce is None}")
+            extracted = tmp_path / f"extracted{records}-{reduce is None}"
+            extracted.mkdir()
+            monkeypatch.setattr(features, "extract_features",
+                                partial(_extract_noting_pid, folder=extracted))
+            assert len(load_dataset(root, reduce)) == records
+            pids = {int(p.read_text()) for p in root.glob("*.pid")}
+            extract_pids = {int(p.name) for p in extracted.iterdir()}
+            assert extract_pids == (set() if reduce is None else pids)
+            if records < dataset._PARALLEL_MIN_RECORDS:
+                assert pids == {os.getpid()}
+            else:
+                assert os.getpid() not in pids and 1 <= len(pids) <= 2
 
 
 @needs_fork
@@ -294,9 +333,12 @@ def test_parallel_load_orders_record_and_manifest_errors(tmp_path, monkeypatch, 
 def test_parallel_load_reads_a_dead_workers_chunks_in_process(tmp_path, monkeypatch, capfd):
     root = _synthetic_dir(tmp_path, 3 * dataset._CHUNK_RECORDS)
     want = _sequential_load(monkeypatch, root)
+    want_features = _sequential_load(monkeypatch, root, _TO_FEATURES)
     _cores(monkeypatch, 2)
     monkeypatch.setattr(dataset, "_read_chunk", _read_chunk_dying_in_workers)
     _assert_same_dataset(load_dataset(root), want)
+    assert multiprocessing.active_children() == []
+    _assert_same_features(load_dataset(root, _TO_FEATURES), want_features)
     assert multiprocessing.active_children() == []
     assert capfd.readouterr().err == ""
 
