@@ -22,6 +22,15 @@ from .errors import DataError
 
 
 class EpochStats(NamedTuple):
+    """One epoch of training, as one row of epochs.csv.
+
+    train_loss and train_acc come from the epoch's own steps: the mean of the
+    batch losses weighted by their row counts, and the fraction of training
+    rows the batches classified correctly, each batch forwarded once with the
+    weights it started from. test_loss and test_acc evaluate the full test
+    set with the weights at the end of the epoch.
+    """
+
     train_loss: float
     train_acc: float
     test_loss: float

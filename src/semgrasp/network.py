@@ -412,8 +412,12 @@ def backward(state: NetworkState, cache, labels: np.ndarray) -> dict[str, np.nda
 
 
 def loss_and_gradients(state: NetworkState, x, labels):
-    """Forward + backward on one batch x [batch, 2, input_bins]; returns (loss, gradients)."""
+    """Forward + backward on one batch x [batch, 2, input_bins].
+
+    Returns (loss, gradients, probs [batch, n_classes]); the forward cache is
+    released on return, so only the small probability array outlives the call.
+    """
     probs, cache = forward(state, x)
     loss = cross_entropy(probs, labels)
     grads = backward(state, cache, labels)
-    return loss, grads
+    return loss, grads, probs

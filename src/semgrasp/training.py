@@ -1,10 +1,13 @@
 """Mini-batch gradient-descent training of the two-channel network.
 
 Determinism contract: one config seed feeds two named sub-streams
-(weight init and epoch shuffling), batches are visited in shuffle order,
-and per-epoch train/test statistics are recomputed on the full sets at
-epoch end, so identical inputs, seed, code and BLAS thread count reproduce
-identical logs bit for bit.
+(weight init and epoch shuffling), and batches are visited in shuffle order,
+so identical inputs, seed, code and BLAS thread count reproduce identical
+logs bit for bit. An epoch's training statistics come from the forward
+passes of its own steps: the loss is the row-weighted mean of the batch
+losses and the accuracy the fraction of rows each batch's probabilities
+classified correctly, both taken before that batch's update. Its test
+statistics are recomputed on the full test set at epoch end.
 
 The network trains and predicts in NETWORK_DTYPE (float32): the weights are
 drawn in float64, so the seed's random stream does not depend on it, and
@@ -138,21 +141,25 @@ def train(
     with np.errstate(all="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             order = rng_shuffle.permutation(n)
+            loss_sum, correct = 0.0, 0
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                loss, grads = loss_and_gradients(state, x_tr[batch], y_tr[batch])
+                y_batch = y_tr[batch]
+                loss, grads, probs = loss_and_gradients(state, x_tr[batch], y_batch)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(epoch, f"batch loss = {loss}")
+                loss_sum += loss * len(batch)
+                correct += int((probs.argmax(axis=1) == y_batch).sum())
                 for name, arr in state.parameters():
                     v = velocity[name]
                     v *= cfg.momentum
                     v -= cfg.learning_rate * grads[name]
                     arr += v
-            train_loss, train_acc = evaluate(state, x_tr, y_tr)
+            # a mean of checked batch losses is finite, so only the test loss can diverge here
             test_loss, test_acc = evaluate(state, x_te, y_te)
-            if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
+            if not np.isfinite(test_loss):
                 raise TrainingDivergedError(epoch, "epoch evaluation loss non-finite")
-            stats = EpochStats(train_loss, train_acc, test_loss, test_acc)
+            stats = EpochStats(loss_sum / n, correct / n, test_loss, test_acc)
             log.append(stats)
             if progress is not None:
                 progress(epoch, stats)

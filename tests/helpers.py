@@ -78,7 +78,7 @@ def fd_gradient_check(state, x, y, h: float = 1e-5) -> float:
     """
     from semgrasp.network import cross_entropy, forward, loss_and_gradients
 
-    _, grads = loss_and_gradients(state, x, y)
+    _, grads, _ = loss_and_gradients(state, x, y)
     worst = 0.0
     for name, arr in state.parameters():
         g = grads[name]

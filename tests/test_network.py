@@ -320,7 +320,7 @@ def test_parameter_dtype_decides_every_activation_and_gradient(dtype, batch):
         for _, xcol, wmat, pre in conv_caches:
             cached += [xcol, wmat, pre]
     assert [a.dtype for a in cached] == [np.dtype(dtype)] * len(cached)
-    _, grads = loss_and_gradients(state, x, y)
+    _, grads, _ = loss_and_gradients(state, x, y)
     for name, param in state.parameters():
         assert param.dtype == dtype, name
         assert grads[name].dtype == dtype, name

@@ -5,7 +5,7 @@ import resource
 import numpy as np
 import pytest
 
-from semgrasp import training
+from semgrasp import network, training
 from semgrasp.dataset import LABELS
 from semgrasp.errors import TrainingDivergedError
 from semgrasp.features import FeatureVector
@@ -88,6 +88,55 @@ def test_divergence_guard_names_epoch():
     with pytest.raises(TrainingDivergedError, match="epoch") as excinfo:
         train(spec, train_feats, test_feats, TrainConfig(epochs=20, learning_rate=1e40, seed=3))
     assert excinfo.value.epoch >= 1
+
+
+def _recording_steps(monkeypatch):
+    """Patch train's step to record (loss, rows, correctly classified rows) per batch."""
+    steps = []
+
+    def step(state, x, labels):
+        loss, grads, probs = network.loss_and_gradients(state, x, labels)
+        steps.append((loss, len(labels), int((probs.argmax(axis=1) == labels).sum())))
+        return loss, grads, probs
+
+    monkeypatch.setattr(training, "loss_and_gradients", step)
+    return steps
+
+
+def test_train_columns_are_the_epochs_own_batch_statistics(normalized_split, monkeypatch):
+    train_feats, test_feats = normalized_split
+    cfg = TrainConfig(epochs=4, batch_size=16, seed=6)
+    n = len(train_feats)
+    assert n % cfg.batch_size != 0  # so the short last batch's weight is checked
+    steps = _recording_steps(monkeypatch)
+    _, log = train(SMALL_SPEC, train_feats, test_feats, cfg)
+    per_epoch = -(-n // cfg.batch_size)
+    assert len(steps) == cfg.epochs * per_epoch and len(log) == cfg.epochs
+    for epoch, stats in enumerate(log):
+        batches = steps[epoch * per_epoch : (epoch + 1) * per_epoch]
+        assert batches[-1][1] == n % cfg.batch_size
+        assert sum(rows for _, rows, _ in batches) == n
+        assert stats.train_loss == sum(loss * rows for loss, rows, _ in batches) / n
+        assert stats.train_acc == sum(correct for _, _, correct in batches) / n
+
+
+def test_test_columns_evaluate_the_returned_state(normalized_split):
+    train_feats, test_feats = normalized_split
+    state, log = train(SMALL_SPEC, train_feats, test_feats, TrainConfig(epochs=3, seed=4))
+    x_te, y_te = features_to_arrays(test_feats)
+    assert (log[-1].test_loss, log[-1].test_acc) == evaluate(state, x_te, y_te)
+
+
+def test_divergence_guard_fires_on_the_test_set_alone(normalized_split, monkeypatch):
+    train_feats, test_feats = normalized_split
+    # finite in float32, but the first layers overflow on them
+    top = float(np.finfo(np.float32).max)
+    bad_test = [FeatureVector(np.full(32, top), np.full(32, -top), fv.label) for fv in test_feats]
+    steps = _recording_steps(monkeypatch)
+    with pytest.raises(TrainingDivergedError, match="epoch evaluation loss") as excinfo:
+        train(SMALL_SPEC, train_feats, bad_test, TrainConfig(epochs=3, seed=0))
+    assert excinfo.value.epoch == 1
+    assert steps and all(np.isfinite(loss) for loss, _, _ in steps)
 
 
 def test_train_validates_inputs(normalized_split):
