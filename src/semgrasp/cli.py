@@ -16,6 +16,7 @@ import json
 import sys
 from dataclasses import asdict
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -324,15 +325,13 @@ def cmd_convert(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    ds = load_dataset(args.data)
-    counts = ds.class_counts()
-    print(f"dataset {ds.name}: {len(ds)} records, {ds.records[0].n_samples} samples each, "
+    # load_dataset checks that every record has the first one's length
+    ds = load_dataset(args.data, attrgetter("n_samples"))
+    print(f"dataset {ds.name}: {len(ds)} records, {ds.rows[0]} samples each, "
           f"{ds.sample_rate} Hz")
-    print("per class: " + " ".join(f"{lab}={counts[lab]}" for lab in LABELS))
-    subjects = sorted({r.subject_id for r in ds.records})
-    sessions = sorted({r.session_id for r in ds.records})
-    print(f"subjects: {', '.join(subjects)}")
-    print(f"sessions: {', '.join(sessions)}")
+    print("per class: " + " ".join(f"{lab}={ds.labels.count(lab)}" for lab in LABELS))
+    print(f"subjects: {', '.join(sorted(set(ds.subjects)))}")
+    print(f"sessions: {', '.join(sorted(set(ds.sessions)))}")
     return 0
 
 

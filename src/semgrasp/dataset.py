@@ -9,7 +9,8 @@ Interchange layout (one directory per dataset):
 Labels are the single characters C/T/L/H/P/S (six grasp types), mapped to
 class indices 0..5 in that order. Floats are written with Python's ``repr``
 (shortest round-trip form), so write -> load -> write reproduces the stored
-text exactly.
+text exactly. write_dataset writes a list of EmgRecords; load_dataset reduces
+each record, where it reads it, to the one row its caller needs.
 """
 
 from __future__ import annotations
@@ -81,30 +82,11 @@ class EmgRecord:
         return len(self.channel1)
 
 
-@dataclass
-class Dataset:
-    """Ordered collection of records sharing one sample rate and series length."""
-
-    records: list[EmgRecord]
-    name: str = "dataset"
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def validate(self) -> None:
-        for i, rec in enumerate(self.records):
-            rec.validate(name=f"{self.name}[{i}]")
-        _check_alike(self.name, [(r.sample_rate, r.n_samples) for r in self.records])
-
-    def class_counts(self) -> dict[str, int]:
-        counts = {lab: 0 for lab in LABELS}
-        for rec in self.records:
-            counts[rec.label] += 1
-        return counts
-
-    @property
-    def sample_rate(self) -> float:
-        return self.records[0].sample_rate
+def validate_records(records: list[EmgRecord], name: str) -> None:
+    """Each record must be valid and share the first one's sample rate and length."""
+    for i, rec in enumerate(records):
+        rec.validate(name=f"{name}[{i}]")
+    _check_alike(name, [(r.sample_rate, r.n_samples) for r in records])
 
 
 def _check_alike(name: str, shapes: list[tuple[float, int]]) -> None:
@@ -120,12 +102,12 @@ def _check_alike(name: str, shapes: list[tuple[float, int]]) -> None:
 
 
 @dataclass
-class ReducedDataset:
-    """A loaded dataset whose records were each reduced to one row as they were read.
+class Dataset:
+    """A loaded dataset: each record's metadata and the row it was reduced to as it was read.
 
-    It holds no channels. rows[i] is what the reducer returned for record i,
-    or the DataError it raised; stack() raises the first such error, so a
-    record that cannot be reduced fails only the runs that select it.
+    rows[i] is what the reducer returned for record i, or the DataError it
+    raised; stack() raises the first such error, so a record that cannot be
+    reduced fails only the runs that select it.
     """
 
     name: str
@@ -138,7 +120,7 @@ class ReducedDataset:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def subset(self, subject: str | None = None, session: str | None = None) -> ReducedDataset:
+    def subset(self, subject: str | None = None, session: str | None = None) -> Dataset:
         keep = [
             i
             for i in range(len(self))
@@ -147,7 +129,7 @@ class ReducedDataset:
         ]
         tag = subject if subject is not None else session
         columns = (self.labels, self.subjects, self.sessions, self.rows)
-        return ReducedDataset(
+        return Dataset(
             f"{self.name}/{tag}", self.sample_rate, *([col[i] for i in keep] for col in columns)
         )
 
@@ -169,8 +151,8 @@ class SplitPlan:
 
 # (record path, label, sample rate, subject, session) of one manifest row
 _Entry = tuple[Path, str, float, str, str]
-# what load_dataset may reduce each record to, in the process that reads it
-_Reducer = Callable[[EmgRecord], np.ndarray]
+# what load_dataset reduces each record to, in the process that reads it
+_Reducer = Callable[[EmgRecord], object]
 
 
 def _fmt(x: float) -> str:
@@ -178,7 +160,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def load_dataset(path: str | Path, reduce: _Reducer | None = None) -> Dataset | ReducedDataset:
+def load_dataset(path: str | Path, reduce: _Reducer) -> Dataset:
     """Load and validate a dataset directory in the interchange layout.
 
     Every schema violation is reported with the offending file and line. The
@@ -188,10 +170,9 @@ def load_dataset(path: str | Path, reduce: _Reducer | None = None) -> Dataset | 
     row-by-row reader would. Then every record must share the first one's
     sample rate and length.
 
-    With ``reduce``, each record is reduced to ``reduce(record)`` in the
-    process that reads it, its channels are dropped there, and a
-    ReducedDataset is returned. A DataError that ``reduce`` raises takes the
-    record's row, and only ReducedDataset.stack raises it.
+    Each record is reduced to ``reduce(record)`` in the process that reads
+    it, and its channels are dropped there. A DataError that ``reduce``
+    raises takes the record's row, and only Dataset.stack raises it.
     """
     root = Path(path)
     manifest = root / MANIFEST_NAME
@@ -212,13 +193,9 @@ def load_dataset(path: str | Path, reduce: _Reducer | None = None) -> Dataset | 
         raise manifest_error
     # the reader and the manifest check already refuse what EmgRecord.validate would
     _check_alike(root.name, [(rate, n) for (_, _, rate, _, _), (n, _) in zip(entries, read)])
-    rows = [row for _, row in read]
-    if reduce is None:
-        return Dataset(records=rows, name=root.name)
     _, labels, _, subjects, sessions = zip(*entries)
-    return ReducedDataset(
-        root.name, entries[0][2], list(labels), list(subjects), list(sessions), rows
-    )
+    return Dataset(root.name, entries[0][2], list(labels), list(subjects), list(sessions),
+                   [row for _, row in read])
 
 
 def _manifest_entries(root: Path, manifest: Path):
@@ -276,29 +253,26 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _read_chunk(entries: list[_Entry], reduce: _Reducer | None) -> list[tuple[int, object]]:
+def _read_chunk(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, object]]:
     """(length, row) of each manifest entry's record, in order; runs in a worker or in-process.
 
-    The row is the EmgRecord itself without ``reduce``, else ``reduce(record)``
-    or the DataError that it raised. An error reading a file is raised.
+    The row is ``reduce(record)`` or the DataError that it raised. An error
+    reading a file is raised.
     """
     out = []
     for path, label, rate, subject, session in entries:
         ch1, ch2 = read_record_csv(path)
         record = EmgRecord(channel1=ch1, channel2=ch2, sample_rate=rate, label=label,
                            subject_id=subject, session_id=session)
-        if reduce is None:
-            row = record
-        else:
-            try:
-                row = reduce(record)
-            except DataError as e:
-                row = e
+        try:
+            row = reduce(record)
+        except DataError as e:
+            row = e
         out.append((len(ch1), row))
     return out
 
 
-def _read_records(entries: list[_Entry], reduce: _Reducer | None) -> list[tuple[int, object]]:
+def _read_records(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, object]]:
     """_read_chunk of all manifest entries, in order; raises the first failing file's error.
 
     With at least _PARALLEL_MIN_RECORDS entries, two usable cores and the
@@ -367,13 +341,13 @@ def read_record_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return ch1, ch2
 
 
-def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset directory in the interchange layout (manifest + record files)."""
-    dataset.validate()
+def write_dataset(records: list[EmgRecord], path: str | Path) -> None:
+    """Write records as a dataset directory in the interchange layout (manifest + record files)."""
     root = Path(path)
+    validate_records(records, root.name)
     root.mkdir(parents=True, exist_ok=True)
     rows = []
-    for i, rec in enumerate(dataset.records):
+    for i, rec in enumerate(records):
         fname = f"rec{i:05d}.csv"
         with open(root / fname, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -459,8 +433,8 @@ def _ar2_series(rng: np.random.Generator, freq_hz: float, radius: float, length:
     return x[_SYNTH_BURN_IN:]
 
 
-def generate_synthetic(n_per_class: int, length: int, seed: int) -> Dataset:
-    """Six-class synthetic dataset, deterministic for a given seed.
+def generate_synthetic(n_per_class: int, length: int, seed: int) -> list[EmgRecord]:
+    """The records of a six-class synthetic dataset, deterministic for a given seed.
 
     Subjects s1..s5 and sessions d1..d3 are assigned round-robin within each
     class so per-subject/per-session subset runs have data to work with.
@@ -493,9 +467,8 @@ def generate_synthetic(n_per_class: int, length: int, seed: int) -> Dataset:
                     session_id=f"d{i % 3 + 1}",
                 )
             )
-    ds = Dataset(records=records, name=f"synthetic{seed}")
-    ds.validate()
-    return ds
+    validate_records(records, f"synthetic{seed}")
+    return records
 
 
 def convert_class_matrices(
@@ -509,6 +482,8 @@ def convert_class_matrices(
     column per sample. If the twelve files sit directly in ``input_dir`` it is
     treated as a single group. Returns the number of records written.
     """
+    if not (_is_finite_number(sample_rate) and sample_rate > 0):
+        raise ConfigError(f"sample_rate must be a finite number > 0, got {sample_rate}")
     in_root = Path(input_dir)
     out_root = Path(output_dir)
     if not in_root.is_dir():
@@ -562,8 +537,7 @@ def convert_class_matrices(
     if not records:
         raise DataError(f"no class matrix files (<label>_ch1.csv) found under {in_root}")
 
-    ds = Dataset(records=records, name=out_root.name)
-    write_dataset(ds, out_root)
+    write_dataset(records, out_root)
     return len(records)
 
 

@@ -12,13 +12,13 @@ def synth_dataset():
 
 @pytest.fixture(scope="session")
 def synth_features(synth_dataset):
-    return extract_all(synth_dataset.records, FeatureConfig(nbins=32))
+    return extract_all(synth_dataset, FeatureConfig(nbins=32))
 
 
 @pytest.fixture(scope="session")
 def normalized_split(synth_dataset, synth_features):
     """(train_features, test_features) of the session dataset, z-scored on train."""
-    plan = split_by_labels([r.label for r in synth_dataset.records], 0.7, seed=5)
+    plan = split_by_labels([r.label for r in synth_dataset], 0.7, seed=5)
     train = [synth_features[i] for i in plan.train_indices]
     test = [synth_features[i] for i in plan.test_indices]
     norm = fit_normalizer(train)

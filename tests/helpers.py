@@ -106,3 +106,8 @@ def rewrite_bundle(path, edit) -> None:
     edit(meta, data)
     with open(path, "wb") as fh:
         np.savez(fh, __meta__=np.array(json.dumps(meta)), **data)
+
+
+def keep_record(record: EmgRecord) -> EmgRecord:
+    """A load_dataset reducer that keeps the whole record, channels included."""
+    return record

@@ -201,7 +201,7 @@ def test_burg_fit_sinusoid_peak_location():
 
 
 def test_burg_fit_order_ten_reflection_invariants(synth_dataset):
-    model = burg_fit(synth_dataset.records[0].channel1, 10, 500.0)
+    model = burg_fit(synth_dataset[0].channel1, 10, 500.0)
     assert len(model.reflection_coeffs) == 10
     assert all(abs(r) <= 1.0 + 1e-12 for r in model.reflection_coeffs)
     assert len(model.ar_coeffs) == 10

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import rewrite_bundle
+from helpers import keep_record, rewrite_bundle
 
 import semgrasp
 from semgrasp.cli import _CONFIG_DEFAULTS, main, resolve_config
@@ -98,10 +98,10 @@ def test_convert_table_shaped_export(export_dir, tmp_path, capsys):
     assert "900 records" in capsys.readouterr().out
     manifest_rows = (out / "manifest.csv").read_text().strip().splitlines()
     assert len(manifest_rows) == 901  # header + 900 records
-    ds = load_dataset(out)
+    ds = load_dataset(out, keep_record)
     assert len(ds) == 900
-    assert all(count == 150 for count in ds.class_counts().values())
-    assert {r.subject_id for r in ds.records} == {f"subject{s}" for s in range(1, 6)}
+    assert all(ds.labels.count(lab) == 150 for lab in LABELS)
+    assert set(ds.subjects) == {f"subject{s}" for s in range(1, 6)}
     assert ds.sample_rate == 500.0
 
 
@@ -144,13 +144,21 @@ def test_convert_bad_matrix_value_names_file_and_line(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("rate", ["-1", "inf"])
-def test_convert_bad_rate_writes_nothing(export_dir, tmp_path, capsys, rate):
+def _refuse_matrix_read(path, columns=None):
+    raise AssertionError(f"{path} was read")
+
+
+@pytest.mark.parametrize("rate", ["-1", "inf", "nan", "0"])
+def test_convert_bad_rate_writes_nothing(export_dir, tmp_path, capsys, monkeypatch, rate):
+    # the rate is refused as a config error before any matrix is read
+    monkeypatch.setattr(semgrasp.dataset, "_read_matrix", _refuse_matrix_read)
     out = tmp_path / "out"
-    assert main(["convert", str(export_dir), str(out), f"--rate={rate}"]) == 2
+    assert main(["convert", str(export_dir), str(out), f"--rate={rate}"]) == 1
     captured = capsys.readouterr()
-    assert len(captured.err.splitlines()) == 1, captured.err
-    assert "sample_rate must be finite and > 0" in captured.err
+    assert captured.err.splitlines() == [
+        f"config error: sample_rate must be a finite number > 0, got {float(rate)}"
+    ]
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -173,12 +181,23 @@ def test_convert_rejects_already_converted_input(export_dir, tmp_path, capsys):
 # ------------------------------------------------------- validate and extract
 
 
-def test_validate_reports_shape(dataset_dir, capsys):
-    assert main(["validate", str(dataset_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "72 records" in out
-    assert "C=12" in out
-    assert "500.0 Hz" in out
+def test_validate_reports_shape(dataset_dir, monkeypatch, capsys):
+    # 72 records: with two usable cores they are read in worker processes, and
+    # validate prints the same bytes as when they are read in-process
+    outputs = []
+    for cores in (2, 1):
+        monkeypatch.setattr(semgrasp.dataset, "_usable_cores", lambda: cores)
+        assert main(["validate", str(dataset_dir)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines() == [
+        "dataset synth: 72 records, 256 samples each, 500.0 Hz",
+        "per class: C=12 T=12 L=12 H=12 P=12 S=12",
+        "subjects: s1, s2, s3, s4, s5",
+        "sessions: d1, d2, d3",
+    ]
 
 
 def test_validate_missing_manifest_column(tmp_path, capsys):
@@ -344,7 +363,7 @@ def test_readme_run_config_defaults_match_resolved_config(dataset_dir, tmp_path)
 def test_train_subset_single_subject_arithmetic(tmp_path, capsys):
     # 180 records all from one subject: the per-subject split is 126/54
     ds = generate_synthetic(30, 64, seed=5)
-    for rec in ds.records:
+    for rec in ds:
         rec.subject_id = "s1"
     data = tmp_path / "single"
     write_dataset(ds, data)
@@ -625,14 +644,12 @@ def test_extract_non_finite_log_floor_is_config_error(probe_inputs, tmp_path, ca
 def test_eval_on_training_split_matches_logged_accuracy(
     trained_run, dataset_dir, tmp_path, capsys
 ):
-    ds = load_dataset(dataset_dir)
+    ds = load_dataset(dataset_dir, keep_record)
     with open(trained_run / "split.csv", newline="") as fh:
         train_idx = [int(r["index"]) for r in csv.DictReader(fh) if r["role"] == "train"]
     train_half = tmp_path / "train_half"
-    sub = ds.records
-    from semgrasp.dataset import Dataset
-
-    write_dataset(Dataset(records=[sub[i] for i in train_idx], name="train_half"), train_half)
+    sub = [ds.rows[i] for i in train_idx]
+    write_dataset(sub, train_half)
 
     out = tmp_path / "eval_out"
     assert main(["eval", str(trained_run / "model.bin"), str(train_half), "--out", str(out)]) == 0
@@ -642,18 +659,15 @@ def test_eval_on_training_split_matches_logged_accuracy(
     assert eval_acc >= final_train_acc - 1e-9
 
     cm = np.loadtxt(out / "confusion.csv", delimiter=",", dtype=np.int64)
-    counts = Dataset(records=[sub[i] for i in train_idx]).class_counts()
     for k, lab in enumerate(LABELS):
-        assert cm[k].sum() == counts[lab]
+        assert cm[k].sum() == sum(r.label == lab for r in sub)
 
 
 def test_eval_on_missing_classes_writes_nothing_to_stderr(trained_run, dataset_dir, tmp_path):
     # classes never seen or never predicted have empty precision/recall denominators
-    from semgrasp.dataset import Dataset
-
-    records = [r for r in load_dataset(dataset_dir).records if r.label in ("C", "T")]
+    records = [r for r in load_dataset(dataset_dir, keep_record).rows if r.label in ("C", "T")]
     two_class = tmp_path / "two_class"
-    write_dataset(Dataset(records=records, name="two_class"), two_class)
+    write_dataset(records, two_class)
     out = tmp_path / "eval_out"
     src = Path(semgrasp.__file__).resolve().parents[1]
     done = subprocess.run(
@@ -679,7 +693,7 @@ def test_eval_unknown_label_is_data_error(trained_run, tmp_path, capsys):
 
 def test_eval_sample_rate_mismatch(trained_run, tmp_path, capsys):
     ds = generate_synthetic(2, 64, seed=1)
-    for rec in ds.records:
+    for rec in ds:
         rec.sample_rate = 250.0
     other = tmp_path / "other_rate"
     write_dataset(ds, other)
@@ -688,7 +702,7 @@ def test_eval_sample_rate_mismatch(trained_run, tmp_path, capsys):
 
 
 def test_predict_training_record(trained_run, dataset_dir, capsys):
-    ds = load_dataset(dataset_dir)
+    ds = load_dataset(dataset_dir, keep_record)
     with open(trained_run / "split.csv", newline="") as fh:
         first_train = next(int(r["index"]) for r in csv.DictReader(fh) if r["role"] == "train")
     record_path = dataset_dir / f"rec{first_train:05d}.csv"
@@ -696,7 +710,7 @@ def test_predict_training_record(trained_run, dataset_dir, capsys):
     out_lines = capsys.readouterr().out.strip().splitlines()
     assert out_lines[0] == "label," + ",".join(f"p_{lab}" for lab in LABELS)
     fields = out_lines[1].split(",")
-    assert fields[0] == ds.records[first_train].label
+    assert fields[0] == ds.labels[first_train]
     probs = [float(v) for v in fields[1:]]
     assert len(probs) == 6
     assert abs(sum(probs) - 1.0) < 1e-9

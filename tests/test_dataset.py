@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 import multiprocessing
 import os
 import warnings
@@ -7,19 +8,19 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers import make_record
+from helpers import keep_record, make_record
 
 from semgrasp.burg import burg_fit, psd_from_model
 from semgrasp import dataset, features
 from semgrasp.dataset import (
     LABELS,
-    Dataset,
     _read_matrix,
     _read_matrix_lines,
     generate_synthetic,
     load_dataset,
     read_record_csv,
     split_by_labels,
+    validate_records,
     write_dataset,
 )
 from semgrasp.errors import DataError
@@ -32,14 +33,13 @@ from semgrasp.features import (
 )
 
 
-def _balanced_dataset(per_class: int, length: int = 8) -> Dataset:
+def _balanced_records(per_class: int, length: int = 8) -> list:
     wave = np.linspace(0.0, 1.0, length)
-    records = [
+    return [
         make_record(wave, wave + 1.0, label=lab)
         for lab in LABELS
         for _ in range(per_class)
     ]
-    return Dataset(records=records, name=f"balanced{per_class}")
 
 
 # ------------------------------------------------------------------- records
@@ -60,17 +60,20 @@ def test_record_validation_errors():
         make_record([1.0], [1.0], label="X").validate()
 
 
-def test_dataset_validation_catches_mixed_shapes():
-    ds = Dataset(records=[make_record([1.0, 2.0], [1.0, 2.0]),
-                          make_record([1.0], [1.0])])
+def test_dataset_validation_catches_mixed_shapes(tmp_path):
+    records = [make_record([1.0, 2.0], [1.0, 2.0]), make_record([1.0], [1.0])]
     with pytest.raises(DataError, match="length"):
-        ds.validate()
-    ds2 = Dataset(records=[make_record([1.0, 2.0], [1.0, 2.0], rate=500),
-                           make_record([1.0, 2.0], [1.0, 2.0], rate=250)])
+        validate_records(records, "dataset")
+    records2 = [make_record([1.0, 2.0], [1.0, 2.0], rate=500),
+                make_record([1.0, 2.0], [1.0, 2.0], rate=250)]
     with pytest.raises(DataError, match="sample rate"):
-        ds2.validate()
+        validate_records(records2, "dataset")
     with pytest.raises(DataError, match="no records"):
-        Dataset(records=[]).validate()
+        validate_records([], "dataset")
+    # write_dataset refuses them before it creates anything
+    with pytest.raises(DataError, match=r"^mixed\[1\]: length 1 differs from 2$"):
+        write_dataset(records, tmp_path / "mixed")
+    assert not (tmp_path / "mixed").exists()
 
 
 # --------------------------------------------------------------- interchange
@@ -80,9 +83,9 @@ def test_write_load_round_trip_exact(tmp_path):
     ds = generate_synthetic(3, 64, seed=42)
     out = tmp_path / "ds"
     write_dataset(ds, out)
-    loaded = load_dataset(out)
+    loaded = load_dataset(out, keep_record)
     assert len(loaded) == len(ds)
-    for orig, back in zip(ds.records, loaded.records):
+    for orig, back in zip(ds, loaded.rows):
         # repr round-trips doubles exactly, so equality is bitwise
         np.testing.assert_array_equal(orig.channel1, back.channel1)
         np.testing.assert_array_equal(orig.channel2, back.channel2)
@@ -92,7 +95,7 @@ def test_write_load_round_trip_exact(tmp_path):
         assert orig.sample_rate == back.sample_rate
     # writing the loaded dataset again reproduces the stored text
     out2 = tmp_path / "ds2"
-    write_dataset(loaded, out2)
+    write_dataset(loaded.rows, out2)
     for f in sorted(out.iterdir()):
         assert (out2 / f.name).read_text() == f.read_text()
 
@@ -101,7 +104,7 @@ def test_load_empty_directory_reports_no_records(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     with pytest.raises(DataError, match="no records found"):
-        load_dataset(empty)
+        load_dataset(empty, keep_record)
 
 
 def test_load_short_row_names_file_and_line(tmp_path):
@@ -112,7 +115,7 @@ def test_load_short_row_names_file_and_line(tmp_path):
     )
     (root / "rec0.csv").write_text("1.0,2.0\n3.0\n4.0,5.0\n")
     with pytest.raises(DataError, match=r"rec0\.csv:2"):
-        load_dataset(root)
+        load_dataset(root, keep_record)
 
 
 def test_load_unknown_label_and_nonfinite(tmp_path):
@@ -123,13 +126,13 @@ def test_load_unknown_label_and_nonfinite(tmp_path):
         "file,label,subject,session,sample_rate\nrec0.csv,Q,s1,d1,500.0\n"
     )
     with pytest.raises(DataError, match="unknown label 'Q'"):
-        load_dataset(root)
+        load_dataset(root, keep_record)
     (root / "manifest.csv").write_text(
         "file,label,subject,session,sample_rate\nrec0.csv,C,s1,d1,500.0\n"
     )
     (root / "rec0.csv").write_text("1.0,2.0\nnan,3.0\n")
     with pytest.raises(DataError, match=r"rec0\.csv:2.*non-finite"):
-        load_dataset(root)
+        load_dataset(root, keep_record)
 
 
 @pytest.mark.parametrize("entry", ["../outside.csv", "sub/../../outside.csv", "ABSOLUTE"])
@@ -146,7 +149,7 @@ def test_load_refuses_record_outside_dataset_directory(tmp_path, entry):
         f"rec0.csv,C,s1,d1,500.0\n{entry},T,s1,d1,500.0\n"
     )
     with pytest.raises(DataError, match=r"manifest\.csv:3: record file .* outside the dataset"):
-        load_dataset(root)
+        load_dataset(root, keep_record)
 
 
 def test_load_missing_manifest_column_named(tmp_path):
@@ -154,7 +157,7 @@ def test_load_missing_manifest_column_named(tmp_path):
     root.mkdir()
     (root / "manifest.csv").write_text("file,label,subject,sample_rate\n")
     with pytest.raises(DataError, match="missing manifest column 'session'"):
-        load_dataset(root)
+        load_dataset(root, keep_record)
 
 
 def test_read_record_csv_missing_file(tmp_path):
@@ -214,11 +217,11 @@ def _cores(monkeypatch, n: int) -> None:
 
 def _load_error(root) -> str:
     with pytest.raises(DataError) as err:
-        load_dataset(root)
+        load_dataset(root, keep_record)
     return str(err.value)
 
 
-def _sequential_load(monkeypatch, root, reduce=None):
+def _sequential_load(monkeypatch, root, reduce=keep_record):
     """load_dataset(root, reduce) in-process, its DataError message if it fails."""
     with monkeypatch.context() as m:
         _cores(m, 1)
@@ -231,7 +234,7 @@ def _sequential_load(monkeypatch, root, reduce=None):
 def _assert_same_dataset(got, want) -> None:
     assert got.name == want.name
     assert len(got) == len(want)
-    for a, b in zip(got.records, want.records):
+    for a, b in zip(got.rows, want.rows):
         assert (a.label, a.subject_id, a.session_id, a.sample_rate) == (
             b.label, b.subject_id, b.session_id, b.sample_rate)
         for ch_a, ch_b in ((a.channel1, b.channel1), (a.channel2, b.channel2)):
@@ -271,14 +274,14 @@ def _break_manifest_row(root, index: int) -> str:
 def test_parallel_load_matches_sequential_load(tmp_path, monkeypatch, records):
     root = _synthetic_dir(tmp_path, records)
     _cores(monkeypatch, 2)
-    got = load_dataset(root)
+    got = load_dataset(root, keep_record)
     assert len(got) == records
     want = _sequential_load(monkeypatch, root)
     _assert_same_dataset(got, want)
     reduced = load_dataset(root, _TO_FEATURES)
     assert len(reduced) == records
     _assert_same_features(reduced, _sequential_load(monkeypatch, root, _TO_FEATURES))
-    x = stack_channels(extract_all(want.records, _FEATURES))
+    x = stack_channels(extract_all(want.rows, _FEATURES))
     assert reduced.stack().tobytes() == x.tobytes()
     assert multiprocessing.active_children() == []
 
@@ -288,16 +291,17 @@ def test_records_are_read_in_workers_from_the_threshold_on(tmp_path, monkeypatch
     _cores(monkeypatch, 2)
     monkeypatch.setattr(dataset, "read_record_csv", _read_record_noting_pid)
     for records in (dataset._PARALLEL_MIN_RECORDS - 1, dataset._PARALLEL_MIN_RECORDS):
-        for reduce in (None, _TO_FEATURES):
-            root = _synthetic_dir(tmp_path, records, name=f"data{records}-{reduce is None}")
-            extracted = tmp_path / f"extracted{records}-{reduce is None}"
+        for reduce in (keep_record, _TO_FEATURES):
+            kept = reduce is keep_record
+            root = _synthetic_dir(tmp_path, records, name=f"data{records}-{kept}")
+            extracted = tmp_path / f"extracted{records}-{kept}"
             extracted.mkdir()
             monkeypatch.setattr(features, "extract_features",
                                 partial(_extract_noting_pid, folder=extracted))
             assert len(load_dataset(root, reduce)) == records
             pids = {int(p.read_text()) for p in root.glob("*.pid")}
             extract_pids = {int(p.name) for p in extracted.iterdir()}
-            assert extract_pids == (set() if reduce is None else pids)
+            assert extract_pids == (set() if kept else pids)
             if records < dataset._PARALLEL_MIN_RECORDS:
                 assert pids == {os.getpid()}
             else:
@@ -336,7 +340,7 @@ def test_parallel_load_reads_a_dead_workers_chunks_in_process(tmp_path, monkeypa
     want_features = _sequential_load(monkeypatch, root, _TO_FEATURES)
     _cores(monkeypatch, 2)
     monkeypatch.setattr(dataset, "_read_chunk", _read_chunk_dying_in_workers)
-    _assert_same_dataset(load_dataset(root), want)
+    _assert_same_dataset(load_dataset(root, keep_record), want)
     assert multiprocessing.active_children() == []
     _assert_same_features(load_dataset(root, _TO_FEATURES), want_features)
     assert multiprocessing.active_children() == []
@@ -344,7 +348,7 @@ def test_parallel_load_reads_a_dead_workers_chunks_in_process(tmp_path, monkeypa
 
 
 def _record_count(root) -> int:
-    return len(load_dataset(root))
+    return len(load_dataset(root, keep_record))
 
 
 @needs_fork
@@ -352,8 +356,9 @@ def test_load_in_a_daemonic_process_reads_in_process(tmp_path, monkeypatch):
     # a multiprocessing.Pool worker is daemonic and may start no processes
     root = _synthetic_dir(tmp_path, dataset._PARALLEL_MIN_RECORDS + 2)
     _cores(monkeypatch, 2)
+    want = len(load_dataset(root, keep_record))
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        assert pool.apply_async(_record_count, (root,)).get(timeout=60) == len(load_dataset(root))
+        assert pool.apply_async(_record_count, (root,)).get(timeout=60) == want
 
 
 # Differential table: numpy's C parser reads a file first and the line-by-line
@@ -444,7 +449,8 @@ def test_read_matrix_matches_line_reader(tmp_path, capsys, monkeypatch, row_id):
 _NON_UTF8 = {
     "record": (read_record_csv, "rec00000.csv", b"1,2\n\xff3,4\n"),
     "matrix": (_read_matrix, "C_ch1.csv", b"1,2,3\n\xff4,5,6\n"),
-    "manifest": (load_dataset, "manifest.csv", b"file,label,subject,session,sample_rate\n\xff\n"),
+    "manifest": (partial(load_dataset, reduce=keep_record), "manifest.csv",
+                 b"file,label,subject,session,sample_rate\n\xff\n"),
     "features": (load_features_csv, "f.csv", b"label,ch1_f0,ch2_f0\nC,1,\xff2\n"),
 }
 
@@ -470,24 +476,24 @@ def test_read_record_csv_underscore_value_reads_as_python_float(tmp_path):
 
 
 def test_split_arithmetic_900_and_1800():
-    plan = split_by_labels([r.label for r in _balanced_dataset(150).records], 0.7, seed=0)
+    plan = split_by_labels([r.label for r in _balanced_records(150)], 0.7, seed=0)
     assert len(plan.train_indices) == 630
     assert len(plan.test_indices) == 270
-    plan = split_by_labels([r.label for r in _balanced_dataset(300).records], 0.7, seed=0)
+    plan = split_by_labels([r.label for r in _balanced_records(300)], 0.7, seed=0)
     assert len(plan.train_indices) == 1260
     assert len(plan.test_indices) == 540
 
 
 def test_split_is_disjoint_and_covers():
-    ds = _balanced_dataset(11)
-    plan = split_by_labels([r.label for r in ds.records], 0.7, seed=3)
+    ds = _balanced_records(11)
+    plan = split_by_labels([r.label for r in ds], 0.7, seed=3)
     train, test = set(plan.train_indices), set(plan.test_indices)
     assert not train & test
     assert sorted(train | test) == list(range(len(ds)))
 
 
 def test_split_deterministic_and_seed_sensitive():
-    labels = [r.label for r in _balanced_dataset(20).records]
+    labels = [r.label for r in _balanced_records(20)]
     a = split_by_labels(labels, 0.7, seed=9)
     b = split_by_labels(labels, 0.7, seed=9)
     assert a == b
@@ -529,12 +535,12 @@ def test_split_rejects_tiny_class_and_bad_fraction():
 def test_synthetic_counts_and_shape():
     ds = generate_synthetic(30, 512, seed=1)
     assert len(ds) == 180
-    counts = ds.class_counts()
+    counts = Counter(r.label for r in ds)
     assert all(counts[lab] == 30 for lab in LABELS)
-    assert all(r.n_samples == 512 for r in ds.records)
-    assert ds.sample_rate == 500.0
-    subjects = {r.subject_id for r in ds.records}
-    sessions = {r.session_id for r in ds.records}
+    assert all(r.n_samples == 512 for r in ds)
+    assert {r.sample_rate for r in ds} == {500.0}
+    subjects = {r.subject_id for r in ds}
+    sessions = {r.session_id for r in ds}
     assert subjects == {f"s{i}" for i in range(1, 6)}
     assert sessions == {f"d{i}" for i in range(1, 4)}
 
@@ -542,13 +548,13 @@ def test_synthetic_counts_and_shape():
 def test_synthetic_deterministic_per_seed():
     a = generate_synthetic(4, 64, seed=8)
     b = generate_synthetic(4, 64, seed=8)
-    for ra, rb in zip(a.records, b.records):
+    for ra, rb in zip(a, b):
         np.testing.assert_array_equal(ra.channel1, rb.channel1)
         np.testing.assert_array_equal(ra.channel2, rb.channel2)
     c = generate_synthetic(4, 64, seed=9)
     assert any(
         not np.array_equal(ra.channel1, rc.channel1)
-        for ra, rc in zip(a.records, c.records)
+        for ra, rc in zip(a, c)
     )
 
 
@@ -565,19 +571,19 @@ def test_synthetic_classes_separable_by_nearest_centroid(seed):
     # perfectly for a plain nearest-centroid rule fitted on the train half
     ds = generate_synthetic(30, 512, seed=seed)
     feats = {}
-    for i, rec in enumerate(ds.records):
+    for i, rec in enumerate(ds):
         v = []
         for chan in (rec.channel1, rec.channel2):
             psd = psd_from_model(burg_fit(chan, 10, rec.sample_rate), 64)
             v.append(np.log10(np.maximum(psd.power, 1e-12)))
         feats[i] = np.concatenate(v)
-    plan = split_by_labels([r.label for r in ds.records], 0.7, seed=seed)
+    plan = split_by_labels([r.label for r in ds], 0.7, seed=seed)
     centroids = {
-        lab: np.mean([feats[i] for i in plan.train_indices if ds.records[i].label == lab], axis=0)
+        lab: np.mean([feats[i] for i in plan.train_indices if ds[i].label == lab], axis=0)
         for lab in LABELS
     }
     hits = 0
     for i in plan.test_indices:
         dists = {lab: np.linalg.norm(feats[i] - c) for lab, c in centroids.items()}
-        hits += min(dists, key=dists.get) == ds.records[i].label
+        hits += min(dists, key=dists.get) == ds[i].label
     assert hits / len(plan.test_indices) >= 0.95

@@ -25,12 +25,12 @@ def _fv(v1, v2, label="C"):
 
 
 def test_extract_shape_and_finiteness(synth_dataset):
-    fv = extract_features(synth_dataset.records[0], FeatureConfig())
+    fv = extract_features(synth_dataset[0], FeatureConfig())
     assert len(fv.channel1_features) == 128
     assert len(fv.channel2_features) == 128
     assert np.isfinite(fv.channel1_features).all()
     assert np.isfinite(fv.channel2_features).all()
-    assert fv.label == synth_dataset.records[0].label
+    assert fv.label == synth_dataset[0].label
 
 
 def test_extract_identical_channels_identical_features(rng):
@@ -41,8 +41,8 @@ def test_extract_identical_channels_identical_features(rng):
 
 def test_extract_is_bit_reproducible(synth_dataset):
     cfg = FeatureConfig(nbins=64)
-    a = extract_features(synth_dataset.records[3], cfg)
-    b = extract_features(synth_dataset.records[3], cfg)
+    a = extract_features(synth_dataset[3], cfg)
+    b = extract_features(synth_dataset[3], cfg)
     np.testing.assert_array_equal(a.channel1_features, b.channel1_features)
     np.testing.assert_array_equal(a.channel2_features, b.channel2_features)
 
