@@ -30,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSignalError
+from .network import _one_blas_thread
 
 # Denominators at or below this are treated as annihilated residuals.
 _DEN_FLOOR = np.finfo(np.float64).tiny
@@ -69,7 +70,7 @@ def compute_reflection(state: BurgState) -> float:
 
     Raises DegenerateSignalError when the denominator has collapsed to zero
     (constant input already whitened, or a perfectly predictable signal whose
-    previous stage annihilated the residual).
+    previous stage annihilated the residual), or when a sum overflowed.
     """
     f = state.forward_errors
     b = state.backward_errors
@@ -79,6 +80,8 @@ def compute_reflection(state: BurgState) -> float:
         )
     num = -2.0 * float(np.dot(f[1:], b[:-1]))
     den = float(np.dot(f[1:], f[1:]) + np.dot(b[:-1], b[:-1]))
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise DegenerateSignalError(f"sums overflow at stage {state.stage + 1}; values too large")
     if den <= _DEN_FLOOR:
         raise DegenerateSignalError(
             f"zero prediction-error denominator at stage {state.stage + 1}; "
@@ -148,6 +151,7 @@ class PsdEstimate:
     power: np.ndarray
 
 
+@_one_blas_thread()
 def burg_fit(x: np.ndarray, order: int, sample_rate: float) -> BurgModel:
     """Fit an AR(order) model to a single-channel series.
 

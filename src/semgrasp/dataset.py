@@ -232,7 +232,11 @@ def _manifest_entries(root: Path, manifest: Path):
             ) from None
         if not (math.isfinite(rate) and rate > 0):
             raise DataError(f"{manifest}:{lineno}: sample_rate must be positive, got {rate}")
-        if not (root / fname).resolve().is_relative_to(base):
+        try:
+            resolved = (root / fname).resolve()
+        except (RuntimeError, OSError) as e:  # a symlink loop
+            raise DataError(f"{manifest}:{lineno}: record file {fname!r}: {e}") from None
+        if not resolved.is_relative_to(base):
             raise DataError(
                 f"{manifest}:{lineno}: record file {fname!r} lies outside the dataset directory"
             )
@@ -256,8 +260,8 @@ def _usable_cores() -> int:
 def _read_chunk(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, object]]:
     """(length, row) of each manifest entry's record, in order; runs in a worker or in-process.
 
-    The row is ``reduce(record)`` or the DataError that it raised. An error
-    reading a file is raised.
+    The row is ``reduce(record)`` or the DataError that it raised, of the same
+    type, its message prefixed with the record's path. An error reading a file is raised.
     """
     out = []
     for path, label, rate, subject, session in entries:
@@ -267,7 +271,7 @@ def _read_chunk(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, obje
         try:
             row = reduce(record)
         except DataError as e:
-            row = e
+            row = type(e)(f"{path}: {e}")
         out.append((len(ch1), row))
     return out
 
@@ -286,11 +290,9 @@ def _read_records(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, ob
 
     Forked, not spawned: a worker starts without importing numpy again. It
     never waits on a thread the fork left behind. The network's channel-stack
-    thread runs only inside a network call, which no worker makes. OpenBLAS,
-    which ``reduce`` reaches through numpy (np.dot, matmul), shuts its own
-    threads down in a pthread_atfork handler before every fork, and a child
-    starts new ones on its first call that wants them; the tests run with two
-    BLAS threads in one CI leg.
+    thread runs only inside a network call, which no worker makes. OpenBLAS
+    shuts its own threads down in a pthread_atfork handler before every fork,
+    and ``burg_fit`` runs it on one thread, so a worker starts none.
     """
     cores = _usable_cores()
     if len(entries) < _PARALLEL_MIN_RECORDS or cores < 2:

@@ -67,22 +67,27 @@ def unstack_channels(x: np.ndarray, labels: list[str]) -> list[FeatureVector]:
 
 
 def extract_features(record: EmgRecord, cfg: FeatureConfig) -> FeatureVector:
-    """Per channel: AR fit -> spectral density -> log10 with a positive floor."""
+    """Per channel: AR fit -> spectral density -> log10 with a positive floor.
+
+    Silences numpy's floating-point warnings; features that are not all finite are a DataError.
+    """
     if record.n_samples <= cfg.ar_order + 1:
         raise DataError(
             f"record has {record.n_samples} samples; need > ar_order + 1 = {cfg.ar_order + 1}"
         )
+    where = (f"record (label={record.label}, subject={record.subject_id}, "
+             f"session={record.session_id})")
     feats = []
-    for name, channel in (("channel1", record.channel1), ("channel2", record.channel2)):
-        try:
-            model = burg_fit(channel, cfg.ar_order, record.sample_rate)
-        except DegenerateSignalError as e:
-            raise DegenerateSignalError(
-                f"{name} of record (label={record.label}, subject={record.subject_id}, "
-                f"session={record.session_id}): {e}"
-            ) from e
-        psd = psd_from_model(model, cfg.nbins)
-        feats.append(np.log10(np.maximum(psd.power, cfg.log_floor)))
+    with np.errstate(all="ignore"):
+        for name, channel in (("channel1", record.channel1), ("channel2", record.channel2)):
+            try:
+                model = burg_fit(channel, cfg.ar_order, record.sample_rate)
+            except DegenerateSignalError as e:
+                raise DegenerateSignalError(f"{name} of {where}: {e}") from e
+            psd = psd_from_model(model, cfg.nbins)
+            feats.append(np.log10(np.maximum(psd.power, cfg.log_floor)))
+    if not np.isfinite(feats).all():
+        raise DataError(f"{where}: features not finite at sample rate {record.sample_rate} Hz")
     return FeatureVector(channel1_features=feats[0], channel2_features=feats[1], label=record.label)
 
 

@@ -10,8 +10,7 @@ default. dataset_name and normalizer_fitted_on are strings. Unknown keys
 and arrays are refused. The network's arrays share one dtype and load in it:
 float32, or float64 for a bundle written before training moved to float32;
 the normalizer's arrays are float64. Any other bundle is refused, so a
-reloaded model reproduces predictions bit-exactly for the same code and BLAS
-thread count.
+reloaded model reproduces predictions bit-exactly for the same code.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ classification. Both stacks share hyperparameters but own independent
 weights, so forward and backward can run the ch2 stack on a worker thread
 while the calling thread runs ch1. Convolutions are evaluated as im2col matrix
 products so training stays fast without any framework dependency; all
-reductions use fixed summation order, so results are reproducible for a
-given seed, code and BLAS thread count.
+reductions use fixed summation order, and OpenBLAS runs on one thread
+(`_one_blas_thread`), so results are reproducible for a given seed and code.
 
 The code is dtype-generic: the parameters' dtype decides the dtype of the
 input, of every activation, cache and gradient. Training and inference run
@@ -21,9 +21,11 @@ network's dtype.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
@@ -73,6 +75,36 @@ def _run_stacks(fn, rows: int, ch1_args: tuple, ch2_args: tuple):
     finally:
         future.exception()  # wait, so no stack outlives the call
     return out1, future.result()
+
+
+def _openblas_threads():
+    """OpenBLAS's (get, set) thread-count functions in the library numpy loaded, or None."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except AttributeError:  # numpy 1.x
+        lib = ctypes.CDLL(np.core._multiarray_umath.__file__)
+    for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
+                 "openblas_%s_num_threads"):
+        if hasattr(lib, name % "set"):
+            return getattr(lib, name % "get"), getattr(lib, name % "set")
+    return None
+
+
+_BLAS_THREADS = _openblas_threads()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, whose sums do not depend on the thread count,
+    then restore the count. Writes nothing if it is 1 or numpy runs on another BLAS."""
+    previous = _BLAS_THREADS[0]() if _BLAS_THREADS else 1
+    if previous != 1:
+        _BLAS_THREADS[1](1)
+    try:
+        yield
+    finally:
+        if previous != 1:
+            _BLAS_THREADS[1](previous)
 
 
 def _activate(pre: np.ndarray, kind: str) -> np.ndarray:

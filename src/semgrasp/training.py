@@ -2,12 +2,13 @@
 
 Determinism contract: one config seed feeds two named sub-streams
 (weight init and epoch shuffling), and batches are visited in shuffle order,
-so identical inputs, seed, code and BLAS thread count reproduce identical
-logs bit for bit. An epoch's training statistics come from the forward
-passes of its own steps: the loss is the row-weighted mean of the batch
-losses and the accuracy the fraction of rows each batch's probabilities
-classified correctly, both taken before that batch's update. Its test
-statistics are recomputed on the full test set at epoch end.
+so identical inputs, seed and code reproduce identical logs bit for bit;
+`train` and every inference call run OpenBLAS on one thread. An epoch's
+training statistics come from the forward passes of its own steps: the loss
+is the row-weighted mean of the batch losses and the accuracy the fraction
+of rows each batch's probabilities classified correctly, both taken before
+that batch's update. Its test statistics are recomputed on the full test set
+at epoch end.
 
 The network trains and predicts in NETWORK_DTYPE (float32): the weights are
 drawn in float64, so the seed's random stream does not depend on it, and
@@ -31,6 +32,7 @@ from .network import (
     NetworkState,
     _check_sizes,
     _is_finite_number,
+    _one_blas_thread,
     cast_network,
     cross_entropy,
     forward,
@@ -71,6 +73,7 @@ def features_to_arrays(features: list[FeatureVector]):
     return stack_channels(features), y
 
 
+@_one_blas_thread()
 def _forward_chunks(state: NetworkState, x: np.ndarray) -> np.ndarray:
     """Probabilities for a whole set, forwarded in fixed-size chunks.
 
@@ -104,6 +107,7 @@ def _keep_freed_pages() -> None:
     mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
 
 
+@_one_blas_thread()
 def train(
     spec: NetworkSpec,
     train_features: list[FeatureVector],

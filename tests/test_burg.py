@@ -233,6 +233,14 @@ def test_burg_fit_rejects_bad_inputs():
         burg_fit(np.array([np.nan, 1.0, 2.0, 3.0]), 1, 500.0)
 
 
+def test_burg_fit_refuses_sums_that_overflow():
+    # finite samples whose squares overflow float64, so r would be inf / inf;
+    # numpy's overflow warning is the caller's to silence, as extract_features does
+    x = np.random.default_rng(3).standard_normal(64) * 1e160
+    with np.errstate(all="ignore"), pytest.raises(DegenerateSignalError, match="overflow"):
+        burg_fit(x, 4, 500.0)
+
+
 def test_burg_fit_perfectly_predictable_signal_errors():
     x = np.array([1.0, -1.0] * 8)
     with pytest.raises(DegenerateSignalError):

@@ -262,6 +262,41 @@ def test_train_artifacts_and_byte_determinism(dataset_dir, tmp_path, capsys):
     assert len(log) == 25
 
 
+# the CLI in a fresh interpreter; dataset._usable_cores returns argv[1] unless it is empty
+_CLI_DRIVER = (
+    "import sys, semgrasp.dataset as d; from semgrasp.cli import main\n"
+    "if sys.argv[1]: d._usable_cores = lambda: int(sys.argv[1])\n"
+    "sys.exit(main(sys.argv[2:]))"
+)
+
+
+def _run_cli(args, cores=None, **env):
+    """`semgrasp *args` in a subprocess, with env added to this process's environment."""
+    src = Path(semgrasp.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", _CLI_DRIVER, str(cores or ""), *map(str, args)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src), **env},
+    )
+
+
+def test_blas_thread_count_changes_no_artifact(tmp_path):
+    # the README quick start: 180 records, so the parent forks its reader pool
+    # with BLAS threads alive; records of 12000 samples make np.dot split its sums
+    write_dataset(generate_synthetic(30, 512, seed=11), tmp_path / "data")
+    write_dataset(generate_synthetic(2, 12000, seed=5), tmp_path / "long")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"dataset": str(tmp_path / "data"), "seed": 11,
+                               "training": {"epochs": 2}}))
+    for threads in ("1", "2"):
+        for args in (["train", "--config", cfg, "--out", tmp_path / f"run{threads}"],
+                     ["extract", tmp_path / "long", "--out", tmp_path / f"long{threads}.csv"]):
+            done = _run_cli(args, OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+    for name in ("model.bin", "epochs.csv", "summary.csv"):
+        assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
+    assert (tmp_path / "long1.csv").read_bytes() == (tmp_path / "long2.csv").read_bytes()
+
+
 def test_train_seed_mandatory(dataset_dir, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset": str(dataset_dir), "out": str(tmp_path / "o")}))
@@ -411,7 +446,8 @@ def _precedence_faults(root: Path) -> dict:
         "empty_subset": (None, "subset 'subject=s9' selected no records"),
         "degenerate_out": (("rec00001.csv", constant), None),
         "degenerate_in": (("rec00005.csv", constant),
-                          "channel1 of record (label=C, subject=s1, session=d3): signal is constant"),
+                          f"{root / 'rec00005.csv'}: channel1 of record "
+                          "(label=C, subject=s1, session=d3): signal is constant"),
     }
 
 
@@ -457,6 +493,69 @@ def test_train_reports_the_first_fault_whether_records_load_in_workers_or_not(
     if message is None:
         assert (tmp_path / "run2" / "model.bin").read_bytes() == (
             tmp_path / "run1" / "model.bin").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fault_dataset(tmp_path_factory):
+    """66 records: with two usable cores, load_dataset reads them in worker processes."""
+    root = tmp_path_factory.mktemp("faults") / "data"
+    write_dataset(generate_synthetic(11, 64, seed=4), root)
+    return root
+
+
+def _scale_record(path: Path, factor: float) -> None:
+    rows = np.column_stack(read_record_csv(path)) * factor
+    path.write_text("".join(f"{a!r},{b!r}\n" for a, b in rows.tolist()))
+
+
+def _set_every_rate(data: Path, rate: str) -> None:
+    manifest = data / "manifest.csv"
+    manifest.write_text(manifest.read_text().replace(",500.0\n", f",{rate}\n"))
+
+
+def _symlink_loop(path: Path) -> None:
+    path.unlink()
+    path.symlink_to(path.name)
+
+
+# each dataset fault: the edit to a copy of fault_dataset, and the text its one
+# stderr line holds; every message names the file at fault
+_DATASET_FAULTS = {
+    "huge_samples": (lambda d: _scale_record(d / "rec00040.csv", 1e160),
+                     "rec00040.csv: channel1 of record (label=H, subject=s3, session=d2): "
+                     "sums overflow at stage 1; values too large"),
+    "huge_sample_rate": (lambda d: _set_every_rate(d, "1e308"),
+                         "rec00000.csv: record (label=C, subject=s1, session=d1): "
+                         "features not finite at sample rate 1e+308 Hz"),
+    "symlink_loop": (lambda d: _symlink_loop(d / "rec00040.csv"),
+                     "manifest.csv:42: record file 'rec00040.csv': "),
+    "constant_record": (lambda d: (d / "rec00040.csv").write_text("0.5,0.25\n" * 64),
+                        "rec00040.csv: channel1 of record (label=H, subject=s3, session=d2): "
+                        "signal is constant"),
+}
+
+
+@pytest.mark.parametrize("cores", [2, 1], ids=["pooled", "in_process"])
+@pytest.mark.parametrize("command", ["extract", "train"])
+@pytest.mark.parametrize("fault", _DATASET_FAULTS)
+def test_dataset_fault_is_one_line_naming_its_file(fault_dataset, tmp_path, fault, command, cores):
+    data = tmp_path / "data"
+    shutil.copytree(fault_dataset, data, symlinks=True)
+    edit, message = _DATASET_FAULTS[fault]
+    edit(data)
+    out = tmp_path / "out"
+    if command == "extract":
+        args = ["extract", data, "--out", out]
+    else:
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"dataset": str(data), "seed": 1, "training": {"epochs": 1}}))
+        args = ["train", "--config", tmp_path / "cfg.json", "--out", out]
+    done = _run_cli(args, cores=cores)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"data error: {data}{os.sep}"), done.stderr
+    assert message in done.stderr and len(done.stderr.splitlines()) == 1, done.stderr
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+    assert not out.exists()
 
 
 def test_train_empty_test_split_leaves_no_run_directory(dataset_dir, tmp_path, capsys):
@@ -669,12 +768,7 @@ def test_eval_on_missing_classes_writes_nothing_to_stderr(trained_run, dataset_d
     two_class = tmp_path / "two_class"
     write_dataset(records, two_class)
     out = tmp_path / "eval_out"
-    src = Path(semgrasp.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-m", "semgrasp.cli", "eval", str(trained_run / "model.bin"),
-         str(two_class), "--out", str(out)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    done = _run_cli(["eval", trained_run / "model.bin", two_class, "--out", out])
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert int(_read_summary(out)["samples"]) == len(records)

@@ -63,6 +63,15 @@ def test_extract_rejects_short_and_degenerate_records():
         extract_features(rec, FeatureConfig(nbins=16))
 
 
+def test_extract_refuses_values_beyond_float64_without_a_warning():
+    # pytest turns an escaping RuntimeWarning into an error
+    x = sinusoid(50.0, 256)
+    with pytest.raises(DegenerateSignalError, match="channel2.*sums overflow"):
+        extract_features(make_record(x, x * 1e160), FeatureConfig(nbins=16))
+    with pytest.raises(DataError, match="features not finite at sample rate 1e\\+308 Hz"):
+        extract_features(make_record(x, x, rate=1e308), FeatureConfig(nbins=16))
+
+
 def test_feature_config_validation():
     with pytest.raises(ValueError):
         FeatureConfig(ar_order=0)

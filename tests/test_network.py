@@ -466,6 +466,27 @@ def test_forked_child_runs_its_own_stack_thread():
 # ----------------------------------------------------------------- invariants
 
 
+def test_one_blas_thread_pins_the_count_and_restores_it(monkeypatch):
+    if network._BLAS_THREADS is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions")
+    get, set_threads = network._BLAS_THREADS
+    before = get()
+    try:
+        set_threads(2)
+        outside = get()  # 2, or fewer if OpenBLAS caps it at the core count
+        with network._one_blas_thread():
+            assert get() == 1
+            with network._one_blas_thread():  # a nested call writes nothing
+                assert get() == 1
+            assert get() == 1
+        assert get() == outside
+    finally:
+        set_threads(before)
+    monkeypatch.setattr(network, "_BLAS_THREADS", None)  # another BLAS: nothing to set
+    with network._one_blas_thread():
+        pass
+
+
 def test_channel_swap_symmetry():
     state, x, _ = _desk_net(6)
     base, _ = forward(state, x)
