@@ -152,13 +152,16 @@ class PsdEstimate:
 
 
 @_one_blas_thread()
+@np.errstate(over="ignore", invalid="ignore")  # compute_reflection checks the sums itself
 def burg_fit(x: np.ndarray, order: int, sample_rate: float) -> BurgModel:
     """Fit an AR(order) model to a single-channel series.
 
     noise_variance is the final error power divided by the number of summed
     terms (2 * (N - order)), i.e. the mean squared residual per sample; with
     that normalization the two-sided spectral density returned by
-    psd_from_model integrates to the signal variance.
+    psd_from_model integrates to the signal variance. Samples too large or
+    too small for their squares to sum in float64 raise DegenerateSignalError,
+    without a numpy warning.
     """
     x = np.asarray(x, dtype=np.float64)
     if order < 1:
@@ -172,6 +175,8 @@ def burg_fit(x: np.ndarray, order: int, sample_rate: float) -> BurgModel:
         raise DegenerateSignalError("signal holds non-finite values")
     if np.min(x) == np.max(x):
         raise DegenerateSignalError("signal is constant")
+    if np.dot(x, x) <= _DEN_FLOOR:
+        raise DegenerateSignalError("sample values too small; their squares underflow")
 
     state = init_state(x)
     for _ in range(order):

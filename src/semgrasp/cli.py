@@ -187,12 +187,9 @@ def cmd_train(args) -> int:
     fcfg, tcfg, spec = _build_sections(cfg)
 
     if cfg["dataset"] is not None:
-        ds = load_dataset(cfg["dataset"], partial(feature_row, cfg=fcfg))
-        if cfg["subset"] != "all":
-            kind, _, value = cfg["subset"].partition("=")
-            ds = ds.subset(**{kind: value})
-            if not len(ds):
-                raise DataError(f"subset {cfg['subset']!r} selected no records")
+        kind, chosen, value = cfg["subset"].partition("=")
+        ds = load_dataset(cfg["dataset"], partial(feature_row, cfg=fcfg),
+                          **({kind: value} if chosen else {}))
         print(f"dataset: {ds.name}, {len(ds)} records, rate {ds.sample_rate} Hz")
         labels = ds.labels
         feats = unstack_channels(ds.stack(), labels)
@@ -312,7 +309,11 @@ def cmd_predict(args) -> int:
         channel1=ch1, channel2=ch2, sample_rate=bundle.sample_rate, label=LABELS[0]
     )
     record.validate(name=str(args.record))
-    preds, probs = _classify(bundle, extract_all([record], bundle.feature_config), args.model)
+    try:
+        feats = extract_all([record], bundle.feature_config)
+    except DataError as e:
+        raise type(e)(f"{args.record}: {e}") from None
+    preds, probs = _classify(bundle, feats, args.model)
     print("label," + ",".join(f"p_{lab}" for lab in LABELS))
     print(LABELS[preds[0]] + "," + ",".join(repr(float(p)) for p in probs[0]))
     return 0

@@ -86,29 +86,28 @@ def validate_records(records: list[EmgRecord], name: str) -> None:
     """Each record must be valid and share the first one's sample rate and length."""
     for i, rec in enumerate(records):
         rec.validate(name=f"{name}[{i}]")
-    _check_alike(name, [(r.sample_rate, r.n_samples) for r in records])
+    _check_alike(name, [(f"{name}[{i}]", r.sample_rate, r.n_samples)
+                        for i, r in enumerate(records)])
 
 
-def _check_alike(name: str, shapes: list[tuple[float, int]]) -> None:
-    """Every record's (sample rate, length) must be the first record's; none at all is an error."""
+def _check_alike(name: str, shapes: list[tuple[object, float, int]]) -> None:
+    """Every record's (sample rate, length) must be the first record's; none at all is an error.
+
+    shapes holds (what names the record, sample rate, length) of each record.
+    """
     if not shapes:
         raise DataError(f"{name}: no records found")
-    rate, length = shapes[0]
-    for i, (rec_rate, rec_length) in enumerate(shapes):
+    _, rate, length = shapes[0]
+    for where, rec_rate, rec_length in shapes:
         if rec_rate != rate:
-            raise DataError(f"{name}[{i}]: sample rate {rec_rate} differs from {rate}")
+            raise DataError(f"{where}: sample rate {rec_rate} differs from {rate}")
         if rec_length != length:
-            raise DataError(f"{name}[{i}]: length {rec_length} differs from {length}")
+            raise DataError(f"{where}: length {rec_length} differs from {length}")
 
 
 @dataclass
 class Dataset:
-    """A loaded dataset: each record's metadata and the row it was reduced to as it was read.
-
-    rows[i] is what the reducer returned for record i, or the DataError it
-    raised; stack() raises the first such error, so a record that cannot be
-    reduced fails only the runs that select it.
-    """
+    """A loaded dataset: each record's metadata and the row it was reduced to as it was read."""
 
     name: str
     sample_rate: float
@@ -120,24 +119,8 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def subset(self, subject: str | None = None, session: str | None = None) -> Dataset:
-        keep = [
-            i
-            for i in range(len(self))
-            if (subject is None or self.subjects[i] == subject)
-            and (session is None or self.sessions[i] == session)
-        ]
-        tag = subject if subject is not None else session
-        columns = (self.labels, self.subjects, self.sessions, self.rows)
-        return Dataset(
-            f"{self.name}/{tag}", self.sample_rate, *([col[i] for i in keep] for col in columns)
-        )
-
     def stack(self) -> np.ndarray:
-        """The rows as one [n, ...] array; raises the first record's reducer error."""
-        for row in self.rows:
-            if isinstance(row, DataError):
-                raise row
+        """The rows as one [n, ...] array."""
         return np.stack(self.rows)
 
 
@@ -160,19 +143,20 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def load_dataset(path: str | Path, reduce: _Reducer) -> Dataset:
+def load_dataset(path: str | Path, reduce: _Reducer, subject: str | None = None,
+                 session: str | None = None) -> Dataset:
     """Load and validate a dataset directory in the interchange layout.
 
     Every schema violation is reported with the offending file and line. The
-    manifest is checked first, up to its first bad row; then the records it
-    lists before that row are read (see _read_records), and the first record
-    error in manifest order is raised ahead of the manifest's own error, as a
-    row-by-row reader would. Then every record must share the first one's
-    sample rate and length.
+    whole manifest is checked first. Then only the records of the given
+    subject and session (either None: any) are read, in manifest order, and
+    the first that fails raises its error (see _read_records); a selection
+    of no records is refused before any is read. Then every selected record
+    must share the first one's sample rate and length. A record the call
+    does not select is never opened.
 
     Each record is reduced to ``reduce(record)`` in the process that reads
-    it, and its channels are dropped there. A DataError that ``reduce``
-    raises takes the record's row, and only Dataset.stack raises it.
+    it, and its channels are dropped there.
     """
     root = Path(path)
     manifest = root / MANIFEST_NAME
@@ -181,21 +165,19 @@ def load_dataset(path: str | Path, reduce: _Reducer) -> Dataset:
     if not manifest.is_file():
         raise DataError(f"no records found: missing {manifest}")
 
-    entries: list[_Entry] = []
-    manifest_error = None
-    try:
-        for entry in _manifest_entries(root, manifest):
-            entries.append(entry)
-    except DataError as e:
-        manifest_error = e
+    wanted = {k: v for k, v in (("subject", subject), ("session", session)) if v is not None}
+    entries = [e for e in _manifest_entries(root, manifest)
+               if subject in (None, e[3]) and session in (None, e[4])]
+    if wanted and not entries:
+        asked = ",".join(f"{k}={v}" for k, v in wanted.items())
+        raise DataError(f"subset {asked!r} selected no records")
     read = _read_records(entries, reduce)
-    if manifest_error is not None:
-        raise manifest_error
     # the reader and the manifest check already refuse what EmgRecord.validate would
-    _check_alike(root.name, [(rate, n) for (_, _, rate, _, _), (n, _) in zip(entries, read)])
+    _check_alike(root.name, [(file, rate, n)
+                             for (file, _, rate, _, _), (n, _) in zip(entries, read)])
     _, labels, _, subjects, sessions = zip(*entries)
-    return Dataset(root.name, entries[0][2], list(labels), list(subjects), list(sessions),
-                   [row for _, row in read])
+    return Dataset("/".join([root.name, *wanted.values()]), entries[0][2], list(labels),
+                   list(subjects), list(sessions), [row for _, row in read])
 
 
 def _manifest_entries(root: Path, manifest: Path):
@@ -213,6 +195,7 @@ def _manifest_entries(root: Path, manifest: Path):
         if col not in header:
             raise DataError(f"{manifest}:1: missing manifest column {col!r}")
     idx = {col: header.index(col) for col in MANIFEST_COLUMNS}
+    listed_on = {}  # resolved record path -> the manifest line that lists it
     for lineno, row in rows:
         if not row:
             continue
@@ -240,6 +223,10 @@ def _manifest_entries(root: Path, manifest: Path):
             raise DataError(
                 f"{manifest}:{lineno}: record file {fname!r} lies outside the dataset directory"
             )
+        if resolved in listed_on:
+            raise DataError(f"{manifest}:{lineno}: record file {fname!r} is listed on line "
+                            f"{listed_on[resolved]} too")
+        listed_on[resolved] = lineno
         yield root / fname, label, rate, row[idx["subject"]], row[idx["session"]]
 
 
@@ -260,8 +247,9 @@ def _usable_cores() -> int:
 def _read_chunk(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, object]]:
     """(length, row) of each manifest entry's record, in order; runs in a worker or in-process.
 
-    The row is ``reduce(record)`` or the DataError that it raised, of the same
-    type, its message prefixed with the record's path. An error reading a file is raised.
+    The row is ``reduce(record)``. The first error is raised: a file's as the
+    reader words it, and a DataError that ``reduce`` raised as the same type,
+    its message prefixed with the record's path.
     """
     out = []
     for path, label, rate, subject, session in entries:
@@ -269,15 +257,14 @@ def _read_chunk(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, obje
         record = EmgRecord(channel1=ch1, channel2=ch2, sample_rate=rate, label=label,
                            subject_id=subject, session_id=session)
         try:
-            row = reduce(record)
+            out.append((len(ch1), reduce(record)))
         except DataError as e:
-            row = type(e)(f"{path}: {e}")
-        out.append((len(ch1), row))
+            raise type(e)(f"{path}: {e}") from None
     return out
 
 
 def _read_records(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, object]]:
-    """_read_chunk of all manifest entries, in order; raises the first failing file's error.
+    """_read_chunk of the given manifest entries, in order; raises the first failing record's error.
 
     With at least _PARALLEL_MIN_RECORDS entries, two usable cores and the
     ``fork`` start method, chunks of _CHUNK_RECORDS entries are read and

@@ -433,32 +433,48 @@ def test_train_subset_single_subject_arithmetic(tmp_path, capsys):
 
 
 # dataset_dir's record k has class k // 12 and subject s{k % 12 % 5 + 1}, so
-# subject=s1 selects records 0, 5, 10, 12, ... Each fault, and the message
-# that reports it (None: the fault does not fail the run).
+# subject=s1 selects records 0, 5, 10, 12, ... Each fault: the edit to a record
+# file (None: to the manifest, or no edit) and the message that reports it
+# (None: the fault does not fail the run).
 def _precedence_faults(root: Path) -> dict:
     constant = "0.5,0.25\n" * 256
+
+    def shortened(name):
+        # a fittable record of 100 rows, where the others hold 256
+        return name, "".join((root / name).read_text().splitlines(keepends=True)[:100])
+
     return {
-        "read": (("rec00050.csv", "1,2,3\n4,5,6\n"),
-                 f"{root / 'rec00050.csv'}:1: row has 3 values, expected 2"),
-        # after 64 rows, so the records before it are read in worker processes
         "manifest": (None, f"{root / 'manifest.csv'}:72: unknown label 'Q'"),
-        "length": (("rec00040.csv", "1.0,2.0\n" * 100), "data[40]: length 100 differs from 256"),
+        "duplicate": (None, f"{root / 'manifest.csv'}:74: record file 'rec00000.csv' "
+                            "is listed on line 2 too"),
         "empty_subset": (None, "subset 'subject=s9' selected no records"),
-        "degenerate_out": (("rec00001.csv", constant), None),
         "degenerate_in": (("rec00005.csv", constant),
                           f"{root / 'rec00005.csv'}: channel1 of record "
                           "(label=C, subject=s1, session=d3): signal is constant"),
+        "read_in": (("rec00048.csv", "1,2,3\n4,5,6\n"),
+                    f"{root / 'rec00048.csv'}:1: row has 3 values, expected 2"),
+        "length_in": (shortened("rec00053.csv"),
+                      f"{root / 'rec00053.csv'}: length 100 differs from 256"),
+        "degenerate_out": (("rec00001.csv", constant), None),
+        "read_out": (("rec00050.csv", "1,2,3\n4,5,6\n"), None),
+        "length_out": (shortened("rec00040.csv"), None),
     }
 
 
-# faults in the dataset -> the fault whose message wins
+# faults in the dataset -> the fault whose message wins: the manifest, then an
+# empty subset, then the first selected record that fails to read or fit, then a
+# selected record whose sample rate or length differs from the first one's
 _PRECEDENCE_ROWS = {
-    "read_error": (("read", "manifest", "length", "degenerate_in"), "read"),
-    "manifest_error": (("manifest", "length", "degenerate_in"), "manifest"),
-    "length_mismatch": (("length", "empty_subset", "degenerate_in"), "length"),
-    "empty_subset": (("empty_subset", "degenerate_in"), "empty_subset"),
-    "degenerate_in_subset": (("degenerate_out", "degenerate_in"), "degenerate_in"),
+    "manifest_error": (("read_in", "manifest", "length_in", "degenerate_in"), "manifest"),
+    "duplicate_row": (("read_in", "duplicate", "length_in"), "duplicate"),
+    "empty_subset": (("empty_subset", "read_in", "degenerate_in", "length_in"), "empty_subset"),
+    "read_error": (("degenerate_out", "read_in", "length_in"), "read_in"),
+    "degenerate_in_subset": (("degenerate_out", "degenerate_in", "length_in"), "degenerate_in"),
+    "first_bad_record": (("degenerate_in", "read_in"), "degenerate_in"),
+    "length_mismatch": (("read_out", "length_in", "degenerate_out"), "length_in"),
     "degenerate_outside_subset": (("degenerate_out",), "degenerate_out"),
+    "read_outside_subset": (("read_out",), "read_out"),
+    "length_outside_subset": (("length_out",), "length_out"),
 }
 
 
@@ -473,11 +489,13 @@ def test_train_reports_the_first_fault_whether_records_load_in_workers_or_not(
         edit, _ = known[fault]
         if edit is not None:
             (data / edit[0]).write_text(edit[1])
+    lines = (data / "manifest.csv").read_text().splitlines(keepends=True)
     if "manifest" in faults:
-        lines = (data / "manifest.csv").read_text().splitlines(keepends=True)
         fields = lines[71].split(",")
         lines[71] = ",".join([fields[0], "Q", *fields[2:]])
-        (data / "manifest.csv").write_text("".join(lines))
+    if "duplicate" in faults:
+        lines.append(lines[1])
+    (data / "manifest.csv").write_text("".join(lines))
     subset = "subject=s9" if "empty_subset" in faults else "subject=s1"
     cfg = _write_config(tmp_path / "cfg.json", dataset=str(data), split_fraction=0.5,
                         training={"epochs": 1, "batch_size": 16, "learning_rate": 0.01})
@@ -532,6 +550,9 @@ _DATASET_FAULTS = {
     "constant_record": (lambda d: (d / "rec00040.csv").write_text("0.5,0.25\n" * 64),
                         "rec00040.csv: channel1 of record (label=H, subject=s3, session=d2): "
                         "signal is constant"),
+    "tiny_samples": (lambda d: _scale_record(d / "rec00040.csv", 1e-200),
+                     "rec00040.csv: channel1 of record (label=H, subject=s3, session=d2): "
+                     "sample values too small; their squares underflow"),
 }
 
 
@@ -924,8 +945,10 @@ def test_predict_missing_record_file(trained_run, tmp_path, capsys):
         (b"", "r.csv: file holds no samples"),
         (b"1,2,3\n", "r.csv:1: row has 3 values, expected 2"),
         (b"1,2\n\xff3,4\n", "r.csv: not utf-8 text (invalid start byte)"),
+        (b"0.5,0.25\n" * 64, "r.csv: channel1 of record (label=C, subject=na, session=na): "
+                              "signal is constant"),
     ],
-    ids=["empty", "three_columns", "non_utf8"],
+    ids=["empty", "three_columns", "non_utf8", "constant"],
 )
 def test_predict_unreadable_record_writes_one_line(trained_run, tmp_path, capsys, text, message):
     record = tmp_path / "r.csv"

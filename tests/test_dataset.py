@@ -326,10 +326,10 @@ def test_parallel_load_orders_record_and_manifest_errors(tmp_path, monkeypatch, 
     root = _synthetic_dir(tmp_path, records)
     # the manifest error comes after enough rows for the parallel path
     manifest_message = _break_manifest_row(root, records - 8)
-    record_message = _break_record(root, 3 if record_first else records - 4)
+    _break_record(root, 3 if record_first else records - 4)
     _cores(monkeypatch, 2)
-    want = record_message if record_first else manifest_message
-    assert _load_error(root) == want == _sequential_load(monkeypatch, root)
+    # the whole manifest is checked before any record is read
+    assert _load_error(root) == manifest_message == _sequential_load(monkeypatch, root)
     assert multiprocessing.active_children() == []
 
 
