@@ -70,7 +70,9 @@ def compute_reflection(state: BurgState) -> float:
 
     Raises DegenerateSignalError when the denominator has collapsed to zero
     (constant input already whitened, or a perfectly predictable signal whose
-    previous stage annihilated the residual), or when a sum overflowed.
+    previous stage annihilated the residual), or when a sum overflowed. At
+    stage 0 the denominator sums every sample's square at least once, so if
+    it collapses while a sample is nonzero, the squares underflowed.
     """
     f = state.forward_errors
     b = state.backward_errors
@@ -83,6 +85,8 @@ def compute_reflection(state: BurgState) -> float:
     if not (math.isfinite(num) and math.isfinite(den)):
         raise DegenerateSignalError(f"sums overflow at stage {state.stage + 1}; values too large")
     if den <= _DEN_FLOOR:
+        if state.stage == 0 and f.any():
+            raise DegenerateSignalError("sample values too small; their squares underflow")
         raise DegenerateSignalError(
             f"zero prediction-error denominator at stage {state.stage + 1}; "
             "signal is constant or perfectly predictable"
@@ -175,8 +179,6 @@ def burg_fit(x: np.ndarray, order: int, sample_rate: float) -> BurgModel:
         raise DegenerateSignalError("signal holds non-finite values")
     if np.min(x) == np.max(x):
         raise DegenerateSignalError("signal is constant")
-    if np.dot(x, x) <= _DEN_FLOOR:
-        raise DegenerateSignalError("sample values too small; their squares underflow")
 
     state = init_state(x)
     for _ in range(order):

@@ -23,10 +23,9 @@ import numpy as np
 
 from .dataset import (
     LABELS,
-    EmgRecord,
     convert_class_matrices,
     load_dataset,
-    read_record_csv,
+    read_reduced,
     split_by_labels,
 )
 from .errors import ConfigError, DataError, TrainingDivergedError
@@ -303,16 +302,9 @@ def cmd_predict(args) -> int:
             "model carries no sample rate (trained from a feature dump); cannot "
             "extract features from a raw record"
         )
-    ch1, ch2 = read_record_csv(args.record)
     # the label plays no part in inference; any valid placeholder will do
-    record = EmgRecord(
-        channel1=ch1, channel2=ch2, sample_rate=bundle.sample_rate, label=LABELS[0]
-    )
-    record.validate(name=str(args.record))
-    try:
-        feats = extract_all([record], bundle.feature_config)
-    except DataError as e:
-        raise type(e)(f"{args.record}: {e}") from None
+    _, feats = read_reduced((Path(args.record), LABELS[0], bundle.sample_rate, "na", "na"),
+                            lambda record: extract_all([record], bundle.feature_config))
     preds, probs = _classify(bundle, feats, args.model)
     print("label," + ",".join(f"p_{lab}" for lab in LABELS))
     print(LABELS[preds[0]] + "," + ",".join(repr(float(p)) for p in probs[0]))

@@ -150,10 +150,11 @@ def load_dataset(path: str | Path, reduce: _Reducer, subject: str | None = None,
     Every schema violation is reported with the offending file and line. The
     whole manifest is checked first. Then only the records of the given
     subject and session (either None: any) are read, in manifest order, and
-    the first that fails raises its error (see _read_records); a selection
-    of no records is refused before any is read. Then every selected record
-    must share the first one's sample rate and length. A record the call
-    does not select is never opened.
+    the first that fails raises its error (see _read_records); a manifest
+    that lists records of which none is selected is refused before any is
+    read. Then there must be records, and every selected one must share the
+    first one's sample rate and length. A record the call does not select is
+    never opened.
 
     Each record is reduced to ``reduce(record)`` in the process that reads
     it, and its channels are dropped there.
@@ -166,9 +167,9 @@ def load_dataset(path: str | Path, reduce: _Reducer, subject: str | None = None,
         raise DataError(f"no records found: missing {manifest}")
 
     wanted = {k: v for k, v in (("subject", subject), ("session", session)) if v is not None}
-    entries = [e for e in _manifest_entries(root, manifest)
-               if subject in (None, e[3]) and session in (None, e[4])]
-    if wanted and not entries:
+    listed = list(_manifest_entries(root, manifest))
+    entries = [e for e in listed if subject in (None, e[3]) and session in (None, e[4])]
+    if listed and not entries:
         asked = ",".join(f"{k}={v}" for k, v in wanted.items())
         raise DataError(f"subset {asked!r} selected no records")
     read = _read_records(entries, reduce)
@@ -244,23 +245,25 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _read_chunk(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, object]]:
-    """(length, row) of each manifest entry's record, in order; runs in a worker or in-process.
+def read_reduced(entry: _Entry, reduce: _Reducer) -> tuple[int, object]:
+    """(length, ``reduce(record)``) of one manifest entry's record file.
 
-    The row is ``reduce(record)``. The first error is raised: a file's as the
-    reader words it, and a DataError that ``reduce`` raised as the same type,
-    its message prefixed with the record's path.
+    A file's error is raised as the reader words it, and a DataError that
+    ``reduce`` raises as the same type, its message prefixed with the path.
     """
-    out = []
-    for path, label, rate, subject, session in entries:
-        ch1, ch2 = read_record_csv(path)
-        record = EmgRecord(channel1=ch1, channel2=ch2, sample_rate=rate, label=label,
-                           subject_id=subject, session_id=session)
-        try:
-            out.append((len(ch1), reduce(record)))
-        except DataError as e:
-            raise type(e)(f"{path}: {e}") from None
-    return out
+    path, label, rate, subject, session = entry
+    ch1, ch2 = read_record_csv(path)
+    record = EmgRecord(channel1=ch1, channel2=ch2, sample_rate=rate, label=label,
+                       subject_id=subject, session_id=session)
+    try:
+        return len(ch1), reduce(record)
+    except DataError as e:
+        raise type(e)(f"{path}: {e}") from None
+
+
+def _read_chunk(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, object]]:
+    """read_reduced of each entry in order, up to the first error; in a worker or in-process."""
+    return [read_reduced(entry, reduce) for entry in entries]
 
 
 def _read_records(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, object]]:

@@ -241,6 +241,16 @@ def test_burg_fit_refuses_sums_that_overflow():
         burg_fit(x, 4, 500.0)
 
 
+def test_burg_fit_refuses_samples_whose_squares_underflow():
+    # nonzero samples whose squares all round to zero are neither constant nor
+    # predictable; an all-zero signal is still reported as constant
+    x = np.random.default_rng(3).standard_normal(64) * 1e-200
+    with pytest.raises(DegenerateSignalError, match="too small; their squares underflow"):
+        burg_fit(x, 4, 500.0)
+    with pytest.raises(DegenerateSignalError, match="signal is constant"):
+        compute_reflection(init_state(np.zeros(8)))
+
+
 def test_burg_fit_perfectly_predictable_signal_errors():
     x = np.array([1.0, -1.0] * 8)
     with pytest.raises(DegenerateSignalError):

@@ -497,6 +497,10 @@ def test_train_reports_the_first_fault_whether_records_load_in_workers_or_not(
         lines.append(lines[1])
     (data / "manifest.csv").write_text("".join(lines))
     subset = "subject=s9" if "empty_subset" in faults else "subject=s1"
+    # subject=s1 selects 18 records: with two usable cores they are read in
+    # workers, 4 to a chunk, so the first_bad_record faults lie in different chunks
+    monkeypatch.setattr(semgrasp.dataset, "_PARALLEL_MIN_RECORDS", 8)
+    monkeypatch.setattr(semgrasp.dataset, "_CHUNK_RECORDS", 4)
     cfg = _write_config(tmp_path / "cfg.json", dataset=str(data), split_fraction=0.5,
                         training={"epochs": 1, "batch_size": 16, "learning_rate": 0.01})
     outcomes = []

@@ -107,6 +107,16 @@ def test_load_empty_directory_reports_no_records(tmp_path):
         load_dataset(empty, keep_record)
 
 
+@pytest.mark.parametrize("subject", [None, "s1"], ids=["whole", "subset"])
+def test_load_header_only_manifest_reports_no_records(tmp_path, subject):
+    # a subset of a manifest without records is no fault of the subset's
+    root = tmp_path / "ds"
+    root.mkdir()
+    (root / "manifest.csv").write_text("file,label,subject,session,sample_rate\n")
+    with pytest.raises(DataError, match="^ds: no records found$"):
+        load_dataset(root, keep_record, subject=subject)
+
+
 def test_load_short_row_names_file_and_line(tmp_path):
     root = tmp_path / "ds"
     root.mkdir()
