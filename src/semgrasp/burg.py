@@ -19,6 +19,14 @@ whenever every |r_i| < 1. Signals are real; no complex support.
 
 State arrays hold only the currently valid error range [stage, N-1], which
 shrinks by one sample per stage.
+
+The stage API (init_state, compute_reflection, update_prediction_errors,
+stage_error) is the one definition of the lattice. burg_fit runs the same
+reflection and error-update steps in place: it allocates its error buffers
+once per call and has each stage write into the pair the previous stage did
+not use. Every sum and elementwise operation is the same IEEE operation on
+the same operands, so its coefficients and noise variance equal the
+stage-API chain's bit for bit.
 """
 
 from __future__ import annotations
@@ -74,24 +82,30 @@ def compute_reflection(state: BurgState) -> float:
     stage 0 the denominator sums every sample's square at least once, so if
     it collapses while a sample is nonzero, the squares underflowed.
     """
-    f = state.forward_errors
-    b = state.backward_errors
-    if len(f) < 2:
-        raise DegenerateSignalError(
-            f"no samples left for stage {state.stage + 1} (signal too short)"
-        )
-    num = -2.0 * float(np.dot(f[1:], b[:-1]))
-    den = float(np.dot(f[1:], f[1:]) + np.dot(b[:-1], b[:-1]))
+    return _reflection(state.forward_errors, state.backward_errors, state.stage)
+
+
+def _reflection(f: np.ndarray, b: np.ndarray, stage: int) -> float:
+    """compute_reflection of the errors f and b after `stage` stages."""
+    _check_samples_left(f, stage)
+    fs, bs = f[1:], b[:-1]
+    num = -2.0 * float(np.dot(fs, bs))
+    den = float(np.dot(fs, fs) + np.dot(bs, bs))
     if not (math.isfinite(num) and math.isfinite(den)):
-        raise DegenerateSignalError(f"sums overflow at stage {state.stage + 1}; values too large")
+        raise DegenerateSignalError(f"sums overflow at stage {stage + 1}; values too large")
     if den <= _DEN_FLOOR:
-        if state.stage == 0 and f.any():
+        if stage == 0 and f.any():
             raise DegenerateSignalError("sample values too small; their squares underflow")
         raise DegenerateSignalError(
-            f"zero prediction-error denominator at stage {state.stage + 1}; "
+            f"zero prediction-error denominator at stage {stage + 1}; "
             "signal is constant or perfectly predictable"
         )
     return num / den
+
+
+def _check_samples_left(f: np.ndarray, stage: int) -> None:
+    if len(f) < 2:
+        raise DegenerateSignalError(f"no samples left for stage {stage + 1} (signal too short)")
 
 
 def update_ar_coefficients(prev: list[float], r: float) -> list[float]:
@@ -116,23 +130,35 @@ def update_prediction_errors(state: BurgState, r: float) -> BurgState:
         raise ValueError(f"|r| must be <= 1, got {r}")
     f = state.forward_errors
     b = state.backward_errors
-    if len(f) < 2:
-        raise DegenerateSignalError(
-            f"no samples left for stage {state.stage + 1} (signal too short)"
-        )
+    _check_samples_left(f, state.stage)
+    new_f, new_b = np.empty(len(f) - 1), np.empty(len(f) - 1)
+    _update_errors(f, b, r, new_f, new_b)
     return BurgState(
-        forward_errors=f[1:] + r * b[:-1],
-        backward_errors=b[:-1] + r * f[1:],
+        forward_errors=new_f,
+        backward_errors=new_b,
         reflection_coeffs=state.reflection_coeffs + [r],
         ar_coeffs=update_ar_coefficients(state.ar_coeffs, r),
         stage=state.stage + 1,
     )
 
 
+def _update_errors(f: np.ndarray, b: np.ndarray, r: float,
+                   out_f: np.ndarray, out_b: np.ndarray) -> None:
+    """Write the next stage's errors f[1:] + r * b[:-1] and b[:-1] + r * f[1:]
+    into out_f and out_b, which overlap neither f nor b."""
+    fs, bs = f[1:], b[:-1]
+    np.multiply(bs, r, out=out_f)
+    out_f += fs
+    np.multiply(fs, r, out=out_b)
+    out_b += bs
+
+
 def stage_error(state: BurgState) -> float:
     """Summed squared forward plus backward errors over the valid range."""
-    f = state.forward_errors
-    b = state.backward_errors
+    return _error_power(state.forward_errors, state.backward_errors)
+
+
+def _error_power(f: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(f, f) + np.dot(b, b))
 
 
@@ -160,6 +186,13 @@ class PsdEstimate:
 def burg_fit(x: np.ndarray, order: int, sample_rate: float) -> BurgModel:
     """Fit an AR(order) model to a single-channel series.
 
+    Runs the stage API's reflection and error-update steps in place: four
+    error buffers are allocated once, and each stage writes its forward and
+    backward errors into the pair the previous stage did not use. The
+    reflection coefficients, AR coefficients and noise variance equal those
+    of the init_state / compute_reflection / update_prediction_errors /
+    stage_error chain bit for bit. The input is never written to.
+
     noise_variance is the final error power divided by the number of summed
     terms (2 * (N - order)), i.e. the mean squared residual per sample; with
     that normalization the two-sided spectral density returned by
@@ -167,7 +200,8 @@ def burg_fit(x: np.ndarray, order: int, sample_rate: float) -> BurgModel:
     too small for their squares to sum in float64 raise DegenerateSignalError,
     without a numpy warning.
     """
-    x = np.asarray(x, dtype=np.float64)
+    # contiguous, as init_state's copies are: np.dot sums a strided view in another order
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if x.ndim != 1:
@@ -175,24 +209,33 @@ def burg_fit(x: np.ndarray, order: int, sample_rate: float) -> BurgModel:
     n = len(x)
     if n <= order + 1:
         raise ValueError(f"signal length {n} too short for order {order} (need > order + 1)")
-    if not np.isfinite(x).all():
+    lo, hi = x.min(), x.max()  # NaN propagates through both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DegenerateSignalError("signal holds non-finite values")
-    if np.min(x) == np.max(x):
+    if lo == hi:
         raise DegenerateSignalError("signal is constant")
 
-    state = init_state(x)
-    for _ in range(order):
-        r = compute_reflection(state)
-        state = update_prediction_errors(state, r)
+    # the errors after stage i + 1 go to buffers[i % 2]: each stage reads one pair, writes the other
+    buffers = np.empty((2, 2, n - 1))
+    f = b = x
+    reflection_coeffs: list[float] = []
+    ar_coeffs: list[float] = []
+    for stage in range(order):
+        r = _reflection(f, b, stage)
+        out_f, out_b = buffers[stage % 2, :, : n - stage - 1]
+        _update_errors(f, b, r, out_f, out_b)
+        f, b = out_f, out_b
+        reflection_coeffs.append(r)
+        ar_coeffs = update_ar_coefficients(ar_coeffs, r)
 
     n_terms = 2 * (n - order)
-    noise_variance = stage_error(state) / n_terms
+    noise_variance = _error_power(f, b) / n_terms
     if noise_variance <= 0.0:
         raise DegenerateSignalError(f"signal is perfectly predictable at order {order}")
     return BurgModel(
         order=order,
-        ar_coeffs=state.ar_coeffs,
-        reflection_coeffs=state.reflection_coeffs,
+        ar_coeffs=ar_coeffs,
+        reflection_coeffs=reflection_coeffs,
         noise_variance=noise_variance,
         sample_rate=sample_rate,
     )

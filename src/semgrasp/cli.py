@@ -302,8 +302,8 @@ def cmd_predict(args) -> int:
             "model carries no sample rate (trained from a feature dump); cannot "
             "extract features from a raw record"
         )
-    # the label plays no part in inference; any valid placeholder will do
-    _, feats = read_reduced((Path(args.record), LABELS[0], bundle.sample_rate, "na", "na"),
+    # a record read for inference has no label, subject or session
+    _, feats = read_reduced((Path(args.record), None, bundle.sample_rate, None, None),
                             lambda record: extract_all([record], bundle.feature_config))
     preds, probs = _classify(bundle, feats, args.model)
     print("label," + ",".join(f"p_{lab}" for lab in LABELS))

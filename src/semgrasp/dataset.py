@@ -51,14 +51,18 @@ def index_to_label(index: int) -> str:
 
 @dataclass
 class EmgRecord:
-    """One labeled two-channel recording. Channels are equal-length float arrays."""
+    """One two-channel recording. Channels are equal-length float arrays.
+
+    A record read outside any dataset, for `semgrasp predict`, has the label,
+    subject and session None.
+    """
 
     channel1: np.ndarray
     channel2: np.ndarray
     sample_rate: float
-    label: str
-    subject_id: str = "na"
-    session_id: str = "na"
+    label: str | None
+    subject_id: str | None = "na"
+    session_id: str | None = "na"
 
     def __post_init__(self):
         self.channel1 = np.asarray(self.channel1, dtype=np.float64)
@@ -133,7 +137,7 @@ class SplitPlan:
 
 
 # (record path, label, sample rate, subject, session) of one manifest row
-_Entry = tuple[Path, str, float, str, str]
+_Entry = tuple[Path, str | None, float, str | None, str | None]
 # what load_dataset reduces each record to, in the process that reads it
 _Reducer = Callable[[EmgRecord], object]
 

@@ -75,20 +75,34 @@ def extract_features(record: EmgRecord, cfg: FeatureConfig) -> FeatureVector:
         raise DataError(
             f"record has {record.n_samples} samples; need > ar_order + 1 = {cfg.ar_order + 1}"
         )
-    where = (f"record (label={record.label}, subject={record.subject_id}, "
-             f"session={record.session_id})")
     feats = []
     with np.errstate(all="ignore"):
         for name, channel in (("channel1", record.channel1), ("channel2", record.channel2)):
             try:
                 model = burg_fit(channel, cfg.ar_order, record.sample_rate)
             except DegenerateSignalError as e:
-                raise DegenerateSignalError(f"{name} of {where}: {e}") from e
+                raise DegenerateSignalError(f"{_where(record, name)}{e}") from e
             psd = psd_from_model(model, cfg.nbins)
             feats.append(np.log10(np.maximum(psd.power, cfg.log_floor)))
     if not np.isfinite(feats).all():
-        raise DataError(f"{where}: features not finite at sample rate {record.sample_rate} Hz")
+        raise DataError(
+            f"{_where(record)}features not finite at sample rate {record.sample_rate} Hz"
+        )
     return FeatureVector(channel1_features=feats[0], channel2_features=feats[1], label=record.label)
+
+
+def _where(record: EmgRecord, channel: str | None = None) -> str:
+    """The prefix, ending in ': ', that names the record (or one of its channels) in an error.
+
+    A record with a label is named by its label, subject and session. One
+    without (`semgrasp predict` reads a record outside any dataset) is named
+    by its channel alone, and the caller adds its file.
+    """
+    names = [channel] if channel else []
+    if record.label is not None:
+        names.append(f"record (label={record.label}, subject={record.subject_id}, "
+                     f"session={record.session_id})")
+    return " of ".join(names) + ": " if names else ""
 
 
 def feature_row(record: EmgRecord, cfg: FeatureConfig) -> np.ndarray:

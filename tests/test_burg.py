@@ -208,18 +208,79 @@ def test_burg_fit_order_ten_reflection_invariants(synth_dataset):
     assert model.noise_variance > 0
 
 
-def test_burg_fit_matches_stage_api():
+def _read_only(x):
+    x.setflags(write=False)
+    return x
+
+
+# each input kind burg_fit takes, built from n standard-normal draws
+_FIT_INPUTS = {
+    "float64": lambda rng, n: rng.standard_normal(n),
+    "strided": lambda rng, n: rng.standard_normal(2 * n)[::2],
+    "float32": lambda rng, n: rng.standard_normal(n).astype(np.float32),
+    "int64": lambda rng, n: np.round(100.0 * rng.standard_normal(n)).astype(np.int64),
+    "read_only": lambda rng, n: _read_only(rng.standard_normal(n)),
+}
+
+
+@pytest.mark.parametrize("kind", _FIT_INPUTS)
+@pytest.mark.parametrize("order", [1, 2, 10, 20])
+@pytest.mark.parametrize("length", ["order+2", 64, 3000])
+def test_burg_fit_matches_stage_api_bit_for_bit(length, order, kind):
     # burg_fit is the stage API run `order` times; its noise variance is the
     # final stage error over the 2 * (N - order) summed terms
-    x = sinusoid(40.0, 300, rate=500.0, noise=0.3, seed=6)
-    order = 7
+    n = order + 2 if length == "order+2" else length
+    x = _FIT_INPUTS[kind](np.random.default_rng(1000 * order + n), n)
+    owner = x if x.base is None else x.base
+    before = owner.tobytes()
     s = init_state(x)
     for _ in range(order):
         s = update_prediction_errors(s, compute_reflection(s))
     model = burg_fit(x, order, 500.0)
-    assert model.noise_variance == stage_error(s) / (2 * (len(x) - order))
     assert model.reflection_coeffs == s.reflection_coeffs
     assert model.ar_coeffs == s.ar_coeffs
+    assert model.noise_variance == stage_error(s) / (2 * (n - order))
+    assert owner.tobytes() == before
+
+
+_ALTERNATING = np.array([1.0, -1.0] * 8)
+
+
+def _with_sample(value):
+    x = np.random.default_rng(3).standard_normal(64)
+    x[5] = value
+    return x
+
+
+# each input burg_fit refuses: (signal, order, exception type, message substring)
+_FIT_REFUSALS = {
+    "nan": (_with_sample(np.nan), 4, DegenerateSignalError, "signal holds non-finite values"),
+    "pos_inf": (_with_sample(np.inf), 4, DegenerateSignalError, "signal holds non-finite values"),
+    "neg_inf": (_with_sample(-np.inf), 4, DegenerateSignalError, "signal holds non-finite values"),
+    "constant": (np.full(64, 3.25), 4, DegenerateSignalError, "signal is constant"),
+    "all_zero": (np.zeros(64), 4, DegenerateSignalError, "signal is constant"),
+    "overflow": (np.random.default_rng(3).standard_normal(64) * 1e160, 4, DegenerateSignalError,
+                 "sums overflow at stage 1; values too large"),
+    "underflow": (np.random.default_rng(3).standard_normal(64) * 1e-200, 4, DegenerateSignalError,
+                  "sample values too small; their squares underflow"),
+    "predictable": (_ALTERNATING, 1, DegenerateSignalError,
+                    "signal is perfectly predictable at order 1"),
+    "predictable_before_order": (_ALTERNATING, 2, DegenerateSignalError,
+                                 "zero prediction-error denominator at stage 2; "
+                                 "signal is constant or perfectly predictable"),
+    "too_short": (np.arange(8.0), 7, ValueError, "signal length 8 too short for order 7"),
+    "order_zero": (np.arange(64.0), 0, ValueError, "order must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", _FIT_REFUSALS)
+def test_burg_fit_refusal(case):
+    # the suite makes a numpy warning an error, so each refusal is also silent
+    x, order, kind, message = _FIT_REFUSALS[case]
+    with pytest.raises(kind) as caught:
+        burg_fit(x, order, 500.0)
+    assert type(caught.value) is kind
+    assert message in str(caught.value)
 
 
 def test_burg_fit_rejects_bad_inputs():

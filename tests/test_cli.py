@@ -949,8 +949,8 @@ def test_predict_missing_record_file(trained_run, tmp_path, capsys):
         (b"", "r.csv: file holds no samples"),
         (b"1,2,3\n", "r.csv:1: row has 3 values, expected 2"),
         (b"1,2\n\xff3,4\n", "r.csv: not utf-8 text (invalid start byte)"),
-        (b"0.5,0.25\n" * 64, "r.csv: channel1 of record (label=C, subject=na, session=na): "
-                              "signal is constant"),
+        # the record has no label, subject or session to name
+        (b"0.5,0.25\n" * 64, "r.csv: channel1: signal is constant"),
     ],
     ids=["empty", "three_columns", "non_utf8", "constant"],
 )

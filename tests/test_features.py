@@ -63,6 +63,18 @@ def test_extract_rejects_short_and_degenerate_records():
         extract_features(rec, FeatureConfig(nbins=16))
 
 
+def test_extract_names_an_unlabeled_record_by_its_channel_alone():
+    # a record read outside a dataset (semgrasp predict) has no metadata to name
+    rec = make_record(np.full(128, 2.0), np.arange(128.0), label=None, subject=None, session=None)
+    with pytest.raises(DegenerateSignalError) as caught:
+        extract_features(rec, FeatureConfig(nbins=16))
+    assert str(caught.value) == "channel1: signal is constant"
+    x = sinusoid(50.0, 256)
+    with pytest.raises(DataError) as caught:
+        extract_features(make_record(x, x, label=None, rate=1e308), FeatureConfig(nbins=16))
+    assert str(caught.value) == "features not finite at sample rate 1e+308 Hz"
+
+
 def test_extract_refuses_values_beyond_float64_without_a_warning():
     # pytest turns an escaping RuntimeWarning into an error
     x = sinusoid(50.0, 256)
