@@ -21,12 +21,16 @@ State arrays hold only the currently valid error range [stage, N-1], which
 shrinks by one sample per stage.
 
 The stage API (init_state, compute_reflection, update_prediction_errors,
-stage_error) is the one definition of the lattice. burg_fit runs the same
-reflection and error-update steps in place: it allocates its error buffers
-once per call and has each stage write into the pair the previous stage did
-not use. Every sum and elementwise operation is the same IEEE operation on
-the same operands, so its coefficients and noise variance equal the
-stage-API chain's bit for bit.
+stage_error) steps one signal through the lattice. A private row lattice
+runs the same steps over every row of an array [rows, N] at once, over error
+buffers it allocates once per call: each stage writes its errors into the
+pair the previous stage did not use. burg_fit is its one-row case, and
+feature extraction fits the channels of up to 8 records as the rows of one
+call. The sums, the error update, the Levinson step and each refusal are one
+helper, shared by the stage API and the row lattice. Every number of a row
+is the same IEEE operation on the same operands as on that row alone, so
+each row's coefficients and noise variance equal its own 1-D fit, and the
+stage-API chain, bit for bit.
 """
 
 from __future__ import annotations
@@ -82,25 +86,42 @@ def compute_reflection(state: BurgState) -> float:
     stage 0 the denominator sums every sample's square at least once, so if
     it collapses while a sample is nonzero, the squares underflowed.
     """
-    return _reflection(state.forward_errors, state.backward_errors, state.stage)
-
-
-def _reflection(f: np.ndarray, b: np.ndarray, stage: int) -> float:
-    """compute_reflection of the errors f and b after `stage` stages."""
+    f, b, stage = state.forward_errors, state.backward_errors, state.stage
     _check_samples_left(f, stage)
-    fs, bs = f[1:], b[:-1]
-    num = -2.0 * float(np.dot(fs, bs))
-    den = float(np.dot(fs, fs) + np.dot(bs, bs))
+    num, den = _sums(f, b)
+    if _stage_failed(num, den):
+        raise _stage_refusal(num, den, stage, bool(f.any()))
+    return float(num / den)
+
+
+def _sums(f: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator -2 * sum(f[n] * b[n-1]) and denominator sum(f[n]^2 + b[n-1]^2) of
+    the reflection coefficient of each row (last axis) of the errors f and b.
+
+    np.vecdot calls the same BLAS dot on each row as np.dot does on that row
+    alone, so a row's sums do not depend on the rows beside it.
+    """
+    fs, bs = f[..., 1:], b[..., :-1]
+    return -2.0 * np.vecdot(fs, bs), np.vecdot(fs, fs) + np.vecdot(bs, bs)
+
+
+def _stage_failed(num, den):
+    """Where a stage's sums leave no reflection coefficient: a sum overflowed, or the
+    denominator collapsed."""
+    return ~(np.isfinite(num) & np.isfinite(den)) | (den <= _DEN_FLOOR)
+
+
+def _stage_refusal(num: float, den: float, stage: int, nonzero: bool) -> DegenerateSignalError:
+    """The error of a stage whose sums _stage_failed; nonzero: whether a sample of the
+    signal is nonzero."""
     if not (math.isfinite(num) and math.isfinite(den)):
-        raise DegenerateSignalError(f"sums overflow at stage {stage + 1}; values too large")
-    if den <= _DEN_FLOOR:
-        if stage == 0 and f.any():
-            raise DegenerateSignalError("sample values too small; their squares underflow")
-        raise DegenerateSignalError(
-            f"zero prediction-error denominator at stage {stage + 1}; "
-            "signal is constant or perfectly predictable"
-        )
-    return num / den
+        return DegenerateSignalError(f"sums overflow at stage {stage + 1}; values too large")
+    if stage == 0 and nonzero:
+        return DegenerateSignalError("sample values too small; their squares underflow")
+    return DegenerateSignalError(
+        f"zero prediction-error denominator at stage {stage + 1}; "
+        "signal is constant or perfectly predictable"
+    )
 
 
 def _check_samples_left(f: np.ndarray, stage: int) -> None:
@@ -113,10 +134,19 @@ def update_ar_coefficients(prev: list[float], r: float) -> list[float]:
 
     new[j] = prev[j] + r * prev[i-j] for j < i (1-based j), new[i] = r.
     """
-    i = len(prev) + 1
-    out = [prev[j - 1] + r * prev[i - j - 1] for j in range(1, i)]
-    out.append(r)
-    return out
+    a = np.empty(len(prev) + 1)
+    a[:-1] = prev
+    _levinson(a, len(prev), r)
+    return a.tolist()
+
+
+def _levinson(a: np.ndarray, i: int, r) -> None:
+    """Levinson step in place: a[:i] holds the AR coefficients after i stages (one
+    column per signal when r holds one coefficient per signal); write those after
+    stage i + 1 into a[:i + 1]."""
+    prev = a[:i]
+    prev += r * prev[::-1]
+    a[i] = r
 
 
 def update_prediction_errors(state: BurgState, r: float) -> BurgState:
@@ -142,11 +172,12 @@ def update_prediction_errors(state: BurgState, r: float) -> BurgState:
     )
 
 
-def _update_errors(f: np.ndarray, b: np.ndarray, r: float,
+def _update_errors(f: np.ndarray, b: np.ndarray, r,
                    out_f: np.ndarray, out_b: np.ndarray) -> None:
-    """Write the next stage's errors f[1:] + r * b[:-1] and b[:-1] + r * f[1:]
-    into out_f and out_b, which overlap neither f nor b."""
-    fs, bs = f[1:], b[:-1]
+    """Write the next stage's errors f[1:] + r * b[:-1] and b[:-1] + r * f[1:], along
+    the last axis, into out_f and out_b, which overlap neither f nor b. r is a number,
+    or a column [rows, 1] of one reflection coefficient per row."""
+    fs, bs = f[..., 1:], b[..., :-1]
     np.multiply(bs, r, out=out_f)
     out_f += fs
     np.multiply(fs, r, out=out_b)
@@ -155,11 +186,11 @@ def _update_errors(f: np.ndarray, b: np.ndarray, r: float,
 
 def stage_error(state: BurgState) -> float:
     """Summed squared forward plus backward errors over the valid range."""
-    return _error_power(state.forward_errors, state.backward_errors)
+    return float(_error_power(state.forward_errors, state.backward_errors))
 
 
-def _error_power(f: np.ndarray, b: np.ndarray) -> float:
-    return float(np.dot(f, f) + np.dot(b, b))
+def _error_power(f: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.vecdot(f, f) + np.vecdot(b, b)
 
 
 @dataclass
@@ -182,16 +213,16 @@ class PsdEstimate:
 
 
 @_one_blas_thread()
-@np.errstate(over="ignore", invalid="ignore")  # compute_reflection checks the sums itself
+@np.errstate(all="ignore")  # the lattice checks the sums itself
 def burg_fit(x: np.ndarray, order: int, sample_rate: float) -> BurgModel:
     """Fit an AR(order) model to a single-channel series.
 
-    Runs the stage API's reflection and error-update steps in place: four
-    error buffers are allocated once, and each stage writes its forward and
-    backward errors into the pair the previous stage did not use. The
-    reflection coefficients, AR coefficients and noise variance equal those
-    of the init_state / compute_reflection / update_prediction_errors /
-    stage_error chain bit for bit. The input is never written to.
+    Runs the row lattice on x as its one row. Feature extraction runs the
+    same lattice over the channels of up to 8 records at once, and each row
+    there equals this fit of the row alone bit for bit. The reflection
+    coefficients, AR coefficients and noise variance equal those of the
+    init_state / compute_reflection / update_prediction_errors / stage_error
+    chain bit for bit. The input is never written to.
 
     noise_variance is the final error power divided by the number of summed
     terms (2 * (N - order)), i.e. the mean squared residual per sample; with
@@ -200,7 +231,7 @@ def burg_fit(x: np.ndarray, order: int, sample_rate: float) -> BurgModel:
     too small for their squares to sum in float64 raise DegenerateSignalError,
     without a numpy warning.
     """
-    # contiguous, as init_state's copies are: np.dot sums a strided view in another order
+    # contiguous, as init_state's copies are: np.vecdot sums a strided view in another order
     x = np.ascontiguousarray(x, dtype=np.float64)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -209,36 +240,65 @@ def burg_fit(x: np.ndarray, order: int, sample_rate: float) -> BurgModel:
     n = len(x)
     if n <= order + 1:
         raise ValueError(f"signal length {n} too short for order {order} (need > order + 1)")
-    lo, hi = x.min(), x.max()  # NaN propagates through both
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DegenerateSignalError("signal holds non-finite values")
-    if lo == hi:
-        raise DegenerateSignalError("signal is constant")
-
-    # the errors after stage i + 1 go to buffers[i % 2]: each stage reads one pair, writes the other
-    buffers = np.empty((2, 2, n - 1))
-    f = b = x
-    reflection_coeffs: list[float] = []
-    ar_coeffs: list[float] = []
-    for stage in range(order):
-        r = _reflection(f, b, stage)
-        out_f, out_b = buffers[stage % 2, :, : n - stage - 1]
-        _update_errors(f, b, r, out_f, out_b)
-        f, b = out_f, out_b
-        reflection_coeffs.append(r)
-        ar_coeffs = update_ar_coefficients(ar_coeffs, r)
-
-    n_terms = 2 * (n - order)
-    noise_variance = _error_power(f, b) / n_terms
-    if noise_variance <= 0.0:
-        raise DegenerateSignalError(f"signal is perfectly predictable at order {order}")
+    reflection, ar, noise, refusals = _fit_rows(x[None], order)
+    if refusals[0] is not None:
+        raise refusals[0]
     return BurgModel(
         order=order,
-        ar_coeffs=ar_coeffs,
-        reflection_coeffs=reflection_coeffs,
-        noise_variance=noise_variance,
+        ar_coeffs=ar[0].tolist(),
+        reflection_coeffs=reflection[0].tolist(),
+        noise_variance=float(noise[0]),
         sample_rate=sample_rate,
     )
+
+
+def _fit_rows(
+    x: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[DegenerateSignalError | None]]:
+    """The row lattice: fit AR(order) to every row of x [rows, N] at once.
+
+    x is C-contiguous float64 with N > order + 1, and is never written to.
+    Returns the reflection and AR coefficients [rows, order], the noise
+    variance [rows] and, for each row, the DegenerateSignalError that
+    burg_fit raises for that row alone, or None. A refused row's numbers are
+    meaningless; the other rows' are unaffected. Run it under
+    np.errstate(all="ignore") and _one_blas_thread(): a refused row's sums
+    overflow or divide by zero, and the refusals are checked once, after the
+    last stage.
+    """
+    rows, n = x.shape
+    # the errors after stage i + 1 go to buffers[i % 2]: each stage reads one pair, writes the other
+    buffers = np.empty((2, 2, rows, n - 1))
+    # one row per stage and one column per signal, so a stage writes one contiguous row
+    num, den, reflection, ar = np.empty((4, order, rows))
+    f = b = x
+    for stage in range(order):
+        num[stage], den[stage] = _sums(f, b)
+        r = np.divide(num[stage], den[stage], out=reflection[stage])
+        m = n - stage - 1
+        out_f, out_b = buffers[stage % 2, 0, :, :m], buffers[stage % 2, 1, :, :m]
+        _update_errors(f, b, r[:, None], out_f, out_b)
+        f, b = out_f, out_b
+        _levinson(ar, stage, r)
+    noise = _error_power(f, b) / (2 * (n - order))
+
+    # burg_fit's checks of one row, in its order; most rows pass them all
+    lo, hi = x.min(axis=1).tolist(), x.max(axis=1).tolist()  # NaN propagates through both
+    failed = _stage_failed(num, den)
+    refusals: list[DegenerateSignalError | None] = [None] * rows
+    for row, (low, high, any_failed, variance) in enumerate(
+            zip(lo, hi, failed.any(axis=0).tolist(), noise.tolist())):
+        if not (math.isfinite(low) and math.isfinite(high)):
+            refusals[row] = DegenerateSignalError("signal holds non-finite values")
+        elif low == high:
+            refusals[row] = DegenerateSignalError("signal is constant")
+        elif any_failed:
+            stage = int(np.argmax(failed[:, row]))
+            refusals[row] = _stage_refusal(num[stage, row], den[stage, row], stage, True)
+        elif variance <= 0.0:
+            refusals[row] = DegenerateSignalError(
+                f"signal is perfectly predictable at order {order}")
+    return reflection.T, ar.T, noise, refusals
 
 
 def psd_from_model(model: BurgModel, nbins: int) -> PsdEstimate:
@@ -252,13 +312,24 @@ def psd_from_model(model: BurgModel, nbins: int) -> PsdEstimate:
     """
     if nbins < 8:
         raise ValueError(f"nbins must be >= 8, got {nbins}")
-    rate = model.sample_rate
-    freqs, basis = _psd_basis(nbins, model.order, rate)
     a = np.asarray(model.ar_coeffs, dtype=np.float64)
-    resp = 1.0 + basis @ a.astype(np.complex128)
+    power = _psd_rows(a[None], np.array([model.noise_variance]), model.sample_rate, nbins)
+    return PsdEstimate(frequencies=_psd_basis(nbins, model.order, model.sample_rate)[0],
+                       power=power[0])
+
+
+def _psd_rows(ar: np.ndarray, noise: np.ndarray, rate: float, nbins: int) -> np.ndarray:
+    """psd_from_model's power [rows, nbins] of the AR coefficients ar [rows, order] and
+    noise variances [rows] of signals sampled at one rate.
+
+    The response is one matrix-vector product per row, as for a single model;
+    one matrix-matrix product would sum in another order.
+    """
+    _, basis = _psd_basis(nbins, ar.shape[1], rate)
+    a = np.ascontiguousarray(ar, dtype=np.complex128)
+    resp = 1.0 + np.matmul(basis, a[:, :, None])[..., 0]
     denom = np.abs(resp) ** 2
-    power = model.noise_variance / (rate * denom)
-    return PsdEstimate(frequencies=freqs, power=power)
+    return noise[:, None] / (rate * denom)
 
 
 @lru_cache(maxsize=16)

@@ -286,7 +286,7 @@ def _read_records(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, ob
     never waits on a thread the fork left behind. The network's channel-stack
     thread runs only inside a network call, which no worker makes. OpenBLAS
     shuts its own threads down in a pthread_atfork handler before every fork,
-    and ``burg_fit`` runs it on one thread, so a worker starts none.
+    and feature extraction runs it on one thread, so a worker starts none.
     """
     cores = _usable_cores()
     if len(entries) < _PARALLEL_MIN_RECORDS or cores < 2:

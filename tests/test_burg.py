@@ -6,7 +6,9 @@ from helpers import ar_realization, grid_search_reflection, sinusoid, trapezoid
 
 from semgrasp.burg import (
     BurgModel,
+    _fit_rows,
     _psd_basis,
+    _psd_rows,
     burg_fit,
     compute_reflection,
     init_state,
@@ -281,6 +283,95 @@ def test_burg_fit_refusal(case):
         burg_fit(x, order, 500.0)
     assert type(caught.value) is kind
     assert message in str(caught.value)
+
+
+def _chain(x, order):
+    """The stage-API chain of one signal: its final state."""
+    s = init_state(x)
+    for _ in range(order):
+        s = update_prediction_errors(s, compute_reflection(s))
+    return s
+
+
+def _dot_fit(x, order):
+    """Burg's recursion on one signal with np.dot and Python floats, apart from the
+    library's helpers: (reflection coefficients, AR coefficients, noise variance)."""
+    f = b = np.ascontiguousarray(x, dtype=np.float64)
+    reflection, ar = [], []
+    for _ in range(order):
+        fs, bs = f[1:], b[:-1]
+        r = -2.0 * float(np.dot(fs, bs)) / float(np.dot(fs, fs) + np.dot(bs, bs))
+        f, b = bs * r + fs, fs * r + bs
+        ar = [a + r * rev for a, rev in zip(ar, ar[::-1])] + [r]
+        reflection.append(r)
+    return reflection, ar, float(np.dot(f, f) + np.dot(b, b)) / (2 * (len(x) - order))
+
+
+def _scaled_rows(rows, n, seed):
+    """rows standard-normal signals of n samples, each at its own scale in 1e-5..1e5."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (rows, 1))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 16])
+@pytest.mark.parametrize("order", [1, 2, 10, 20])
+@pytest.mark.parametrize("length", ["order+2", 64, 3000])
+def test_row_lattice_matches_burg_fit_and_stage_api_bit_for_bit(length, order, rows):
+    # each row of the lattice is burg_fit of that row alone, and the stage-API
+    # chain; the stacked PSD is psd_from_model of each row's model
+    n = order + 2 if length == "order+2" else length
+    x = _scaled_rows(rows, n, seed=100 * order + rows + n)
+    before = x.tobytes()
+    with np.errstate(all="ignore"):
+        reflection, ar, noise, refusals = _fit_rows(x, order)
+    power = _psd_rows(ar, noise, 500.0, 64)
+    assert refusals == [None] * rows
+    assert x.tobytes() == before
+    for row in range(rows):
+        model = burg_fit(x[row], order, 500.0)
+        s = _chain(x[row], order)
+        assert reflection[row].tolist() == model.reflection_coeffs == s.reflection_coeffs
+        assert ar[row].tolist() == model.ar_coeffs == s.ar_coeffs
+        assert noise[row] == model.noise_variance == stage_error(s) / (2 * (n - order))
+        assert (reflection[row].tolist(), ar[row].tolist(), noise[row]) == _dot_fit(x[row], order)
+        assert power[row].tobytes() == psd_from_model(model, 64).power.tobytes()
+
+
+# a row the lattice refuses: (make it from a standard-normal row, {order: message})
+_ROW_REFUSALS = {
+    "nan": (lambda x: np.where(np.arange(len(x)) == 5, np.nan, x),
+            dict.fromkeys((1, 10), "signal holds non-finite values")),
+    "constant": (lambda x: np.full_like(x, 3.25), dict.fromkeys((1, 10), "signal is constant")),
+    "overflow": (lambda x: x * 1e160,
+                 dict.fromkeys((1, 10), "sums overflow at stage 1; values too large")),
+    "underflow": (lambda x: x * 1e-200,
+                  dict.fromkeys((1, 10), "sample values too small; their squares underflow")),
+    "alternating": (lambda x: np.resize([1.0, -1.0], len(x)),
+                    {1: "signal is perfectly predictable at order 1",
+                     10: "zero prediction-error denominator at stage 2; "
+                         "signal is constant or perfectly predictable"}),
+}
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("order", [1, 10])
+@pytest.mark.parametrize("case", _ROW_REFUSALS)
+def test_row_lattice_refuses_one_row_and_keeps_the_others(case, order, position):
+    make, messages = _ROW_REFUSALS[case]
+    x = _scaled_rows(5, 64, seed=7)
+    x[position] = make(np.random.default_rng(3).standard_normal(64))
+    keep = [row for row in range(5) if row != position]
+    with np.errstate(all="ignore"):
+        reflection, ar, noise, refusals = _fit_rows(x, order)
+        alone = _fit_rows(np.ascontiguousarray(x[keep]), order)
+    assert type(refusals[position]) is DegenerateSignalError
+    assert str(refusals[position]) == messages[order]
+    with pytest.raises(DegenerateSignalError) as caught:
+        burg_fit(x[position], order, 500.0)
+    assert str(caught.value) == messages[order]
+    assert [refusals[row] for row in keep] == alone[3] == [None] * 4
+    for got, want in zip((reflection, ar, noise), alone[:3]):
+        assert got[keep].tobytes() == want.tobytes()
 
 
 def test_burg_fit_rejects_bad_inputs():

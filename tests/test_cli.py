@@ -943,6 +943,13 @@ def test_predict_missing_record_file(trained_run, tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def _record_text(rows: int, ch2_scale: float = 1.0, ch2=None) -> bytes:
+    """A record file of standard-normal samples; channel2 scaled, or the constant ch2."""
+    x = np.random.default_rng(0).standard_normal((rows, 2))
+    x[:, 1] = x[:, 1] * ch2_scale if ch2 is None else ch2
+    return "".join(f"{a!r},{b!r}\n" for a, b in x.tolist()).encode()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -951,8 +958,15 @@ def test_predict_missing_record_file(trained_run, tmp_path, capsys):
         (b"1,2\n\xff3,4\n", "r.csv: not utf-8 text (invalid start byte)"),
         # the record has no label, subject or session to name
         (b"0.5,0.25\n" * 64, "r.csv: channel1: signal is constant"),
+        # a fault in channel2 alone, the second of the record's two fitted rows
+        (_record_text(64, ch2=0.25), "r.csv: channel2: signal is constant"),
+        (_record_text(64, ch2_scale=1e160), "r.csv: channel2: sums overflow at stage 1"),
+        (_record_text(64, ch2_scale=1e-200), "r.csv: channel2: sample values too small; "
+                                             "their squares underflow"),
+        (_record_text(5), "r.csv: record has 5 samples"),
     ],
-    ids=["empty", "three_columns", "non_utf8", "constant"],
+    ids=["empty", "three_columns", "non_utf8", "constant", "constant_ch2", "overflow_ch2",
+         "underflow_ch2", "five_rows"],
 )
 def test_predict_unreadable_record_writes_one_line(trained_run, tmp_path, capsys, text, message):
     record = tmp_path / "r.csv"

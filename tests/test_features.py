@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,11 +8,13 @@ from helpers import make_record, sinusoid
 
 from semgrasp.dataset import LABELS
 from semgrasp.errors import DataError, DegenerateSignalError
+from semgrasp.burg import burg_fit, psd_from_model
 from semgrasp.features import (
     FeatureConfig,
     FeatureVector,
     Normalizer,
     apply_normalizer,
+    extract_all,
     extract_features,
     fit_normalizer,
     load_features_csv,
@@ -82,6 +87,109 @@ def test_extract_refuses_values_beyond_float64_without_a_warning():
         extract_features(make_record(x, x * 1e160), FeatureConfig(nbins=16))
     with pytest.raises(DataError, match="features not finite at sample rate 1e\\+308 Hz"):
         extract_features(make_record(x, x, rate=1e308), FeatureConfig(nbins=16))
+
+
+def _records(shapes, seed=0):
+    """One record per (length, sample rate), each of its own subject s<k>."""
+    rng = np.random.default_rng(seed)
+    return [make_record(rng.standard_normal(n), 3.0 * rng.standard_normal(n),
+                        label=LABELS[k % len(LABELS)], rate=rate, subject=f"s{k}")
+            for k, (n, rate) in enumerate(shapes)]
+
+
+def _per_channel(record, cfg):
+    """A record's two feature rows, from one burg_fit and psd_from_model per channel."""
+    return [np.log10(np.maximum(
+        psd_from_model(burg_fit(ch, cfg.ar_order, record.sample_rate), cfg.nbins).power,
+        cfg.log_floor)) for ch in (record.channel1, record.channel2)]
+
+
+# runs of one (length, rate) of 3, 2, 10 (more than one lattice call), 1, 2 and 1 records
+_MIXED = ([(256, 500.0)] * 3 + [(300, 500.0)] * 2 + [(256, 500.0)] * 10
+          + [(256, 1000.0)] + [(300, 1000.0)] * 2 + [(256, 500.0)])
+
+
+@pytest.mark.parametrize("shapes", [[(256, 500.0)] * k for k in (0, 1, 7, 8, 9, 17)] + [_MIXED],
+                         ids=["0", "1", "7", "8", "9", "17", "mixed"])
+def test_extract_all_matches_the_per_record_loop_bit_for_bit(shapes):
+    cfg = FeatureConfig(nbins=32)
+    records = _records(shapes, seed=len(shapes))
+    got = extract_all(records, cfg)
+    assert len(got) == len(records)
+    for fv, record in zip(got, records):
+        alone = extract_features(record, cfg)
+        assert fv.label == alone.label == record.label
+        for ours, single, reference in zip((fv.channel1_features, fv.channel2_features),
+                                           (alone.channel1_features, alone.channel2_features),
+                                           _per_channel(record, cfg)):
+            assert ours.tobytes() == single.tobytes() == reference.tobytes()
+
+
+def _with_fault(record, fault):
+    """record with one fault that extraction refuses."""
+    ch1, ch2, rate = record.channel1, record.channel2, record.sample_rate
+    if fault == "too_short":
+        ch1, ch2 = ch1[:5], ch2[:5]
+    elif fault == "constant_ch1":
+        ch1 = np.full_like(ch1, 2.0)
+    elif fault == "constant_ch2":
+        ch2 = np.full_like(ch2, 2.0)
+    elif fault == "overflow":  # both channels fail; channel1's error comes first
+        ch1, ch2 = ch1 * 1e160, ch2 * 1e160
+    elif fault == "underflow":
+        ch1, ch2 = ch1 * 1e-200, ch2 * 1e-200
+    elif fault == "rate_1e308":
+        rate = 1e308
+    return make_record(ch1, ch2, label=record.label, rate=rate, subject=record.subject_id)
+
+
+# what extraction raises for each fault: (type, message); {who} names the record
+_FAULTS = {
+    "too_short": (DataError, "record has 5 samples; need > ar_order + 1 = 11"),
+    "constant_ch1": (DegenerateSignalError, "channel1 of {who}: signal is constant"),
+    "constant_ch2": (DegenerateSignalError, "channel2 of {who}: signal is constant"),
+    "overflow": (DegenerateSignalError,
+                 "channel1 of {who}: sums overflow at stage 1; values too large"),
+    "underflow": (DegenerateSignalError,
+                  "channel1 of {who}: sample values too small; their squares underflow"),
+    "rate_1e308": (DataError, "{who}: features not finite at sample rate 1e+308 Hz"),
+}
+# record indices of the two faults: in one lattice call of 8 records, next to each
+# other, and on either side of the boundary between two calls
+_PLACES = {"one_call": (2, 5), "adjacent": (3, 4), "across_calls": (6, 9)}
+
+
+def _first_error(records, cfg):
+    """What the per-record loop raises first, or None."""
+    try:
+        for record in records:
+            extract_features(record, cfg)
+    except DataError as e:
+        return e
+    return None
+
+
+@pytest.mark.parametrize("place", _PLACES)
+@pytest.mark.parametrize("first, second", list(itertools.product(_FAULTS, repeat=2)))
+def test_extract_all_raises_the_first_failing_records_error(first, second, place):
+    cfg = FeatureConfig(nbins=16)
+    records = _records([(256, 500.0)] * 12, seed=5)
+    i, j = _PLACES[place]
+    records[i] = _with_fault(records[i], first)
+    records[j] = _with_fault(records[j], second)
+    # the per-record loop raises the earlier record's error
+    expected = _first_error(records, cfg)
+    kind, message = _FAULTS[first]
+    who = f"record (label={records[i].label}, subject=s{i}, session=d1)"
+    assert type(expected) is kind
+    assert str(expected) == message.format(who=who)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError) as got:
+            extract_all(records, cfg)
+    assert caught == []
+    assert type(got.value) is type(expected)
+    assert str(got.value) == str(expected)
 
 
 def test_feature_config_validation():
