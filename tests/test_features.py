@@ -125,6 +125,16 @@ def test_extract_all_matches_the_per_record_loop_bit_for_bit(shapes):
             assert ours.tobytes() == single.tobytes() == reference.tobytes()
 
 
+def test_extract_all_refuses_channels_of_different_lengths():
+    # EmgRecord's channels are equal-length; a lattice call fits both as rows of one array
+    rng = np.random.default_rng(4)
+    rec = make_record(rng.standard_normal(64), rng.standard_normal(63), subject="s7")
+    with pytest.raises(DataError) as caught:
+        extract_all([rec], FeatureConfig(nbins=16))
+    assert str(caught.value) == ("record (label=C, subject=s7, session=d1): "
+                                 "channel length mismatch (64 vs 63)")
+
+
 def _with_fault(record, fault):
     """record with one fault that extraction refuses."""
     ch1, ch2, rate = record.channel1, record.channel2, record.sample_rate
