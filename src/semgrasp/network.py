@@ -5,10 +5,15 @@ padding) strided 1D convolutions followed by one dense layer; the two dense
 outputs are concatenated and a linear head produces six logits for softmax
 classification. Both stacks share hyperparameters but own independent
 weights, so forward and backward can run the ch2 stack on a worker thread
-while the calling thread runs ch1. Convolutions are evaluated as im2col matrix
-products so training stays fast without any framework dependency; all
-reductions use fixed summation order, and OpenBLAS runs on one thread
-(`_one_blas_thread`), so results are reproducible for a given seed and code.
+while the calling thread runs ch1. `backward` can hand the gradients to an
+update callable: each stack's on the thread that computed them, once its last
+read of its weights is done, and the head's after both stacks finish. A
+momentum update then makes the same ufunc calls on each array as it would on
+the calling thread, so the weights are the same bytes. Convolutions are
+evaluated as im2col matrix products so training stays fast without any
+framework dependency; all reductions use fixed summation order, and OpenBLAS
+runs on one thread (`_one_blas_thread`), so results are reproducible for a
+given seed and code.
 
 The code is dtype-generic: the parameters' dtype decides the dtype of the
 input, of every activation, cache and gradient. Training and inference run
@@ -79,10 +84,7 @@ def _run_stacks(fn, rows: int, ch1_args: tuple, ch2_args: tuple):
 
 def _openblas_threads():
     """OpenBLAS's (get, set) thread-count functions in the library numpy loaded, or None."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except AttributeError:  # numpy 1.x
-        lib = ctypes.CDLL(np.core._multiarray_umath.__file__)
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
                  "openblas_%s_num_threads"):
         if hasattr(lib, name % "set"):
@@ -108,21 +110,23 @@ def _one_blas_thread():
 
 
 def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of pre, computed in place."""
     if kind == "relu":
-        return np.maximum(pre, 0.0)
+        return np.maximum(pre, 0.0, out=pre)
     if kind == "identity":
         return pre
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activate_backward(d_out: np.ndarray, pre: np.ndarray, kind: str) -> np.ndarray:
-    """Gradient w.r.t. the pre-activation, given the gradient w.r.t. the output."""
+def _activate_backward(d_out: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
+    """Gradient w.r.t. the pre-activation, given the activation's output and the
+    gradient w.r.t. it. relu(pre) > 0 exactly where pre > 0, NaN included."""
     if kind == "relu":
-        # in pre's memory layout, which fixes the summation order of the bias
+        # in out's memory layout, which fixes the summation order of the bias
         # gradients; copying first keeps the masking multiply contiguous
-        d_pre = np.empty_like(pre)
+        d_pre = np.empty_like(out)
         np.copyto(d_pre, d_out)
-        d_pre *= pre > 0.0
+        d_pre *= out > 0.0
         return d_pre
     if kind == "identity":
         return d_out
@@ -170,9 +174,9 @@ def _conv_pre(x: np.ndarray, layer: Conv1dLayer):
     xw = sliding_window_view(x, kernel, axis=2)[:, :, :: layer.stride]
     xcol = xw.transpose(0, 2, 3, 1).reshape(n_batch * out_len, kernel * in_ch)
     wmat = layer.weights.transpose(1, 2, 0).reshape(kernel * in_ch, n_filt)
-    pre = (xcol @ wmat).reshape(n_batch, out_len, n_filt).transpose(0, 2, 1)
-    pre = pre + layer.bias[None, :, None]
-    return pre, xcol, wmat
+    pre = xcol @ wmat
+    pre += layer.bias
+    return pre.reshape(n_batch, out_len, n_filt).transpose(0, 2, 1), xcol, wmat
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -347,12 +351,13 @@ def _stack_forward(convs: list[Conv1dLayer], dense: DenseLayer, x: np.ndarray):
     for layer in convs:
         pre, xcol, wmat = _conv_pre(act, layer)
         out = _activate(pre, layer.activation)
-        conv_caches.append((act.shape, xcol, wmat, pre))
+        conv_caches.append((act.shape, xcol, wmat, out))
         act = out
     flat = act.reshape(act.shape[0], -1)
-    pre_d = flat @ dense.weights.T + dense.bias
+    pre_d = flat @ dense.weights.T
+    pre_d += dense.bias
     hidden = _activate(pre_d, dense.activation)
-    return hidden, (conv_caches, act.shape, flat, pre_d)
+    return hidden, (conv_caches, act.shape, flat, hidden)
 
 
 def forward(state: NetworkState, x: np.ndarray):
@@ -385,22 +390,31 @@ def _conv_backward(layer: Conv1dLayer, cache, d_pre: np.ndarray, need_dx: bool):
     db = d_pre.sum(axis=(0, 2))
     dx = None
     if need_dx:
-        dxw = (dpre_flat @ wmat.T).reshape(n_batch, out_len, kernel, in_ch)
-        # scattered in [batch, length, streams] order, so each tap adds whole rows
-        dx = np.zeros((n_batch, m, in_ch), dtype=dxw.dtype)
+        # scattered in [batch, length, streams] order. Window j covers positions
+        # z*j .. z*j + kernel - 1, so taps g*z .. g*z + z - 1 land on the z
+        # adjacent positions from z*(j + g): over rows of z positions, each group
+        # of z taps adds whole [z * streams] rows. Every position still sums its
+        # taps in increasing k.
         z = layer.stride
-        for k in range(kernel):
-            # windows at offset k are z apart, so the slice never overlaps itself
-            dx[:, k : k + z * out_len : z] += dxw[:, :, k]
-        dx = dx.transpose(0, 2, 1)
+        groups = -(-kernel // z)
+        taps = (dpre_flat @ wmat.T).reshape(n_batch, out_len, kernel * in_ch)
+        dx = np.zeros((n_batch, max(out_len + groups - 1, -(-m // z)), z * in_ch), taps.dtype)
+        for g in range(groups):
+            cols = taps[:, :, g * z * in_ch : (g + 1) * z * in_ch]
+            dx[:, g : g + out_len, : cols.shape[2]] += cols
+        dx = dx.reshape(n_batch, -1, in_ch)[:, :m].transpose(0, 2, 1)
     return dw, db, dx
 
 
-def _stack_backward(convs, dense, cache, d_hidden, prefix) -> dict[str, np.ndarray]:
-    """Gradients of one channel stack, named `{prefix}.<layer>.<attr>`."""
-    conv_caches, act_shape, flat, pre_d = cache
+def _stack_backward(convs, dense, cache, d_hidden, prefix, update=None) -> dict[str, np.ndarray]:
+    """Gradients of one channel stack, named `{prefix}.<layer>.<attr>`.
+
+    update, if given, is called on them last, on this thread: every read of
+    the stack's weights is done by then.
+    """
+    conv_caches, act_shape, flat, hidden = cache
     grads = {}
-    d_pre_d = _activate_backward(d_hidden, pre_d, dense.activation)
+    d_pre_d = _activate_backward(d_hidden, hidden, dense.activation)
     grads[f"{prefix}.dense.weights"] = d_pre_d.T @ flat
     grads[f"{prefix}.dense.bias"] = d_pre_d.sum(axis=0)
     d_act = (d_pre_d @ dense.weights).reshape(act_shape)
@@ -412,13 +426,19 @@ def _stack_backward(convs, dense, cache, d_hidden, prefix) -> dict[str, np.ndarr
         grads[f"{prefix}.conv{i}.weights"] = dw
         grads[f"{prefix}.conv{i}.bias"] = db
         d_act = dx
+    if update is not None:
+        update(grads)
     return grads
 
 
-def backward(state: NetworkState, cache, labels: np.ndarray) -> dict[str, np.ndarray]:
+def backward(state: NetworkState, cache, labels: np.ndarray, update=None):
     """Gradients of the mean cross-entropy w.r.t. every parameter.
 
     Keys match NetworkState.parameters() names; shapes mirror the parameters.
+    With an update callable, returns None instead: update(grads) is called
+    once per stack, on the thread that computed that stack's gradients, and
+    once for the head's after both stacks finish. It may overwrite the
+    gradients it is given, for example to scale them in place.
     """
     cache1, cache2, fused, probs = cache
     labels = np.asarray(labels, dtype=np.int64)
@@ -437,19 +457,26 @@ def backward(state: NetworkState, cache, labels: np.ndarray) -> dict[str, np.nda
     grads1, grads2 = _run_stacks(
         _stack_backward,
         n_batch,
-        (state.conv_stacks[0], state.dense_layers[0], cache1, d_fused[:, :d_units], "ch1"),
-        (state.conv_stacks[1], state.dense_layers[1], cache2, d_fused[:, d_units:], "ch2"),
+        (state.conv_stacks[0], state.dense_layers[0], cache1, d_fused[:, :d_units], "ch1",
+         update),
+        (state.conv_stacks[1], state.dense_layers[1], cache2, d_fused[:, d_units:], "ch2",
+         update),
     )
+    if update is not None:
+        update(grads)
+        return None
     return grads | grads1 | grads2
 
 
-def loss_and_gradients(state: NetworkState, x, labels):
+def loss_and_gradients(state: NetworkState, x, labels, update=None):
     """Forward + backward on one batch x [batch, 2, input_bins].
 
     Returns (loss, gradients, probs [batch, n_classes]); the forward cache is
     released on return, so only the small probability array outlives the call.
+    With an update callable, backward hands it the gradients (see backward)
+    and the gradients returned are None.
     """
     probs, cache = forward(state, x)
     loss = cross_entropy(probs, labels)
-    grads = backward(state, cache, labels)
+    grads = backward(state, cache, labels, update)
     return loss, grads, probs

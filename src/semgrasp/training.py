@@ -8,7 +8,10 @@ training statistics come from the forward passes of its own steps: the loss
 is the row-weighted mean of the batch losses and the accuracy the fraction
 of rows each batch's probabilities classified correctly, both taken before
 that batch's update. Its test statistics are recomputed on the full test set
-at epoch end.
+at epoch end. Each step's momentum update runs inside backward: each stack's
+arrays on the thread that computed their gradients, the head's on the
+calling thread after both stacks finish. Every array gets the same ufunc
+calls as an update after backward would make, so the bytes are unchanged.
 
 The network trains and predicts in NETWORK_DTYPE (float32): the weights are
 drawn in float64, so the seed's random stream does not depend on it, and
@@ -138,7 +141,17 @@ def train(
     rng_shuffle = np.random.default_rng([cfg.seed, SHUFFLE_STREAM])
     state = cast_network(init_network(spec, rng_init), NETWORK_DTYPE)
 
-    velocity = {name: np.zeros_like(arr) for name, arr in state.parameters()}
+    params = dict(state.parameters())
+    velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
+
+    def update(grads):
+        """Momentum SGD on the arrays grads names; scales each gradient in place."""
+        for name, g in grads.items():
+            v = velocity[name]
+            v *= cfg.momentum
+            g *= cfg.learning_rate
+            v -= g
+            params[name] += v
 
     n = len(y_tr)
     log: list[EpochStats] = []
@@ -149,16 +162,11 @@ def train(
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
                 y_batch = y_tr[batch]
-                loss, grads, probs = loss_and_gradients(state, x_tr[batch], y_batch)
+                loss, _, probs = loss_and_gradients(state, x_tr[batch], y_batch, update)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(epoch, f"batch loss = {loss}")
                 loss_sum += loss * len(batch)
                 correct += int((probs.argmax(axis=1) == y_batch).sum())
-                for name, arr in state.parameters():
-                    v = velocity[name]
-                    v *= cfg.momentum
-                    v -= cfg.learning_rate * grads[name]
-                    arr += v
             # a mean of checked batch losses is finite, so only the test loss can diverge here
             test_loss, test_acc = evaluate(state, x_te, y_te)
             if not np.isfinite(test_loss):

@@ -13,9 +13,6 @@ from scipy.signal import lfilter
 
 from semgrasp.dataset import EmgRecord
 
-# numpy renamed trapz -> trapezoid in 2.0
-trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 
 def grid_search_reflection(f: np.ndarray, b: np.ndarray, n_points: int = 100001,
                            chunk: int = 20000) -> float:

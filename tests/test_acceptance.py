@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import ar_realization, fd_gradient_check, grid_search_reflection, random_stable_ar, trapezoid
+from helpers import ar_realization, fd_gradient_check, grid_search_reflection, random_stable_ar
 
 from semgrasp.burg import burg_fit, compute_reflection, init_state, psd_from_model, update_prediction_errors
 from semgrasp.cli import main
@@ -69,7 +69,7 @@ def test_criterion_3_psd_variance_consistency():
             x = ar_realization(a, n=400000, seed=trial + 100)
             model = burg_fit(x, len(a), 500.0)
             psd = psd_from_model(model, 512)
-            integral = 2.0 * trapezoid(psd.power, psd.frequencies)
+            integral = 2.0 * np.trapezoid(psd.power, psd.frequencies)
             assert abs(integral - np.var(x)) <= 0.10 * np.var(x)
 
 

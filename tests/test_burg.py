@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
-from helpers import ar_realization, grid_search_reflection, sinusoid, trapezoid
+from helpers import ar_realization, grid_search_reflection, sinusoid
 
 from semgrasp.burg import (
     BurgModel,
@@ -488,5 +488,5 @@ def test_psd_integral_recovers_realization_variance():
         x = ar_realization(a, n=200000, seed=seed)
         model = burg_fit(x, len(a), 500.0)
         psd = psd_from_model(model, 512)
-        integral = 2.0 * trapezoid(psd.power, psd.frequencies)
+        integral = 2.0 * np.trapezoid(psd.power, psd.frequencies)
         assert integral == pytest.approx(np.var(x), rel=0.10)

@@ -282,6 +282,31 @@ def test_gradients_through_strided_conv_input_match_finite_differences():
         assert fd_gradient_check(state, x, y) < 1e-4
 
 
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+def test_conv_input_gradient_scatters_each_tap_in_order(stride):
+    # reference: one tap at a time into a zeroed buffer, so every position sums
+    # its taps in increasing order; kernels narrower than the stride leave gaps
+    rng = np.random.default_rng(stride)
+    for kernel in range(1, 7):
+        for length in range(kernel, kernel + 2 * stride + 2):
+            layer = Conv1dLayer(
+                weights=rng.standard_normal((3, kernel, 2)).astype(np.float32),
+                bias=np.zeros(3, np.float32),
+                stride=stride,
+            )
+            x = rng.standard_normal((2, 2, length)).astype(np.float32)
+            pre, xcol, wmat = _conv_pre(x, layer)
+            d_pre = rng.standard_normal(pre.shape).astype(np.float32)
+            _, _, dx = _conv_backward(layer, (x.shape, xcol, wmat, pre), d_pre, need_dx=True)
+            out_len = pre.shape[2]
+            taps = (d_pre.transpose(0, 2, 1) @ wmat.T).reshape(2, out_len, kernel, 2)
+            expected = np.zeros((2, length, 2), np.float32)
+            for k in range(kernel):
+                expected[:, k : k + stride * out_len : stride] += taps[:, :, k]
+            assert dx.shape == x.shape
+            assert np.array_equal(dx.transpose(0, 2, 1), expected), (kernel, length)
+
+
 def test_zero_loss_batch_has_stationary_head_bias():
     state, x, _ = _desk_net(1)
     y = np.array([2, 2, 2])
@@ -391,11 +416,11 @@ def test_ch2_stack_error_reaches_caller_unchanged(monkeypatch):
             raise error
         return real_forward(convs, dense, x)
 
-    def failing_backward(convs, dense, cache, d_hidden, prefix):
+    def failing_backward(convs, dense, cache, d_hidden, prefix, update=None):
         if prefix == "ch2":
             raised_on.append(threading.current_thread().name)
             raise error
-        return real_backward(convs, dense, cache, d_hidden, prefix)
+        return real_backward(convs, dense, cache, d_hidden, prefix, update)
 
     _, cache = forward(state, x)
     monkeypatch.setattr(network, "_stack_forward", failing_forward)
@@ -408,6 +433,23 @@ def test_ch2_stack_error_reaches_caller_unchanged(monkeypatch):
     assert info.value is error
     assert len(raised_on) == 2
     assert threading.current_thread().name not in raised_on
+    # an update that fails on the ch2 stack's gradients, on the ch2 thread,
+    # reaches the caller once ch1's update has run too, and the head's never runs
+    monkeypatch.undo()
+    updated = []
+
+    def failing_update(grads):
+        first = next(iter(grads))
+        if first.startswith("ch2."):
+            raised_on.append(threading.current_thread().name)
+            raise error
+        updated.append(first.split(".")[0])
+
+    with pytest.raises(ValueError) as info:
+        backward(state, cache, y, failing_update)
+    assert info.value is error
+    assert updated == ["ch1"]
+    assert len(raised_on) == 3 and raised_on[-1] != threading.current_thread().name
     # a real numpy error in ch2 only: its dense layer has the wrong width
     monkeypatch.undo()
     state.dense_layers[1].weights = state.dense_layers[1].weights[:, :-1]

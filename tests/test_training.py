@@ -9,7 +9,8 @@ from semgrasp import network, training
 from semgrasp.dataset import LABELS
 from semgrasp.errors import TrainingDivergedError
 from semgrasp.features import FeatureVector
-from semgrasp.network import ConvSpec, DenseLayer, NetworkSpec, cast_network
+from semgrasp.metrics import EpochStats
+from semgrasp.network import ConvSpec, DenseLayer, NetworkSpec, cast_network, init_network
 from semgrasp.training import (
     TrainConfig,
     evaluate,
@@ -94,8 +95,8 @@ def _recording_steps(monkeypatch):
     """Patch train's step to record (loss, rows, correctly classified rows) per batch."""
     steps = []
 
-    def step(state, x, labels):
-        loss, grads, probs = network.loss_and_gradients(state, x, labels)
+    def step(state, x, labels, update=None):
+        loss, grads, probs = network.loss_and_gradients(state, x, labels, update)
         steps.append((loss, len(labels), int((probs.argmax(axis=1) == labels).sum())))
         return loss, grads, probs
 
@@ -118,6 +119,49 @@ def test_train_columns_are_the_epochs_own_batch_statistics(normalized_split, mon
         assert sum(rows for _, rows, _ in batches) == n
         assert stats.train_loss == sum(loss * rows for loss, rows, _ in batches) / n
         assert stats.train_acc == sum(correct for _, _, correct in batches) / n
+
+
+def _reference_train(spec, train_feats, test_feats, cfg):
+    """train's loop with the momentum update applied on the calling thread, after
+    loss_and_gradients has returned the whole set of gradients."""
+    (x_tr, y_tr), (x_te, y_te) = features_to_arrays(train_feats), features_to_arrays(test_feats)
+    x_tr, x_te = x_tr.astype(training.NETWORK_DTYPE), x_te.astype(training.NETWORK_DTYPE)
+    rng_init = np.random.default_rng([cfg.seed, training.INIT_STREAM])
+    rng_shuffle = np.random.default_rng([cfg.seed, training.SHUFFLE_STREAM])
+    state = cast_network(init_network(spec, rng_init), training.NETWORK_DTYPE)
+    velocity = {name: np.zeros_like(arr) for name, arr in state.parameters()}
+    n, log = len(y_tr), []
+    with network._one_blas_thread(), np.errstate(all="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng_shuffle.permutation(n)
+            loss_sum, correct = 0.0, 0
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                loss, grads, probs = network.loss_and_gradients(state, x_tr[batch], y_tr[batch])
+                loss_sum += loss * len(batch)
+                correct += int((probs.argmax(axis=1) == y_tr[batch]).sum())
+                for name, arr in state.parameters():
+                    v = velocity[name]
+                    v *= cfg.momentum
+                    v -= cfg.learning_rate * grads[name]
+                    arr += v
+            log.append(EpochStats(loss_sum / n, correct / n, *evaluate(state, x_te, y_te)))
+    return state, log
+
+
+def test_fused_update_trains_bit_identical_to_the_reference_loop(normalized_split):
+    train_feats, test_feats = normalized_split
+    cfg = TrainConfig(epochs=4, batch_size=20, seed=9)
+    # full batches run the ch2 stack and its update on the worker thread, the
+    # short last one on this thread
+    assert 0 < len(train_feats) % cfg.batch_size < network._CONCURRENT_MIN_ROWS <= cfg.batch_size
+    state, log = train(SMALL_SPEC, train_feats, test_feats, cfg)
+    ref_state, ref_log = _reference_train(SMALL_SPEC, train_feats, test_feats, cfg)
+    assert len(log) == len(ref_log) == cfg.epochs
+    for stats, ref_stats in zip(log, ref_log):
+        assert np.array_equal(stats, ref_stats), (stats, ref_stats)
+    for (name, a), (ref_name, b) in zip(state.parameters(), ref_state.parameters()):
+        assert name == ref_name and np.array_equal(a, b), name
 
 
 def test_test_columns_evaluate_the_returned_state(normalized_split):
