@@ -9,11 +9,23 @@ while the calling thread runs ch1. `backward` can hand the gradients to an
 update callable: each stack's on the thread that computed them, once its last
 read of its weights is done, and the head's after both stacks finish. A
 momentum update then makes the same ufunc calls on each array as it would on
-the calling thread, so the weights are the same bytes. Convolutions are
-evaluated as im2col matrix products so training stays fast without any
-framework dependency; all reductions use fixed summation order, and OpenBLAS
-runs on one thread (`_one_blas_thread`), so results are reproducible for a
-given seed and code.
+the calling thread, so the weights are the same bytes.
+
+Convolutions are evaluated as im2col matrix products so training stays fast
+without any framework dependency. Every conv activation, cache and gradient
+is a C-contiguous [batch, length, filters] array (channels-last): a conv's
+im2col is one strided window view of its input, [batch, out_len, kernel *
+streams] in tap-major then stream order, copied once by a reshape. The
+flatten before each dense layer is the one transpose, to the filter-major
+order the dense weights index, and backward undoes it once.
+
+Results are reproducible for a given seed, code and BLAS kernel: all
+reductions use a fixed summation order and OpenBLAS runs on one thread
+(`_one_blas_thread`), but OpenBLAS picks its GEMM kernel by CPU model when
+numpy loads it, and the kernel's summation order decides the last bits.
+Five kernels on one host (the default SkylakeX, Haswell, SandyBridge,
+Nehalem and Prescott, chosen through OPENBLAS_CORETYPE) trained five
+different `model.bin` files from one seed.
 
 The code is dtype-generic: the parameters' dtype decides the dtype of the
 input, of every activation, cache and gradient. Training and inference run
@@ -34,7 +46,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 PROB_FLOOR = 1e-12
 
@@ -118,16 +130,21 @@ def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activate_backward(d_out: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
+def _activate_backward(
+    d_out: np.ndarray, out: np.ndarray, kind: str, owned: bool = False
+) -> np.ndarray:
     """Gradient w.r.t. the pre-activation, given the activation's output and the
-    gradient w.r.t. it. relu(pre) > 0 exactly where pre > 0, NaN included."""
+    gradient w.r.t. it. relu(pre) > 0 exactly where pre > 0, NaN included.
+    owned: d_out is the caller's own buffer, in out's index order; it is masked in place."""
     if kind == "relu":
-        # in out's memory layout, which fixes the summation order of the bias
-        # gradients; copying first keeps the masking multiply contiguous
-        d_pre = np.empty_like(out)
-        np.copyto(d_pre, d_out)
-        d_pre *= out > 0.0
-        return d_pre
+        if not owned:
+            # in out's memory layout, which fixes the summation order of the bias
+            # gradients; copying first keeps the masking multiply contiguous
+            d_pre = np.empty_like(out)
+            np.copyto(d_pre, d_out)
+            d_out = d_pre
+        d_out *= out > 0.0
+        return d_out
     if kind == "identity":
         return d_out
     raise ValueError(f"unknown activation {kind!r}")
@@ -162,21 +179,24 @@ class DenseLayer:
 
 
 def _conv_pre(x: np.ndarray, layer: Conv1dLayer):
-    """Pre-activation of a conv layer. x: [batch, streams, length]."""
+    """Pre-activation of a conv layer, [batch, out_len, filters]. x: [batch, length, streams]."""
     if x.ndim != 3:
-        raise ValueError(f"conv input must be [batch, streams, length], got shape {x.shape}")
-    n_batch, n_streams, m = x.shape
+        raise ValueError(f"conv input must be [batch, length, streams], got shape {x.shape}")
+    n_batch, m, n_streams = x.shape
     n_filt, kernel, in_ch = layer.weights.shape
     if n_streams != in_ch:
         raise ValueError(f"conv expects {in_ch} input streams, got {n_streams}")
     out_len = conv_output_length(m, kernel, layer.stride)
-    # a strided view, [batch, streams, out_len, kernel]: the reshape below is the only copy
-    xw = sliding_window_view(x, kernel, axis=2)[:, :, :: layer.stride]
-    xcol = xw.transpose(0, 2, 3, 1).reshape(n_batch * out_len, kernel * in_ch)
+    # window j is the kernel * streams values from position stride * j, tap-major
+    # then stream, which is wmat's K order; the reshape below is the only copy
+    sb, sl, ss = x.strides
+    xw = as_strided(x, (n_batch, out_len, kernel, in_ch), (sb, layer.stride * sl, sl, ss),
+                    writeable=False)
+    xcol = xw.reshape(n_batch * out_len, kernel * in_ch)
     wmat = layer.weights.transpose(1, 2, 0).reshape(kernel * in_ch, n_filt)
     pre = xcol @ wmat
     pre += layer.bias
-    return pre.reshape(n_batch, out_len, n_filt).transpose(0, 2, 1), xcol, wmat
+    return pre.reshape(n_batch, out_len, n_filt), xcol, wmat
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -346,55 +366,71 @@ def init_network(spec: NetworkSpec, rng: np.random.Generator) -> NetworkState:
 
 def _stack_forward(convs: list[Conv1dLayer], dense: DenseLayer, x: np.ndarray):
     """One channel: conv chain -> flatten -> dense. x: [batch, input_bins]."""
-    act = x[:, None, :]
+    act = x[:, :, None]
     conv_caches = []
     for layer in convs:
         pre, xcol, wmat = _conv_pre(act, layer)
         out = _activate(pre, layer.activation)
         conv_caches.append((act.shape, xcol, wmat, out))
         act = out
-    flat = act.reshape(act.shape[0], -1)
+    # the one transpose: the dense layer reads the activation filter-major
+    flat = act.transpose(0, 2, 1).reshape(act.shape[0], -1)
     pre_d = flat @ dense.weights.T
     pre_d += dense.bias
     hidden = _activate(pre_d, dense.activation)
     return hidden, (conv_caches, act.shape, flat, hidden)
 
 
-def forward(state: NetworkState, x: np.ndarray):
+def _stack_chunks(convs: list[Conv1dLayer], dense: DenseLayer, x: np.ndarray, chunk: int):
+    """One stack's dense outputs for x, forwarded `chunk` rows at a time; caches are dropped."""
+    return [_stack_forward(convs, dense, x[start : start + chunk])[0]
+            for start in range(0, len(x), chunk)]
+
+
+def _head(head: DenseLayer, h1: np.ndarray, h2: np.ndarray):
+    """(fused, probs) of the two stacks' dense outputs."""
+    fused = np.concatenate([h1, h2], axis=1)
+    return fused, softmax(fused @ head.weights.T + head.bias)
+
+
+def forward(state: NetworkState, x: np.ndarray, chunk: int | None = None):
     """Full forward pass of x [batch, 2, input_bins]; returns (probs [batch, n_classes], cache).
 
-    x is converted to the parameters' dtype; probs are float64.
+    x is converted to the parameters' dtype; probs are float64. With chunk,
+    the cache is None and each stack runs over all of x, `chunk` rows per
+    pass, with one hand-off to the worker thread for the whole set; then the
+    head runs on each chunk. Every row gets the numpy calls it would get in
+    forward(state, x[start : start + chunk]), so the probabilities are the same bytes.
     """
     if x.ndim != 3 or x.shape[1] != 2:
         raise ValueError(f"network input must be [batch, 2, bins], got shape {x.shape}")
     x = x.astype(state.head.weights.dtype, copy=False)
-    (h1, cache1), (h2, cache2) = _run_stacks(
-        _stack_forward,
-        len(x),
-        (state.conv_stacks[0], state.dense_layers[0], x[:, 0]),
-        (state.conv_stacks[1], state.dense_layers[1], x[:, 1]),
-    )
-    fused = np.concatenate([h1, h2], axis=1)
-    logits = fused @ state.head.weights.T + state.head.bias
-    probs = softmax(logits)
+    ch1 = (state.conv_stacks[0], state.dense_layers[0], x[:, 0])
+    ch2 = (state.conv_stacks[1], state.dense_layers[1], x[:, 1])
+    if chunk is not None:
+        hidden1, hidden2 = _run_stacks(_stack_chunks, len(x), (*ch1, chunk), (*ch2, chunk))
+        return np.vstack([_head(state.head, h1, h2)[1] for h1, h2 in zip(hidden1, hidden2)]), None
+    (h1, cache1), (h2, cache2) = _run_stacks(_stack_forward, len(x), ch1, ch2)
+    fused, probs = _head(state.head, h1, h2)
     return probs, (cache1, cache2, fused, probs)
 
 
 def _conv_backward(layer: Conv1dLayer, cache, d_pre: np.ndarray, need_dx: bool):
+    """(dw, db, dx) of a conv layer. d_pre: [batch, out_len, filters]; dx: [batch, length,
+    streams], or None without need_dx."""
     in_shape, xcol, wmat, _ = cache
-    n_batch, in_ch, m = in_shape
+    n_batch, m, in_ch = in_shape
     n_filt, kernel, _ = layer.weights.shape
-    out_len = d_pre.shape[2]
-    dpre_flat = d_pre.transpose(0, 2, 1).reshape(n_batch * out_len, n_filt)
+    out_len = d_pre.shape[1]
+    dpre_flat = d_pre.reshape(n_batch * out_len, n_filt)
     dw = (xcol.T @ dpre_flat).reshape(kernel, in_ch, n_filt).transpose(2, 0, 1)
-    db = d_pre.sum(axis=(0, 2))
+    db = d_pre.sum(axis=(0, 1))
     dx = None
     if need_dx:
-        # scattered in [batch, length, streams] order. Window j covers positions
-        # z*j .. z*j + kernel - 1, so taps g*z .. g*z + z - 1 land on the z
-        # adjacent positions from z*(j + g): over rows of z positions, each group
-        # of z taps adds whole [z * streams] rows. Every position still sums its
-        # taps in increasing k.
+        # Window j covers positions z*j .. z*j + kernel - 1, so taps g*z .. g*z + z - 1
+        # land on the z adjacent positions from z*(j + g): over rows of z positions,
+        # each group of z taps adds whole [z * streams] rows. Every position still
+        # sums its taps in increasing k.
         z = layer.stride
         groups = -(-kernel // z)
         taps = (dpre_flat @ wmat.T).reshape(n_batch, out_len, kernel * in_ch)
@@ -402,7 +438,7 @@ def _conv_backward(layer: Conv1dLayer, cache, d_pre: np.ndarray, need_dx: bool):
         for g in range(groups):
             cols = taps[:, :, g * z * in_ch : (g + 1) * z * in_ch]
             dx[:, g : g + out_len, : cols.shape[2]] += cols
-        dx = dx.reshape(n_batch, -1, in_ch)[:, :m].transpose(0, 2, 1)
+        dx = dx.reshape(n_batch, -1, in_ch)[:, :m]
     return dw, db, dx
 
 
@@ -417,11 +453,14 @@ def _stack_backward(convs, dense, cache, d_hidden, prefix, update=None) -> dict[
     d_pre_d = _activate_backward(d_hidden, hidden, dense.activation)
     grads[f"{prefix}.dense.weights"] = d_pre_d.T @ flat
     grads[f"{prefix}.dense.bias"] = d_pre_d.sum(axis=0)
-    d_act = (d_pre_d @ dense.weights).reshape(act_shape)
+    n_batch, length, streams = act_shape
+    # the flatten's transpose, undone
+    d_act = (d_pre_d @ dense.weights).reshape(n_batch, streams, length).transpose(0, 2, 1)
     for i in range(len(convs) - 1, -1, -1):
         layer = convs[i]
         conv_cache = conv_caches[i]
-        d_pre = _activate_backward(d_act, conv_cache[3], layer.activation)
+        # below the last conv, d_act is the input gradient _conv_backward just built
+        d_pre = _activate_backward(d_act, conv_cache[3], layer.activation, i < len(convs) - 1)
         dw, db, dx = _conv_backward(layer, conv_cache, d_pre, need_dx=i > 0)
         grads[f"{prefix}.conv{i}.weights"] = dw
         grads[f"{prefix}.conv{i}.bias"] = db

@@ -2,16 +2,22 @@
 
 Determinism contract: one config seed feeds two named sub-streams
 (weight init and epoch shuffling), and batches are visited in shuffle order,
-so identical inputs, seed and code reproduce identical logs bit for bit;
-`train` and every inference call run OpenBLAS on one thread. An epoch's
-training statistics come from the forward passes of its own steps: the loss
-is the row-weighted mean of the batch losses and the accuracy the fraction
-of rows each batch's probabilities classified correctly, both taken before
-that batch's update. Its test statistics are recomputed on the full test set
-at epoch end. Each step's momentum update runs inside backward: each stack's
-arrays on the thread that computed their gradients, the head's on the
-calling thread after both stacks finish. Every array gets the same ufunc
-calls as an update after backward would make, so the bytes are unchanged.
+so identical inputs, seed, code and BLAS kernel reproduce identical logs bit
+for bit; `train` and every inference call run OpenBLAS on one thread. The
+kernel is part of the contract because OpenBLAS picks it by CPU model: five
+kernels on one host gave five different `model.bin` files from one seed (see
+the network module).
+
+An epoch's training statistics come from the forward passes of its own
+steps: the loss is the row-weighted mean of the batch losses and the
+accuracy the fraction of rows each batch's probabilities classified
+correctly, both taken before that batch's update. Its test statistics are
+recomputed on the full test set at epoch end, by one `forward` call that
+runs each stack over the whole set in _EVAL_CHUNK-row passes. Each step's
+momentum update runs inside backward: each stack's arrays on the thread that
+computed their gradients, the head's on the calling thread after both stacks
+finish. Every array gets the same ufunc calls as an update after backward
+would make, so the bytes are unchanged.
 
 The network trains and predicts in NETWORK_DTYPE (float32): the weights are
 drawn in float64, so the seed's random stream does not depend on it, and
@@ -46,7 +52,11 @@ from .network import (
 # the one dtype of the parameters, activations and gradients in training and inference
 NETWORK_DTYPE = np.float32
 
-# rows per evaluation forward: at 32 the conv im2col matrices stay in cache
+# Rows per evaluation pass. It is not a cache size: larger passes ran faster
+# (270 rows took 25.3 ms at 32, 23.4 at 64, 20.5 at 96 on a 2-core Xeon VM).
+# It is part of the bytes, since a float32 GEMM rounds by its row count under
+# some OpenBLAS kernels (64-row passes changed epochs.csv under Haswell), and
+# it bounds memory: 96-row passes raised the train benchmark's peak RSS 6.7%.
 _EVAL_CHUNK = 32
 
 # sub-seed tags so split/init/shuffle streams can be reproduced in isolation
@@ -78,16 +88,14 @@ def features_to_arrays(features: list[FeatureVector]):
 
 @_one_blas_thread()
 def _forward_chunks(state: NetworkState, x: np.ndarray) -> np.ndarray:
-    """Probabilities for a whole set, forwarded in fixed-size chunks.
+    """Probabilities for a whole set: one forward call, which runs each stack over
+    all of x in _EVAL_CHUNK-row passes, ch2 on the worker thread, then the head per pass.
 
     numpy's floating-point warnings stay silent: a caller that needs finite
     probabilities checks them.
     """
     with np.errstate(all="ignore"):
-        return np.vstack([
-            forward(state, x[start : start + _EVAL_CHUNK])[0]
-            for start in range(0, len(x), _EVAL_CHUNK)
-        ])
+        return forward(state, x, chunk=_EVAL_CHUNK)[0]
 
 
 def evaluate(state: NetworkState, x: np.ndarray, y: np.ndarray):

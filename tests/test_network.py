@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers import fd_gradient_check
 
@@ -95,7 +96,7 @@ def _conv(layer, x):
 
 
 def test_conv_width_one_kernel_is_identity():
-    x = np.array([[[1.0, -2.0, 3.0, 4.0]]])
+    x = np.array([[[1.0], [-2.0], [3.0], [4.0]]])
     np.testing.assert_array_equal(_conv(_identity_conv(), x), x)
 
 
@@ -103,8 +104,8 @@ def test_conv_sliding_sum_by_hand():
     layer = Conv1dLayer(
         weights=np.ones((1, 2, 1)), bias=np.zeros(1), stride=1, activation="identity"
     )
-    x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
-    np.testing.assert_array_equal(_conv(layer, x), np.array([[[3.0, 5.0, 7.0]]]))
+    x = np.array([[[1.0], [2.0], [3.0], [4.0]]])
+    np.testing.assert_array_equal(_conv(layer, x), np.array([[[3.0], [5.0], [7.0]]]))
 
 
 def test_conv_output_length_formula():
@@ -112,18 +113,18 @@ def test_conv_output_length_formula():
     layer = Conv1dLayer(
         weights=np.ones((1, 3, 1)), bias=np.zeros(1), stride=2, activation="identity"
     )
-    out = _conv(layer, np.zeros((1, 1, 10)))
-    assert out.shape == (1, 1, 4)
+    out = _conv(layer, np.zeros((1, 10, 1)))
+    assert out.shape == (1, 4, 1)
 
 
 def test_conv_kernel_wider_than_input_errors():
     layer = Conv1dLayer(weights=np.ones((1, 5, 1)), bias=np.zeros(1), stride=1)
     with pytest.raises(ValueError, match="kernel width"):
-        _conv(layer, np.zeros((1, 1, 4)))
+        _conv(layer, np.zeros((1, 4, 1)))
     with pytest.raises(ValueError, match="streams"):
         _conv(
             Conv1dLayer(weights=np.ones((1, 2, 2)), bias=np.zeros(1), stride=1),
-            np.zeros((1, 1, 4)),
+            np.zeros((1, 4, 1)),
         )
 
 
@@ -134,7 +135,8 @@ def test_multistream_single_layer_equals_conv_forward():
     )
     x = rng.standard_normal((2, 7))
     hidden, _ = _stack_forward([layer], _identity_dense(3 * 6), x)
-    expected = np.maximum(_conv(layer, x[:, None, :]), 0.0).reshape(2, -1)
+    # the dense layer reads the conv output filter-major
+    expected = np.maximum(_conv(layer, x[:, :, None]), 0.0).transpose(0, 2, 1).reshape(2, -1)
     np.testing.assert_array_equal(hidden, expected)
 
 
@@ -165,7 +167,7 @@ def test_conv_matches_brute_force_sliding_window():
             stride=stride,
             activation="identity",
         )
-        x = rng.standard_normal((batch, in_ch, length))
+        x = rng.standard_normal((batch, length, in_ch))
         out = _conv(layer, x)
         out_len = (length - kernel) // stride + 1
         for b in range(batch):
@@ -174,8 +176,8 @@ def test_conv_matches_brute_force_sliding_window():
                     acc = layer.bias[f]
                     for k in range(kernel):
                         for c in range(in_ch):
-                            acc += layer.weights[f, k, c] * x[b, c, s * stride + k]
-                    assert out[b, f, s] == pytest.approx(acc, rel=1e-12, abs=1e-12)
+                            acc += layer.weights[f, k, c] * x[b, s * stride + k, c]
+                    assert out[b, s, f] == pytest.approx(acc, rel=1e-12, abs=1e-12)
 
 
 def test_multistream_shape_oracle_random_stacks():
@@ -209,7 +211,7 @@ def test_multistream_shape_oracle_random_stacks():
         hidden, (_, last_shape, _, _) = _stack_forward(
             layers, dense, rng.standard_normal((2, length))
         )
-        assert last_shape == (2, in_ch, expected)
+        assert last_shape == (2, expected, in_ch)
         assert hidden.shape == (2, in_ch * expected)
 
 
@@ -294,17 +296,81 @@ def test_conv_input_gradient_scatters_each_tap_in_order(stride):
                 bias=np.zeros(3, np.float32),
                 stride=stride,
             )
-            x = rng.standard_normal((2, 2, length)).astype(np.float32)
+            x = rng.standard_normal((2, length, 2)).astype(np.float32)
             pre, xcol, wmat = _conv_pre(x, layer)
             d_pre = rng.standard_normal(pre.shape).astype(np.float32)
             _, _, dx = _conv_backward(layer, (x.shape, xcol, wmat, pre), d_pre, need_dx=True)
-            out_len = pre.shape[2]
-            taps = (d_pre.transpose(0, 2, 1) @ wmat.T).reshape(2, out_len, kernel, 2)
+            out_len = pre.shape[1]
+            taps = (d_pre @ wmat.T).reshape(2, out_len, kernel, 2)
             expected = np.zeros((2, length, 2), np.float32)
             for k in range(kernel):
                 expected[:, k : k + stride * out_len : stride] += taps[:, :, k]
             assert dx.shape == x.shape
-            assert np.array_equal(dx.transpose(0, 2, 1), expected), (kernel, length)
+            assert np.array_equal(dx, expected), (kernel, length)
+
+
+def _streams_first_conv_pre(x, layer):
+    """_conv_pre's formulas for the former [batch, streams, length] layout."""
+    n_batch, in_ch, m = x.shape
+    n_filt, kernel, _ = layer.weights.shape
+    out_len = conv_output_length(m, kernel, layer.stride)
+    xw = sliding_window_view(x, kernel, axis=2)[:, :, :: layer.stride]
+    xcol = xw.transpose(0, 2, 3, 1).reshape(n_batch * out_len, kernel * in_ch)
+    wmat = layer.weights.transpose(1, 2, 0).reshape(kernel * in_ch, n_filt)
+    pre = xcol @ wmat
+    pre += layer.bias
+    return pre.reshape(n_batch, out_len, n_filt).transpose(0, 2, 1), xcol, wmat
+
+
+def _streams_first_conv_backward(layer, in_shape, xcol, wmat, d_pre):
+    """_conv_backward's formulas for the former layout: d_pre [batch, filters, out_len],
+    dx [batch, streams, length]."""
+    n_batch, in_ch, m = in_shape
+    n_filt, kernel, _ = layer.weights.shape
+    out_len = d_pre.shape[2]
+    dpre_flat = d_pre.transpose(0, 2, 1).reshape(n_batch * out_len, n_filt)
+    dw = (xcol.T @ dpre_flat).reshape(kernel, in_ch, n_filt).transpose(2, 0, 1)
+    db = d_pre.sum(axis=(0, 2))
+    z = layer.stride
+    groups = -(-kernel // z)
+    taps = (dpre_flat @ wmat.T).reshape(n_batch, out_len, kernel * in_ch)
+    dx = np.zeros((n_batch, max(out_len + groups - 1, -(-m // z)), z * in_ch), taps.dtype)
+    for g in range(groups):
+        cols = taps[:, :, g * z * in_ch : (g + 1) * z * in_ch]
+        dx[:, g : g + out_len, : cols.shape[2]] += cols
+    return dw, db, dx.reshape(n_batch, -1, in_ch)[:, :m].transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("streams", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_channels_last_conv_is_bit_identical_to_streams_first(dtype, streams, batch):
+    # the same sums in the same order: only the activations' index order changed.
+    # The former layout held each activation in [batch, length, streams] memory
+    # viewed as [batch, streams, length], so both sides get the same d_pre memory
+    rng = np.random.default_rng([batch, streams])
+    for stride in range(1, 5):
+        for kernel in range(1, 7):
+            for length in [*range(kernel, kernel + 2 * stride + 2), 61, 128]:
+                layer = Conv1dLayer(
+                    weights=rng.standard_normal((4, kernel, streams)).astype(dtype),
+                    bias=rng.standard_normal(4).astype(dtype),
+                    stride=stride,
+                )
+                x = rng.standard_normal((batch, length, streams)).astype(dtype)
+                pre, xcol, wmat = _conv_pre(x, layer)
+                ref_pre, ref_xcol, ref_wmat = _streams_first_conv_pre(x.transpose(0, 2, 1), layer)
+                where = (stride, kernel, length)
+                assert np.array_equal(xcol, ref_xcol) and np.array_equal(wmat, ref_wmat), where
+                assert pre.flags.c_contiguous and np.array_equal(pre, ref_pre.transpose(0, 2, 1))
+                d_pre = rng.standard_normal(pre.shape).astype(dtype)
+                dw, db, dx = _conv_backward(layer, (x.shape, xcol, wmat, pre), d_pre, True)
+                ref_dw, ref_db, ref_dx = _streams_first_conv_backward(
+                    layer, (batch, streams, length), ref_xcol, ref_wmat, d_pre.transpose(0, 2, 1)
+                )
+                assert np.array_equal(dw, ref_dw) and np.array_equal(db, ref_db), where
+                assert dx.shape == x.shape and np.array_equal(dx, ref_dx.transpose(0, 2, 1)), where
+                assert {a.dtype for a in (pre, dw, db, dx)} == {np.dtype(dtype)}
 
 
 def test_zero_loss_batch_has_stationary_head_bias():

@@ -1,6 +1,7 @@
 import ctypes
 import platform
 import resource
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from semgrasp.dataset import LABELS
 from semgrasp.errors import TrainingDivergedError
 from semgrasp.features import FeatureVector
 from semgrasp.metrics import EpochStats
-from semgrasp.network import ConvSpec, DenseLayer, NetworkSpec, cast_network, init_network
+from semgrasp.network import (
+    ConvSpec,
+    DenseLayer,
+    NetworkSpec,
+    cast_network,
+    cross_entropy,
+    init_network,
+)
 from semgrasp.training import (
     TrainConfig,
     evaluate,
@@ -274,6 +282,59 @@ def _random_features(rng, n, nbins=128):
         FeatureVector(rng.standard_normal(nbins), rng.standard_normal(nbins), LABELS[i % 6])
         for i in range(n)
     ]
+
+
+def _per_chunk_probs(state, x):
+    """The probabilities of one forward per _EVAL_CHUNK rows, both stacks per call."""
+    chunk = training._EVAL_CHUNK
+    with network._one_blas_thread(), np.errstate(all="ignore"):
+        return np.vstack([
+            network.forward(state, x[start : start + chunk])[0]
+            for start in range(0, len(x), chunk)
+        ])
+
+
+# 270: 8 full chunks and a 14-row tail; 15 runs the stacks in turn; 1 is a predict
+@pytest.mark.parametrize("rows", [270, 15, 1])
+def test_streamed_evaluation_equals_per_chunk_forwards(rows):
+    rng = np.random.default_rng(rows)
+    spec = NetworkSpec(input_bins=128)
+    state = cast_network(init_network(spec, rng), training.NETWORK_DTYPE)
+    features = _random_features(rng, rows)
+    x, y = features_to_arrays(features)
+    expected = _per_chunk_probs(state, x)
+    assert expected.shape == (rows, 6)
+    assert evaluate(state, x, y) == (
+        cross_entropy(expected, y), int((expected.argmax(axis=1) == y).sum()) / rows
+    )
+    preds, probs = predict_batch(state, features)
+    assert np.array_equal(probs, expected) and np.array_equal(preds, expected.argmax(axis=1))
+
+
+def test_streamed_evaluation_ch2_error_reaches_caller_after_ch1(monkeypatch):
+    rng = np.random.default_rng(2)
+    state = cast_network(init_network(SMALL_SPEC, rng), training.NETWORK_DTYPE)
+    x, y = features_to_arrays(_random_features(rng, 270, 32))
+    error = ValueError("ch2 stack failed")
+    calls = []
+    real_forward = network._stack_forward
+
+    def failing_forward(convs, dense, x):
+        ch = 2 if dense is state.dense_layers[1] else 1
+        calls.append((ch, threading.current_thread().name))
+        if ch == 2 and len([c for c, _ in calls if c == 2]) == 3:
+            raise error
+        return real_forward(convs, dense, x)
+
+    monkeypatch.setattr(network, "_stack_forward", failing_forward)
+    with pytest.raises(ValueError) as info:
+        evaluate(state, x, y)
+    assert info.value is error
+    # ch1 ran all nine chunks on this thread; ch2 stopped at its third, on the worker
+    threads = {ch: {name for c, name in calls if c == ch} for ch in (1, 2)}
+    assert [c for c, _ in calls].count(1) == 9 and [c for c, _ in calls].count(2) == 3
+    assert threads[1] == {threading.current_thread().name}
+    assert threading.current_thread().name not in threads[2]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
