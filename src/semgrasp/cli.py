@@ -16,25 +16,18 @@ import json
 import sys
 from dataclasses import asdict
 from functools import partial
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import (
-    LABELS,
-    convert_class_matrices,
-    load_dataset,
-    read_reduced,
-    split_by_labels,
-)
+from .dataset import LABELS, _read_chunk, convert_class_matrices, load_dataset, split_by_labels
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .features import (
     FeatureConfig,
     FeatureVector,
     apply_normalizer,
-    extract_all,
-    feature_row,
+    extract_all,  # unused here; benchmarks/workloads.py traces cli.extract_all
+    feature_rows,
     fit_normalizer,
     load_features_csv,
     save_features_csv,
@@ -187,25 +180,23 @@ def cmd_train(args) -> int:
 
     if cfg["dataset"] is not None:
         kind, chosen, value = cfg["subset"].partition("=")
-        ds = load_dataset(cfg["dataset"], partial(feature_row, cfg=fcfg),
+        ds = load_dataset(cfg["dataset"], partial(feature_rows, cfg=fcfg),
                           **({kind: value} if chosen else {}))
         print(f"dataset: {ds.name}, {len(ds)} records, rate {ds.sample_rate} Hz")
-        labels = ds.labels
-        feats = unstack_channels(ds.stack(), labels)
+        x, labels = ds.stack(), ds.labels
         sample_rate: float | None = ds.sample_rate
         data_name = ds.name
     else:
-        feats = load_features_csv(cfg["features"])
-        nbins = len(feats[0].channel1_features)
-        if nbins != fcfg.nbins:
+        x, labels = load_features_csv(cfg["features"])
+        if x.shape[2] != fcfg.nbins:
             raise ConfigError(
-                f"feature dump has {nbins} bins per channel but features_config.nbins is "
+                f"feature dump has {x.shape[2]} bins per channel but features_config.nbins is "
                 f"{fcfg.nbins}"
             )
-        labels = [f.label for f in feats]
         sample_rate = cfg["sample_rate"]
         data_name = Path(cfg["features"]).stem
-        print(f"features: {data_name}, {len(feats)} records")
+        print(f"features: {data_name}, {len(labels)} records")
+    feats = unstack_channels(x, labels)
 
     plan = split_by_labels(labels, cfg["split_fraction"], cfg["seed"])
     # the run directory exists only once the data is known good
@@ -271,7 +262,7 @@ def _classify(bundle: ModelBundle, feats: list[FeatureVector], model):
 
 def cmd_eval(args) -> int:
     bundle = load_model(args.model)
-    ds = load_dataset(args.data, partial(feature_row, cfg=bundle.feature_config))
+    ds = load_dataset(args.data, partial(feature_rows, cfg=bundle.feature_config))
     if bundle.sample_rate is not None and ds.sample_rate != bundle.sample_rate:
         raise DataError(
             f"sample rate mismatch: model expects {bundle.sample_rate} Hz, "
@@ -303,9 +294,9 @@ def cmd_predict(args) -> int:
             "extract features from a raw record"
         )
     # a record read for inference has no label, subject or session
-    _, feats = read_reduced((Path(args.record), None, bundle.sample_rate, None, None),
-                            lambda record: extract_all([record], bundle.feature_config))
-    preds, probs = _classify(bundle, feats, args.model)
+    _, x = _read_chunk([(Path(args.record), None, bundle.sample_rate, None, None)],
+                       partial(feature_rows, cfg=bundle.feature_config))
+    preds, probs = _classify(bundle, unstack_channels(x, [None]), args.model)
     print("label," + ",".join(f"p_{lab}" for lab in LABELS))
     print(LABELS[preds[0]] + "," + ",".join(repr(float(p)) for p in probs[0]))
     return 0
@@ -317,9 +308,13 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _lengths(records: list) -> list[int]:  # validate's load_dataset reducer
+    return [r.n_samples for r in records]
+
+
 def cmd_validate(args) -> int:
     # load_dataset checks that every record has the first one's length
-    ds = load_dataset(args.data, attrgetter("n_samples"))
+    ds = load_dataset(args.data, _lengths)
     print(f"dataset {ds.name}: {len(ds)} records, {ds.rows[0]} samples each, "
           f"{ds.sample_rate} Hz")
     print("per class: " + " ".join(f"{lab}={ds.labels.count(lab)}" for lab in LABELS))
@@ -333,10 +328,9 @@ def cmd_extract(args) -> int:
         fcfg = FeatureConfig(ar_order=args.ar_order, nbins=args.nbins, log_floor=args.log_floor)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    ds = load_dataset(args.data, partial(feature_row, cfg=fcfg))
-    feats = unstack_channels(ds.stack(), ds.labels)
-    save_features_csv(args.out, feats)
-    print(f"wrote {len(feats)} feature rows ({fcfg.nbins} bins/channel) to {args.out}")
+    ds = load_dataset(args.data, partial(feature_rows, cfg=fcfg))
+    save_features_csv(args.out, ds.stack(), ds.labels)
+    print(f"wrote {len(ds)} feature rows ({fcfg.nbins} bins/channel) to {args.out}")
     return 0
 
 

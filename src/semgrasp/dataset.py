@@ -10,7 +10,7 @@ Labels are the single characters C/T/L/H/P/S (six grasp types), mapped to
 class indices 0..5 in that order. Floats are written with Python's ``repr``
 (shortest round-trip form), so write -> load -> write reproduces the stored
 text exactly. write_dataset writes a list of EmgRecords; load_dataset reduces
-each record, where it reads it, to the one row its caller needs.
+each chunk of records, where it reads them, to the one row per record its caller needs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def _check_alike(name: str, shapes: list[tuple[object, float, int]]) -> None:
 
 @dataclass
 class Dataset:
-    """A loaded dataset: each record's metadata and the row it was reduced to as it was read."""
+    """A loaded dataset: each record's metadata and its row of the reduced chunk it was read in."""
 
     name: str
     sample_rate: float
@@ -138,8 +138,8 @@ class SplitPlan:
 
 # (record path, label, sample rate, subject, session) of one manifest row
 _Entry = tuple[Path, str | None, float, str | None, str | None]
-# what load_dataset reduces each record to, in the process that reads it
-_Reducer = Callable[[EmgRecord], object]
+# load_dataset's reduction of one chunk's records, where they are read, to one row each
+_Reducer = Callable[[list[EmgRecord]], Sequence]
 
 
 def _fmt(x: float) -> str:
@@ -160,8 +160,8 @@ def load_dataset(path: str | Path, reduce: _Reducer, subject: str | None = None,
     first one's sample rate and length. A record the call does not select is
     never opened.
 
-    Each record is reduced to ``reduce(record)`` in the process that reads
-    it, and its channels are dropped there.
+    Each chunk of _CHUNK_RECORDS records is reduced to ``reduce(records)``, one
+    row per record, in the process that reads it, and its channels are dropped there.
     """
     root = Path(path)
     manifest = root / MANIFEST_NAME
@@ -177,12 +177,12 @@ def load_dataset(path: str | Path, reduce: _Reducer, subject: str | None = None,
         asked = ",".join(f"{k}={v}" for k, v in wanted.items())
         raise DataError(f"subset {asked!r} selected no records")
     read = _read_records(entries, reduce)
+    lengths = (n for chunk_lengths, _ in read for n in chunk_lengths)
     # the reader and the manifest check already refuse what EmgRecord.validate would
-    _check_alike(root.name, [(file, rate, n)
-                             for (file, _, rate, _, _), (n, _) in zip(entries, read)])
+    _check_alike(root.name, [(file, rate, n) for (file, _, rate, _, _), n in zip(entries, lengths)])
     _, labels, _, subjects, sessions = zip(*entries)
     return Dataset("/".join([root.name, *wanted.values()]), entries[0][2], list(labels),
-                   list(subjects), list(sessions), [row for _, row in read])
+                   list(subjects), list(sessions), [row for _, rows in read for row in rows])
 
 
 def _manifest_entries(root: Path, manifest: Path):
@@ -228,6 +228,8 @@ def _manifest_entries(root: Path, manifest: Path):
             raise DataError(
                 f"{manifest}:{lineno}: record file {fname!r} lies outside the dataset directory"
             )
+        if resolved == base:  # an empty cell or "."
+            raise DataError(f"{manifest}:{lineno}: record file {fname!r} is the dataset directory")
         if resolved in listed_on:
             raise DataError(f"{manifest}:{lineno}: record file {fname!r} is listed on line "
                             f"{listed_on[resolved]} too")
@@ -241,7 +243,7 @@ def _manifest_entries(root: Path, manifest: Path):
 # 1.3-1.5x the in-process time up to 32 records, 0.89x at 48 and 0.73-0.84x
 # from 64 to 128 (medians of 7 loads each).
 _PARALLEL_MIN_RECORDS = 64
-# records per task sent to a worker
+# records per chunk, the unit read and reduced at once, in a worker or in-process
 _CHUNK_RECORDS = 32
 
 
@@ -249,38 +251,48 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def read_reduced(entry: _Entry, reduce: _Reducer) -> tuple[int, object]:
-    """(length, ``reduce(record)``) of one manifest entry's record file.
+def _read_chunk(entries: list[_Entry], reduce: _Reducer) -> tuple[list[int], Sequence]:
+    """(each record's length, ``reduce(records)``) of one chunk of manifest entries.
 
-    A file's error is raised as the reader words it, and a DataError that
-    ``reduce`` raises as the same type, its message prefixed with the path.
+    Reads the records up to the first that cannot be read and reduces them in
+    one call. The first failure in entry order is raised: the reduction's
+    DataError as the same type, prefixed with the path of the first record
+    that fails alone, else the read's error as the reader words it.
     """
-    path, label, rate, subject, session = entry
-    ch1, ch2 = read_record_csv(path)
-    record = EmgRecord(channel1=ch1, channel2=ch2, sample_rate=rate, label=label,
-                       subject_id=subject, session_id=session)
+    records, failure = [], None
+    for path, label, rate, subject, session in entries:
+        try:
+            records.append(EmgRecord(*read_record_csv(path), rate, label, subject, session))
+        except (DataError, OSError) as e:
+            failure = e
+            break
+    if not records:  # the chunk's first record cannot be read
+        raise failure
     try:
-        return len(ch1), reduce(record)
-    except DataError as e:
-        raise type(e)(f"{path}: {e}") from None
+        rows = reduce(records)
+    except DataError:
+        for (path, *_), record in zip(entries, records):
+            try:
+                reduce([record])
+            except DataError as e:
+                raise type(e)(f"{path}: {e}") from None
+        raise  # no record fails alone
+    if failure is not None:
+        raise failure
+    return [r.n_samples for r in records], rows
 
 
-def _read_chunk(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, object]]:
-    """read_reduced of each entry in order, up to the first error; in a worker or in-process."""
-    return [read_reduced(entry, reduce) for entry in entries]
-
-
-def _read_records(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, object]]:
-    """_read_chunk of the given manifest entries, in order; raises the first failing record's error.
+def _read_records(entries: list[_Entry], reduce: _Reducer) -> list[tuple[list[int], Sequence]]:
+    """_read_chunk of each chunk of _CHUNK_RECORDS entries, in order; raises the first error.
 
     With at least _PARALLEL_MIN_RECORDS entries, two usable cores and the
-    ``fork`` start method, chunks of _CHUNK_RECORDS entries are read and
-    reduced in a pool of forked worker processes, one per usable core, so
-    that only the rows travel back. A forked worker calls this module's
-    read_record_csv and ``reduce`` as the parent sees them, and returns the
-    same rows. A chunk whose worker died is redone in-process. No worker
-    outlives the call. Otherwise every entry is read in-process, and each
-    record's channels are dropped once it is reduced.
+    ``fork`` start method, the chunks are read and reduced in a pool of
+    forked worker processes, one per usable core, so that only the rows
+    travel back. A forked worker calls this module's read_record_csv and
+    ``reduce`` as the parent sees them, and returns the same rows. A chunk
+    whose worker died is redone in-process. No worker outlives the call.
+    Otherwise the chunks are read in-process, one after the other, so that
+    at most one chunk's channels are alive at a time.
 
     Forked, not spawned: a worker starts without importing numpy again. It
     never waits on a thread the fork left behind. The network's channel-stack
@@ -288,30 +300,29 @@ def _read_records(entries: list[_Entry], reduce: _Reducer) -> list[tuple[int, ob
     shuts its own threads down in a pthread_atfork handler before every fork,
     and feature extraction runs it on one thread, so a worker starts none.
     """
+    chunks = [entries[i:i + _CHUNK_RECORDS] for i in range(0, len(entries), _CHUNK_RECORDS)]
     cores = _usable_cores()
     if len(entries) < _PARALLEL_MIN_RECORDS or cores < 2:
-        return _read_chunk(entries, reduce)
+        return [_read_chunk(chunk, reduce) for chunk in chunks]
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     # a daemonic process (a multiprocessing.Pool worker) may start no processes
     if (
         "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
-        return _read_chunk(entries, reduce)
-    chunks = [entries[i:i + _CHUNK_RECORDS] for i in range(0, len(entries), _CHUNK_RECORDS)]
+        return [_read_chunk(chunk, reduce) for chunk in chunks]
     pool = ProcessPoolExecutor(min(cores, len(chunks)), multiprocessing.get_context("fork"))
     try:
         futures = [pool.submit(_read_chunk, chunk, reduce) for chunk in chunks]
-        rows = []
+        read = []
         for chunk, future in zip(chunks, futures):
             try:
-                rows += future.result()
+                read.append(future.result())
             except BrokenProcessPool:
-                rows += _read_chunk(chunk, reduce)
-        return rows
+                read.append(_read_chunk(chunk, reduce))
+        return read
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

@@ -97,12 +97,6 @@ def _where(record: EmgRecord, channel: str | None = None) -> str:
     return " of ".join(names) + ": " if names else ""
 
 
-def feature_row(record: EmgRecord, cfg: FeatureConfig) -> np.ndarray:
-    """extract_features(record, cfg) as one [2, nbins] row: load_dataset's reducer."""
-    fv = extract_features(record, cfg)
-    return np.stack((fv.channel1_features, fv.channel2_features))
-
-
 def fit_normalizer(features: list[FeatureVector], fitted_on: str = "") -> Normalizer:
     """Per-feature mean and population std over the list, std floored at 1e-8."""
     if not features:
@@ -128,7 +122,12 @@ def apply_normalizer(norm: Normalizer, fv: FeatureVector) -> FeatureVector:
 
 
 def extract_all(records: list[EmgRecord], cfg: FeatureConfig) -> list[FeatureVector]:
-    """extract_features of each record, in order.
+    """extract_features of each record, in order: views of feature_rows(records, cfg)."""
+    return unstack_channels(feature_rows(records, cfg), [r.label for r in records])
+
+
+def feature_rows(records: list[EmgRecord], cfg: FeatureConfig) -> np.ndarray:
+    """The features of each record, in order, as one [n, 2, nbins] array: load_dataset's reducer.
 
     Runs of consecutive records that share length and sample rate are fitted
     up to _LATTICE_RECORDS at a time, their channels as the rows of one Burg
@@ -145,7 +144,7 @@ def extract_all(records: list[EmgRecord], cfg: FeatureConfig) -> list[FeatureVec
                 chunk = run[k : k + _LATTICE_RECORDS]
                 x[start : start + len(chunk)] = _extract_run(chunk, cfg)
                 start += len(chunk)
-    return unstack_channels(x, [r.label for r in records])
+    return x
 
 
 def _fit_shape(record: EmgRecord) -> tuple[int, int, float]:
@@ -183,23 +182,19 @@ def _dump_header(nbins: int) -> list[str]:
     return ["label"] + [f"ch{ch}_f{i}" for ch in (1, 2) for i in range(nbins)]
 
 
-def save_features_csv(path: str | Path, features: list[FeatureVector]) -> None:
-    """Write features as CSV: label,ch1_f0..ch1_f{n-1},ch2_f0..ch2_f{n-1}."""
-    if not features:
+def save_features_csv(path: str | Path, x: np.ndarray, labels: list[str]) -> None:
+    """Write [n, 2, nbins] features as CSV: label,ch1_f0..ch1_f{n-1},ch2_f0..ch2_f{n-1}."""
+    if not labels:
         raise DataError("no features to write")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_dump_header(len(features[0].channel1_features)))
-        for fv in features:
-            writer.writerow(
-                [fv.label]
-                + [_fmt(v) for v in fv.channel1_features]
-                + [_fmt(v) for v in fv.channel2_features]
-            )
+        writer.writerow(_dump_header(x.shape[2]))
+        for label, row in zip(labels, x):
+            writer.writerow([label, *map(_fmt, row.ravel().tolist())])
 
 
-def load_features_csv(path: str | Path) -> list[FeatureVector]:
-    """Load a feature dump written by save_features_csv."""
+def load_features_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
+    """The [n, 2, nbins] features and the labels of a dump written by save_features_csv."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"feature file not found: {path}")
@@ -211,7 +206,7 @@ def load_features_csv(path: str | Path) -> list[FeatureVector]:
     nbins = (len(header) - 1) // 2
     if header != _dump_header(nbins):
         raise DataError(f"{path}:1: feature header does not match the dump schema")
-    out: list[FeatureVector] = []
+    labels, values = [], []
     for lineno, row in rows:
         if not row:
             continue
@@ -226,13 +221,8 @@ def load_features_csv(path: str | Path) -> list[FeatureVector]:
             raise DataError(f"{path}:{lineno}: malformed feature value") from None
         if not np.isfinite(vals).all():
             raise DataError(f"{path}:{lineno}: non-finite feature value")
-        out.append(
-            FeatureVector(
-                channel1_features=vals[:nbins],
-                channel2_features=vals[nbins:],
-                label=label,
-            )
-        )
-    if not out:
+        labels.append(label)
+        values.append(vals)
+    if not labels:
         raise DataError(f"{path}: no feature rows found")
-    return out
+    return np.stack(values).reshape(len(labels), 2, nbins), labels

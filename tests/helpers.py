@@ -105,6 +105,6 @@ def rewrite_bundle(path, edit) -> None:
         np.savez(fh, __meta__=np.array(json.dumps(meta)), **data)
 
 
-def keep_record(record: EmgRecord) -> EmgRecord:
-    """A load_dataset reducer that keeps the whole record, channels included."""
-    return record
+def keep_records(records: list[EmgRecord]) -> list[EmgRecord]:
+    """A load_dataset reducer that keeps each whole record, channels included."""
+    return records

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import keep_record, rewrite_bundle
+from helpers import keep_records, rewrite_bundle
 
 import semgrasp
 from semgrasp.cli import _CONFIG_DEFAULTS, main, resolve_config
@@ -98,7 +98,7 @@ def test_convert_table_shaped_export(export_dir, tmp_path, capsys):
     assert "900 records" in capsys.readouterr().out
     manifest_rows = (out / "manifest.csv").read_text().strip().splitlines()
     assert len(manifest_rows) == 901  # header + 900 records
-    ds = load_dataset(out, keep_record)
+    ds = load_dataset(out, keep_records)
     assert len(ds) == 900
     assert all(ds.labels.count(lab) == 150 for lab in LABELS)
     assert set(ds.subjects) == {f"subject{s}" for s in range(1, 6)}
@@ -222,9 +222,9 @@ def test_validate_bad_record_read_in_a_worker_is_one_line(dataset_dir, tmp_path,
 def test_extract_writes_loadable_dump(dataset_dir, tmp_path, capsys):
     out = tmp_path / "features.csv"
     assert main(["extract", str(dataset_dir), "--out", str(out), "--nbins", "16"]) == 0
-    feats = load_features_csv(out)
-    assert len(feats) == 72
-    assert len(feats[0].channel1_features) == 16
+    x, labels = load_features_csv(out)
+    assert len(x) == len(labels) == 72
+    assert x.shape[1:] == (2, 16)
 
 
 # --------------------------------------------------------------------- train
@@ -540,45 +540,109 @@ def _symlink_loop(path: Path) -> None:
     path.symlink_to(path.name)
 
 
-# each dataset fault: the edit to a copy of fault_dataset, and the text its one
-# stderr line holds; every message names the file at fault
+def _set_record_file(data: Path, cell: str) -> None:
+    """Write cell in place of rec00040.csv in the manifest's file column (line 42)."""
+    manifest = data / "manifest.csv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    lines[41] = ",".join([cell, *lines[41].split(",")[1:]])
+    manifest.write_text("".join(lines))
+
+
+def _replace_with_directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+def _write_crlf(path: Path) -> None:
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+
+_NOT_A_FAULT = (None, None)
+
+# each dataset edit to a copy of fault_dataset: the text the one stderr line of
+# extract, train and eval holds, and the text validate's holds, which only reads
+# the records (None: the command exits 0 and writes nothing to stderr). Every
+# message names the file at fault, first or as the file not found.
 _DATASET_FAULTS = {
     "huge_samples": (lambda d: _scale_record(d / "rec00040.csv", 1e160),
-                     "rec00040.csv: channel1 of record (label=H, subject=s3, session=d2): "
-                     "sums overflow at stage 1; values too large"),
+                     ("rec00040.csv: channel1 of record (label=H, subject=s3, session=d2): "
+                      "sums overflow at stage 1; values too large", None)),
     "huge_sample_rate": (lambda d: _set_every_rate(d, "1e308"),
-                         "rec00000.csv: record (label=C, subject=s1, session=d1): "
-                         "features not finite at sample rate 1e+308 Hz"),
+                         ("rec00000.csv: record (label=C, subject=s1, session=d1): "
+                          "features not finite at sample rate 1e+308 Hz", None)),
     "symlink_loop": (lambda d: _symlink_loop(d / "rec00040.csv"),
-                     "manifest.csv:42: record file 'rec00040.csv': "),
+                     ("manifest.csv:42: record file 'rec00040.csv': ",) * 2),
     "constant_record": (lambda d: (d / "rec00040.csv").write_text("0.5,0.25\n" * 64),
-                        "rec00040.csv: channel1 of record (label=H, subject=s3, session=d2): "
-                        "signal is constant"),
+                        ("rec00040.csv: channel1 of record (label=H, subject=s3, session=d2): "
+                         "signal is constant", None)),
     "tiny_samples": (lambda d: _scale_record(d / "rec00040.csv", 1e-200),
-                     "rec00040.csv: channel1 of record (label=H, subject=s3, session=d2): "
-                     "sample values too small; their squares underflow"),
+                     ("rec00040.csv: channel1 of record (label=H, subject=s3, session=d2): "
+                      "sample values too small; their squares underflow", None)),
+    "empty_record": (lambda d: (d / "rec00040.csv").write_text(""),
+                     ("rec00040.csv: file holds no samples",) * 2),
+    "one_row": (lambda d: (d / "rec00040.csv").write_text("0.5,0.25\n"),
+                ("rec00040.csv: record has 1 samples; need > ar_order + 1 = 11",
+                 "rec00040.csv: length 1 differs from 64")),
+    "three_columns": (lambda d: (d / "rec00040.csv").write_text("1,2,3\n4,5,6\n"),
+                      ("rec00040.csv:1: row has 3 values, expected 2",) * 2),
+    "not_utf8": (lambda d: (d / "rec00040.csv").write_bytes(b"1,2\n\xff3,4\n"),
+                 ("rec00040.csv: not utf-8 text (invalid start byte)",) * 2),
+    "nul_bytes": (lambda d: (d / "rec00040.csv").write_bytes(b"1,2\n3\x00,4\n"),
+                  ("rec00040.csv:2: malformed value in row",) * 2),
+    "directory": (lambda d: _replace_with_directory(d / "rec00040.csv"),
+                  ("rec00040.csv",) * 2),
+    "empty_file_cell": (lambda d: _set_record_file(d, ""),
+                        ("manifest.csv:42: record file '' is the dataset directory",) * 2),
+    "dot_file_cell": (lambda d: _set_record_file(d, "."),
+                      ("manifest.csv:42: record file '.' is the dataset directory",) * 2),
+    "crlf_record": (lambda d: _write_crlf(d / "rec00040.csv"), _NOT_A_FAULT),
+    "tiny_finite": (lambda d: _scale_record(d / "rec00040.csv", 1e-100), _NOT_A_FAULT),
 }
 
 
-@pytest.mark.parametrize("cores", [2, 1], ids=["pooled", "in_process"])
-@pytest.mark.parametrize("command", ["extract", "train"])
+@pytest.fixture(scope="module")
+def fault_model(fault_dataset, tmp_path_factory):
+    """A bundle trained on fault_dataset, for eval."""
+    base = tmp_path_factory.mktemp("fault_model")
+    (base / "cfg.json").write_text(json.dumps(
+        {"dataset": str(fault_dataset), "seed": 1, "training": {"epochs": 1}}))
+    assert main(["train", "--config", str(base / "cfg.json"), "--out", str(base / "run")]) == 0
+    return base / "run" / "model.bin"
+
+
+@pytest.mark.parametrize("command, cores", [("extract", 2), ("extract", 1), ("train", 2),
+                                            ("train", 1), ("validate", 2), ("eval", 2)],
+                         ids=["extract-pooled", "extract-in_process", "train-pooled",
+                              "train-in_process", "validate-pooled", "eval-pooled"])
 @pytest.mark.parametrize("fault", _DATASET_FAULTS)
-def test_dataset_fault_is_one_line_naming_its_file(fault_dataset, tmp_path, fault, command, cores):
+def test_dataset_fault_is_one_line_naming_its_file(fault_dataset, fault_model, tmp_path, fault,
+                                                   command, cores):
     data = tmp_path / "data"
     shutil.copytree(fault_dataset, data, symlinks=True)
-    edit, message = _DATASET_FAULTS[fault]
+    edit, (message, validate_message) = _DATASET_FAULTS[fault]
     edit(data)
     out = tmp_path / "out"
-    if command == "extract":
-        args = ["extract", data, "--out", out]
-    else:
+    if command == "train":
         (tmp_path / "cfg.json").write_text(
             json.dumps({"dataset": str(data), "seed": 1, "training": {"epochs": 1}}))
         args = ["train", "--config", tmp_path / "cfg.json", "--out", out]
+    elif command == "eval":
+        args = ["eval", fault_model, data, "--out", out]
+    else:
+        args = [command, data] + (["--out", out] if command == "extract" else [])
     done = _run_cli(args, cores=cores)
+    if command == "validate":
+        message = validate_message
+    if message is None:
+        assert (done.returncode, done.stderr) == (0, "")
+        assert command == "validate" or out.exists()
+        return
     assert done.returncode == 2, done.stderr
-    assert done.stderr.startswith(f"data error: {data}{os.sep}"), done.stderr
-    assert message in done.stderr and len(done.stderr.splitlines()) == 1, done.stderr
+    # read_record_csv words a directory in place of the file as not found
+    prefix = "record file not found: " if fault == "directory" else ""
+    assert re.match(re.escape(f"data error: {prefix}{data}{os.sep}{message}"),
+                    done.stderr), done.stderr
+    assert len(done.stderr.splitlines()) == 1, done.stderr
     assert "Traceback" not in done.stderr and "Warning" not in done.stderr
     assert not out.exists()
 
@@ -768,7 +832,7 @@ def test_extract_non_finite_log_floor_is_config_error(probe_inputs, tmp_path, ca
 def test_eval_on_training_split_matches_logged_accuracy(
     trained_run, dataset_dir, tmp_path, capsys
 ):
-    ds = load_dataset(dataset_dir, keep_record)
+    ds = load_dataset(dataset_dir, keep_records)
     with open(trained_run / "split.csv", newline="") as fh:
         train_idx = [int(r["index"]) for r in csv.DictReader(fh) if r["role"] == "train"]
     train_half = tmp_path / "train_half"
@@ -789,7 +853,7 @@ def test_eval_on_training_split_matches_logged_accuracy(
 
 def test_eval_on_missing_classes_writes_nothing_to_stderr(trained_run, dataset_dir, tmp_path):
     # classes never seen or never predicted have empty precision/recall denominators
-    records = [r for r in load_dataset(dataset_dir, keep_record).rows if r.label in ("C", "T")]
+    records = [r for r in load_dataset(dataset_dir, keep_records).rows if r.label in ("C", "T")]
     two_class = tmp_path / "two_class"
     write_dataset(records, two_class)
     out = tmp_path / "eval_out"
@@ -821,7 +885,7 @@ def test_eval_sample_rate_mismatch(trained_run, tmp_path, capsys):
 
 
 def test_predict_training_record(trained_run, dataset_dir, capsys):
-    ds = load_dataset(dataset_dir, keep_record)
+    ds = load_dataset(dataset_dir, keep_records)
     with open(trained_run / "split.csv", newline="") as fh:
         first_train = next(int(r["index"]) for r in csv.DictReader(fh) if r["role"] == "train")
     record_path = dataset_dir / f"rec{first_train:05d}.csv"

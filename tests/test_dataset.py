@@ -8,10 +8,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers import keep_record, make_record
+from helpers import keep_records, make_record
 
 from semgrasp.burg import burg_fit, psd_from_model
-from semgrasp import dataset, features
+from semgrasp import dataset
 from semgrasp.dataset import (
     LABELS,
     _read_matrix,
@@ -23,11 +23,11 @@ from semgrasp.dataset import (
     validate_records,
     write_dataset,
 )
-from semgrasp.errors import DataError
+from semgrasp.errors import DataError, DegenerateSignalError
 from semgrasp.features import (
     FeatureConfig,
     extract_all,
-    feature_row,
+    feature_rows,
     load_features_csv,
     stack_channels,
 )
@@ -83,7 +83,7 @@ def test_write_load_round_trip_exact(tmp_path):
     ds = generate_synthetic(3, 64, seed=42)
     out = tmp_path / "ds"
     write_dataset(ds, out)
-    loaded = load_dataset(out, keep_record)
+    loaded = load_dataset(out, keep_records)
     assert len(loaded) == len(ds)
     for orig, back in zip(ds, loaded.rows):
         # repr round-trips doubles exactly, so equality is bitwise
@@ -104,7 +104,7 @@ def test_load_empty_directory_reports_no_records(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     with pytest.raises(DataError, match="no records found"):
-        load_dataset(empty, keep_record)
+        load_dataset(empty, keep_records)
 
 
 @pytest.mark.parametrize("subject", [None, "s1"], ids=["whole", "subset"])
@@ -114,7 +114,7 @@ def test_load_header_only_manifest_reports_no_records(tmp_path, subject):
     root.mkdir()
     (root / "manifest.csv").write_text("file,label,subject,session,sample_rate\n")
     with pytest.raises(DataError, match="^ds: no records found$"):
-        load_dataset(root, keep_record, subject=subject)
+        load_dataset(root, keep_records, subject=subject)
 
 
 def test_load_short_row_names_file_and_line(tmp_path):
@@ -125,7 +125,7 @@ def test_load_short_row_names_file_and_line(tmp_path):
     )
     (root / "rec0.csv").write_text("1.0,2.0\n3.0\n4.0,5.0\n")
     with pytest.raises(DataError, match=r"rec0\.csv:2"):
-        load_dataset(root, keep_record)
+        load_dataset(root, keep_records)
 
 
 def test_load_unknown_label_and_nonfinite(tmp_path):
@@ -136,13 +136,13 @@ def test_load_unknown_label_and_nonfinite(tmp_path):
         "file,label,subject,session,sample_rate\nrec0.csv,Q,s1,d1,500.0\n"
     )
     with pytest.raises(DataError, match="unknown label 'Q'"):
-        load_dataset(root, keep_record)
+        load_dataset(root, keep_records)
     (root / "manifest.csv").write_text(
         "file,label,subject,session,sample_rate\nrec0.csv,C,s1,d1,500.0\n"
     )
     (root / "rec0.csv").write_text("1.0,2.0\nnan,3.0\n")
     with pytest.raises(DataError, match=r"rec0\.csv:2.*non-finite"):
-        load_dataset(root, keep_record)
+        load_dataset(root, keep_records)
 
 
 @pytest.mark.parametrize("entry", ["../outside.csv", "sub/../../outside.csv", "ABSOLUTE"])
@@ -159,7 +159,7 @@ def test_load_refuses_record_outside_dataset_directory(tmp_path, entry):
         f"rec0.csv,C,s1,d1,500.0\n{entry},T,s1,d1,500.0\n"
     )
     with pytest.raises(DataError, match=r"manifest\.csv:3: record file .* outside the dataset"):
-        load_dataset(root, keep_record)
+        load_dataset(root, keep_records)
 
 
 def test_load_missing_manifest_column_named(tmp_path):
@@ -167,7 +167,7 @@ def test_load_missing_manifest_column_named(tmp_path):
     root.mkdir()
     (root / "manifest.csv").write_text("file,label,subject,sample_rate\n")
     with pytest.raises(DataError, match="missing manifest column 'session'"):
-        load_dataset(root, keep_record)
+        load_dataset(root, keep_records)
 
 
 def test_read_record_csv_missing_file(tmp_path):
@@ -178,9 +178,9 @@ def test_read_record_csv_missing_file(tmp_path):
 # ------------------------------------------------------------ parallel load
 #
 # From dataset._PARALLEL_MIN_RECORDS records on, load_dataset reads the record
-# files in forked worker processes, which also reduce each record to its
-# features when asked. These tests pin the pool to two workers, whatever the
-# machine, and compare with the in-process reader (one core).
+# files in forked worker processes, which also reduce each chunk of records to
+# their features when asked. These tests pin the pool to two workers, whatever
+# the machine, and compare with the in-process reader (one core).
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
@@ -188,9 +188,8 @@ needs_fork = pytest.mark.skipif(
 _PARENT_PID = os.getpid()
 _READ_CHUNK = dataset._read_chunk
 _READ_RECORD = dataset.read_record_csv
-_EXTRACT = features.extract_features
 _FEATURES = FeatureConfig(ar_order=4, nbins=16)
-_TO_FEATURES = partial(feature_row, cfg=_FEATURES)
+_TO_FEATURES = partial(feature_rows, cfg=_FEATURES)
 
 
 def _read_chunk_dying_in_workers(entries, reduce):
@@ -206,10 +205,10 @@ def _read_record_noting_pid(path):
     return _READ_RECORD(path)
 
 
-def _extract_noting_pid(record, cfg, folder):
-    """The feature extractor, leaving a file named after the extracting process's id."""
+def _features_noting_pid(records, folder):
+    """The feature reducer, leaving a file named after the extracting process's id."""
     (folder / str(os.getpid())).touch()
-    return _EXTRACT(record, cfg)
+    return _TO_FEATURES(records)
 
 
 def _synthetic_dir(tmp_path, records: int, name: str = "data"):
@@ -227,11 +226,11 @@ def _cores(monkeypatch, n: int) -> None:
 
 def _load_error(root) -> str:
     with pytest.raises(DataError) as err:
-        load_dataset(root, keep_record)
+        load_dataset(root, keep_records)
     return str(err.value)
 
 
-def _sequential_load(monkeypatch, root, reduce=keep_record):
+def _sequential_load(monkeypatch, root, reduce=keep_records):
     """load_dataset(root, reduce) in-process, its DataError message if it fails."""
     with monkeypatch.context() as m:
         _cores(m, 1)
@@ -284,7 +283,7 @@ def _break_manifest_row(root, index: int) -> str:
 def test_parallel_load_matches_sequential_load(tmp_path, monkeypatch, records):
     root = _synthetic_dir(tmp_path, records)
     _cores(monkeypatch, 2)
-    got = load_dataset(root, keep_record)
+    got = load_dataset(root, keep_records)
     assert len(got) == records
     want = _sequential_load(monkeypatch, root)
     _assert_same_dataset(got, want)
@@ -301,13 +300,11 @@ def test_records_are_read_in_workers_from_the_threshold_on(tmp_path, monkeypatch
     _cores(monkeypatch, 2)
     monkeypatch.setattr(dataset, "read_record_csv", _read_record_noting_pid)
     for records in (dataset._PARALLEL_MIN_RECORDS - 1, dataset._PARALLEL_MIN_RECORDS):
-        for reduce in (keep_record, _TO_FEATURES):
-            kept = reduce is keep_record
+        for kept in (True, False):
             root = _synthetic_dir(tmp_path, records, name=f"data{records}-{kept}")
             extracted = tmp_path / f"extracted{records}-{kept}"
             extracted.mkdir()
-            monkeypatch.setattr(features, "extract_features",
-                                partial(_extract_noting_pid, folder=extracted))
+            reduce = keep_records if kept else partial(_features_noting_pid, folder=extracted)
             assert len(load_dataset(root, reduce)) == records
             pids = {int(p.read_text()) for p in root.glob("*.pid")}
             extract_pids = {int(p.name) for p in extracted.iterdir()}
@@ -326,6 +323,48 @@ def test_parallel_load_raises_the_first_bad_record_in_manifest_order(tmp_path, m
     _break_record(root, dataset._CHUNK_RECORDS)
     _cores(monkeypatch, 2)
     assert _load_error(root) == first == _sequential_load(monkeypatch, root)
+    assert multiprocessing.active_children() == []
+
+
+def test_in_process_load_reduces_the_pool_chunks_one_at_a_time(tmp_path, monkeypatch):
+    root = _synthetic_dir(tmp_path, 2 * dataset._CHUNK_RECORDS + 3)
+    _cores(monkeypatch, 1)
+    sizes = []
+
+    def noting_size(records):
+        sizes.append(len(records))
+        return records
+
+    assert len(load_dataset(root, noting_size)) == 2 * dataset._CHUNK_RECORDS + 3
+    assert sizes == [dataset._CHUNK_RECORDS, dataset._CHUNK_RECORDS, 3]
+
+
+def _make_constant(root, index: int) -> None:
+    (root / f"rec{index:05d}.csv").write_text("0.5,0.25\n" * 64)
+
+
+@needs_fork
+@pytest.mark.parametrize("cores", [2, 1], ids=["pooled", "in_process"])
+@pytest.mark.parametrize("refusal_first", [True, False], ids=["refusal_first", "read_first"])
+def test_load_raises_the_first_failure_inside_a_chunk(tmp_path, monkeypatch, cores,
+                                                      refusal_first):
+    # one chunk reads its records up to the unreadable one and reduces them in
+    # one call; the refusal is the chunk's 5th record, or the record after it
+    records = dataset._PARALLEL_MIN_RECORDS + 2
+    k = dataset._CHUNK_RECORDS + 4
+    root = _synthetic_dir(tmp_path, records)
+    _make_constant(root, k if refusal_first else k + 1)
+    read_message = _break_record(root, k + 1 if refusal_first else k)
+    _cores(monkeypatch, cores)
+    with pytest.raises(DataError) as err:
+        load_dataset(root, _TO_FEATURES)
+    if refusal_first:
+        assert type(err.value) is DegenerateSignalError
+        assert str(err.value).startswith(f"{root / f'rec{k:05d}.csv'}: channel1 of record ")
+        assert str(err.value).endswith(": signal is constant")
+    else:
+        assert type(err.value) is DataError
+        assert str(err.value) == read_message
     assert multiprocessing.active_children() == []
 
 
@@ -350,7 +389,7 @@ def test_parallel_load_reads_a_dead_workers_chunks_in_process(tmp_path, monkeypa
     want_features = _sequential_load(monkeypatch, root, _TO_FEATURES)
     _cores(monkeypatch, 2)
     monkeypatch.setattr(dataset, "_read_chunk", _read_chunk_dying_in_workers)
-    _assert_same_dataset(load_dataset(root, keep_record), want)
+    _assert_same_dataset(load_dataset(root, keep_records), want)
     assert multiprocessing.active_children() == []
     _assert_same_features(load_dataset(root, _TO_FEATURES), want_features)
     assert multiprocessing.active_children() == []
@@ -358,7 +397,7 @@ def test_parallel_load_reads_a_dead_workers_chunks_in_process(tmp_path, monkeypa
 
 
 def _record_count(root) -> int:
-    return len(load_dataset(root, keep_record))
+    return len(load_dataset(root, keep_records))
 
 
 @needs_fork
@@ -366,7 +405,7 @@ def test_load_in_a_daemonic_process_reads_in_process(tmp_path, monkeypatch):
     # a multiprocessing.Pool worker is daemonic and may start no processes
     root = _synthetic_dir(tmp_path, dataset._PARALLEL_MIN_RECORDS + 2)
     _cores(monkeypatch, 2)
-    want = len(load_dataset(root, keep_record))
+    want = len(load_dataset(root, keep_records))
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.apply_async(_record_count, (root,)).get(timeout=60) == want
 
@@ -459,7 +498,7 @@ def test_read_matrix_matches_line_reader(tmp_path, capsys, monkeypatch, row_id):
 _NON_UTF8 = {
     "record": (read_record_csv, "rec00000.csv", b"1,2\n\xff3,4\n"),
     "matrix": (_read_matrix, "C_ch1.csv", b"1,2,3\n\xff4,5,6\n"),
-    "manifest": (partial(load_dataset, reduce=keep_record), "manifest.csv",
+    "manifest": (partial(load_dataset, reduce=keep_records), "manifest.csv",
                  b"file,label,subject,session,sample_rate\n\xff\n"),
     "features": (load_features_csv, "f.csv", b"label,ch1_f0,ch2_f0\nC,1,\xff2\n"),
 }

@@ -19,6 +19,7 @@ from semgrasp.features import (
     fit_normalizer,
     load_features_csv,
     save_features_csv,
+    stack_channels,
 )
 
 
@@ -313,13 +314,14 @@ def test_class_separation_in_normalized_space(synth_features):
 
 def test_features_csv_round_trip(tmp_path, synth_features):
     path = tmp_path / "features.csv"
-    save_features_csv(path, synth_features[:10])
-    loaded = load_features_csv(path)
-    assert len(loaded) == 10
-    for orig, back in zip(synth_features[:10], loaded):
-        assert orig.label == back.label
-        np.testing.assert_array_equal(orig.channel1_features, back.channel1_features)
-        np.testing.assert_array_equal(orig.channel2_features, back.channel2_features)
+    save_features_csv(path, stack_channels(synth_features[:10]),
+                      [f.label for f in synth_features[:10]])
+    x, labels = load_features_csv(path)
+    assert len(x) == len(labels) == 10
+    for orig, back, label in zip(synth_features[:10], x, labels):
+        assert orig.label == label
+        np.testing.assert_array_equal(orig.channel1_features, back[0])
+        np.testing.assert_array_equal(orig.channel2_features, back[1])
 
 
 def test_features_csv_schema_errors(tmp_path):
