@@ -183,7 +183,7 @@ def cmd_train(args) -> int:
         ds = load_dataset(cfg["dataset"], partial(feature_rows, cfg=fcfg),
                           **({kind: value} if chosen else {}))
         print(f"dataset: {ds.name}, {len(ds)} records, rate {ds.sample_rate} Hz")
-        x, labels = ds.stack(), ds.labels
+        x, labels = ds.x, ds.labels
         sample_rate: float | None = ds.sample_rate
         data_name = ds.name
     else:
@@ -268,7 +268,7 @@ def cmd_eval(args) -> int:
             f"sample rate mismatch: model expects {bundle.sample_rate} Hz, "
             f"dataset has {ds.sample_rate} Hz"
         )
-    preds, _ = _classify(bundle, unstack_channels(ds.stack(), ds.labels), args.model)
+    preds, _ = _classify(bundle, unstack_channels(ds.x, ds.labels), args.model)
     cm = confusion_matrix(ds.labels, preds)
     acc = accuracy_from_cm(cm)
     f1w = f1_weighted(cm)
@@ -315,7 +315,7 @@ def _lengths(records: list) -> list[int]:  # validate's load_dataset reducer
 def cmd_validate(args) -> int:
     # load_dataset checks that every record has the first one's length
     ds = load_dataset(args.data, _lengths)
-    print(f"dataset {ds.name}: {len(ds)} records, {ds.rows[0]} samples each, "
+    print(f"dataset {ds.name}: {len(ds)} records, {ds.x[0]} samples each, "
           f"{ds.sample_rate} Hz")
     print("per class: " + " ".join(f"{lab}={ds.labels.count(lab)}" for lab in LABELS))
     print(f"subjects: {', '.join(sorted(set(ds.subjects)))}")
@@ -329,7 +329,7 @@ def cmd_extract(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from None
     ds = load_dataset(args.data, partial(feature_rows, cfg=fcfg))
-    save_features_csv(args.out, ds.stack(), ds.labels)
+    save_features_csv(args.out, ds.x, ds.labels)
     print(f"wrote {len(ds)} feature rows ({fcfg.nbins} bins/channel) to {args.out}")
     return 0
 

@@ -9,8 +9,8 @@ Interchange layout (one directory per dataset):
 Labels are the single characters C/T/L/H/P/S (six grasp types), mapped to
 class indices 0..5 in that order. Floats are written with Python's ``repr``
 (shortest round-trip form), so write -> load -> write reproduces the stored
-text exactly. write_dataset writes a list of EmgRecords; load_dataset reduces
-each chunk of records, where it reads them, to the one row per record its caller needs.
+text exactly. write_dataset writes a list of EmgRecords; load_dataset reduces each chunk
+of records, where it reads them, to one row per record and joins the rows into one array.
 """
 
 from __future__ import annotations
@@ -111,21 +111,17 @@ def _check_alike(name: str, shapes: list[tuple[object, float, int]]) -> None:
 
 @dataclass
 class Dataset:
-    """A loaded dataset: each record's metadata and its row of the reduced chunk it was read in."""
+    """A loaded dataset: each record's metadata, and x, its rows as one [n, ...] array."""
 
     name: str
     sample_rate: float
     labels: list[str]
     subjects: list[str]
     sessions: list[str]
-    rows: list
+    x: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def stack(self) -> np.ndarray:
-        """The rows as one [n, ...] array."""
-        return np.stack(self.rows)
+        return len(self.labels)
 
 
 @dataclass
@@ -138,7 +134,8 @@ class SplitPlan:
 
 # (record path, label, sample rate, subject, session) of one manifest row
 _Entry = tuple[Path, str | None, float, str | None, str | None]
-# load_dataset's reduction of one chunk's records, where they are read, to one row each
+# load_dataset's reduction of one chunk's records, where they are read, to what np.concatenate
+# can join: one row per record, such as an array or a list
 _Reducer = Callable[[list[EmgRecord]], Sequence]
 
 
@@ -160,8 +157,9 @@ def load_dataset(path: str | Path, reduce: _Reducer, subject: str | None = None,
     first one's sample rate and length. A record the call does not select is
     never opened.
 
-    Each chunk of _CHUNK_RECORDS records is reduced to ``reduce(records)``, one
-    row per record, in the process that reads it, and its channels are dropped there.
+    Each chunk of _CHUNK_RECORDS records is reduced to ``reduce(records)``, one row per
+    record, in the process that reads it, and its channels are dropped there. Dataset.x
+    joins the chunks' reductions, in manifest order, with one np.concatenate.
     """
     root = Path(path)
     manifest = root / MANIFEST_NAME
@@ -182,7 +180,7 @@ def load_dataset(path: str | Path, reduce: _Reducer, subject: str | None = None,
     _check_alike(root.name, [(file, rate, n) for (file, _, rate, _, _), n in zip(entries, lengths)])
     _, labels, _, subjects, sessions = zip(*entries)
     return Dataset("/".join([root.name, *wanted.values()]), entries[0][2], list(labels),
-                   list(subjects), list(sessions), [row for _, rows in read for row in rows])
+                   list(subjects), list(sessions), np.concatenate([rows for _, rows in read]))
 
 
 def _manifest_entries(root: Path, manifest: Path):
@@ -340,7 +338,8 @@ def read_record_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read one interchange record file (two columns ch1,ch2, no header)."""
     path = Path(path)
     if not path.is_file():
-        raise DataError(f"record file not found: {path}")
+        raise DataError(f"{path}: not a regular file" if os.path.lexists(path)
+                        else f"{path}: record file not found")
     # each channel is a C-contiguous row of one [2, n] copy. Copying the two
     # columns apart instead left the heap about 20 MB larger after loading
     # 900 records of 3000 samples (glibc malloc).

@@ -562,7 +562,7 @@ _NOT_A_FAULT = (None, None)
 # each dataset edit to a copy of fault_dataset: the text the one stderr line of
 # extract, train and eval holds, and the text validate's holds, which only reads
 # the records (None: the command exits 0 and writes nothing to stderr). Every
-# message names the file at fault, first or as the file not found.
+# message starts with the file at fault.
 _DATASET_FAULTS = {
     "huge_samples": (lambda d: _scale_record(d / "rec00040.csv", 1e160),
                      ("rec00040.csv: channel1 of record (label=H, subject=s3, session=d2): "
@@ -590,7 +590,7 @@ _DATASET_FAULTS = {
     "nul_bytes": (lambda d: (d / "rec00040.csv").write_bytes(b"1,2\n3\x00,4\n"),
                   ("rec00040.csv:2: malformed value in row",) * 2),
     "directory": (lambda d: _replace_with_directory(d / "rec00040.csv"),
-                  ("rec00040.csv",) * 2),
+                  ("rec00040.csv: not a regular file",) * 2),
     "empty_file_cell": (lambda d: _set_record_file(d, ""),
                         ("manifest.csv:42: record file '' is the dataset directory",) * 2),
     "dot_file_cell": (lambda d: _set_record_file(d, "."),
@@ -638,10 +638,7 @@ def test_dataset_fault_is_one_line_naming_its_file(fault_dataset, fault_model, t
         assert command == "validate" or out.exists()
         return
     assert done.returncode == 2, done.stderr
-    # read_record_csv words a directory in place of the file as not found
-    prefix = "record file not found: " if fault == "directory" else ""
-    assert re.match(re.escape(f"data error: {prefix}{data}{os.sep}{message}"),
-                    done.stderr), done.stderr
+    assert done.stderr.startswith(f"data error: {data}{os.sep}{message}"), done.stderr
     assert len(done.stderr.splitlines()) == 1, done.stderr
     assert "Traceback" not in done.stderr and "Warning" not in done.stderr
     assert not out.exists()
@@ -836,7 +833,7 @@ def test_eval_on_training_split_matches_logged_accuracy(
     with open(trained_run / "split.csv", newline="") as fh:
         train_idx = [int(r["index"]) for r in csv.DictReader(fh) if r["role"] == "train"]
     train_half = tmp_path / "train_half"
-    sub = [ds.rows[i] for i in train_idx]
+    sub = [ds.x[i] for i in train_idx]
     write_dataset(sub, train_half)
 
     out = tmp_path / "eval_out"
@@ -853,7 +850,7 @@ def test_eval_on_training_split_matches_logged_accuracy(
 
 def test_eval_on_missing_classes_writes_nothing_to_stderr(trained_run, dataset_dir, tmp_path):
     # classes never seen or never predicted have empty precision/recall denominators
-    records = [r for r in load_dataset(dataset_dir, keep_records).rows if r.label in ("C", "T")]
+    records = [r for r in load_dataset(dataset_dir, keep_records).x if r.label in ("C", "T")]
     two_class = tmp_path / "two_class"
     write_dataset(records, two_class)
     out = tmp_path / "eval_out"
@@ -1002,11 +999,6 @@ def test_unusable_bundle_weights_are_one_line_data_errors(
     assert captured.out == "" and not out.exists()
 
 
-def test_predict_missing_record_file(trained_run, tmp_path, capsys):
-    assert main(["predict", str(trained_run / "model.bin"), str(tmp_path / "nope.csv")]) == 2
-    assert "not found" in capsys.readouterr().err
-
-
 def _record_text(rows: int, ch2_scale: float = 1.0, ch2=None) -> bytes:
     """A record file of standard-normal samples; channel2 scaled, or the constant ch2."""
     x = np.random.default_rng(0).standard_normal((rows, 2))
@@ -1028,21 +1020,46 @@ def _record_text(rows: int, ch2_scale: float = 1.0, ch2=None) -> bytes:
         (_record_text(64, ch2_scale=1e-200), "r.csv: channel2: sample values too small; "
                                              "their squares underflow"),
         (_record_text(5), "r.csv: record has 5 samples"),
+        (b"1,2\n3\x00,4\n", "r.csv:2: malformed value in row"),
+        (b"0.5,0.25\n", "r.csv: record has 1 samples; need > ar_order + 1 = 11"),
+        # a function in place of the text makes the record path something other than a file
+        (Path.mkdir, "r.csv: not a regular file"),
+        (lambda record: record.symlink_to(record.name), "r.csv: not a regular file"),
+        (lambda record: None, "r.csv: record file not found"),
     ],
     ids=["empty", "three_columns", "non_utf8", "constant", "constant_ch2", "overflow_ch2",
-         "underflow_ch2", "five_rows"],
+         "underflow_ch2", "five_rows", "nul_bytes", "one_row", "directory", "symlink_loop",
+         "missing"],
 )
 def test_predict_unreadable_record_writes_one_line(trained_run, tmp_path, capsys, text, message):
     record = tmp_path / "r.csv"
-    record.write_bytes(text)
+    if isinstance(text, bytes):
+        record.write_bytes(text)
+    else:
+        text(record)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["predict", str(trained_run / "model.bin"), str(record)]) == 2
     assert caught == []
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1, captured.err
-    assert message in captured.err
+    assert captured.err.startswith(f"data error: {tmp_path}{os.sep}{message}"), captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("edit", [_write_crlf, lambda record: _scale_record(record, 1e-100)],
+                         ids=["crlf", "tiny_finite"])
+def test_predict_valid_record_writes_no_stderr(trained_run, tmp_path, capsys, edit):
+    record = tmp_path / "r.csv"
+    record.write_bytes(_record_text(64))
+    edit(record)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["predict", str(trained_run / "model.bin"), str(record)]) == 0
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(captured.out.splitlines()) == 2
 
 
 def test_predict_prints_what_training_predict_returns(trained_run, dataset_dir, capsys):

@@ -85,7 +85,7 @@ def test_write_load_round_trip_exact(tmp_path):
     write_dataset(ds, out)
     loaded = load_dataset(out, keep_records)
     assert len(loaded) == len(ds)
-    for orig, back in zip(ds, loaded.rows):
+    for orig, back in zip(ds, loaded.x):
         # repr round-trips doubles exactly, so equality is bitwise
         np.testing.assert_array_equal(orig.channel1, back.channel1)
         np.testing.assert_array_equal(orig.channel2, back.channel2)
@@ -95,7 +95,7 @@ def test_write_load_round_trip_exact(tmp_path):
         assert orig.sample_rate == back.sample_rate
     # writing the loaded dataset again reproduces the stored text
     out2 = tmp_path / "ds2"
-    write_dataset(loaded.rows, out2)
+    write_dataset(list(loaded.x), out2)
     for f in sorted(out.iterdir()):
         assert (out2 / f.name).read_text() == f.read_text()
 
@@ -243,7 +243,7 @@ def _sequential_load(monkeypatch, root, reduce=keep_records):
 def _assert_same_dataset(got, want) -> None:
     assert got.name == want.name
     assert len(got) == len(want)
-    for a, b in zip(got.rows, want.rows):
+    for a, b in zip(got.x, want.x):
         assert (a.label, a.subject_id, a.session_id, a.sample_rate) == (
             b.label, b.subject_id, b.session_id, b.sample_rate)
         for ch_a, ch_b in ((a.channel1, b.channel1), (a.channel2, b.channel2)):
@@ -256,7 +256,7 @@ def _assert_same_features(got, want) -> None:
     """Reduced loads with the same metadata and byte-identical feature rows."""
     assert (got.name, got.sample_rate, got.labels, got.subjects, got.sessions) == (
         want.name, want.sample_rate, want.labels, want.subjects, want.sessions)
-    x, want_x = got.stack(), want.stack()
+    x, want_x = got.x, want.x
     assert x.dtype == want_x.dtype == np.float64
     assert x.shape == want_x.shape and x.tobytes() == want_x.tobytes()
 
@@ -290,8 +290,8 @@ def test_parallel_load_matches_sequential_load(tmp_path, monkeypatch, records):
     reduced = load_dataset(root, _TO_FEATURES)
     assert len(reduced) == records
     _assert_same_features(reduced, _sequential_load(monkeypatch, root, _TO_FEATURES))
-    x = stack_channels(extract_all(want.rows, _FEATURES))
-    assert reduced.stack().tobytes() == x.tobytes()
+    x = stack_channels(extract_all(list(want.x), _FEATURES))
+    assert reduced.x.tobytes() == x.tobytes()
     assert multiprocessing.active_children() == []
 
 
