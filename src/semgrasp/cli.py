@@ -73,8 +73,9 @@ _TOP_LEVEL_RULES = {
     "features": _NULL_OR_STRING,
     "out": _NULL_OR_STRING,
     "subset": (
-        lambda v: v == "all" or isinstance(v, str) and v.startswith(("subject=", "session=")),
-        "'all', 'subject=<id>' or 'session=<id>'",
+        lambda v: v == "all" or isinstance(v, str) and v.startswith(("subject=", "session="))
+        and v.partition("=")[2] != "",
+        "'all', 'subject=<id>' or 'session=<id>' with a non-empty id",
     ),
     "seed": (lambda v: _is_finite_number(v) and isinstance(v, int) and v >= 0, "an integer >= 0"),
     "split_fraction": (lambda v: _is_finite_number(v) and 0 < v < 1, "a number in (0, 1)"),

@@ -202,10 +202,13 @@ def _manifest_entries(root: Path, manifest: Path):
     for lineno, row in rows:
         if not row:
             continue
-        if len(row) < len(header):
+        if len(row) != len(header):
             raise DataError(
                 f"{manifest}:{lineno}: expected {len(header)} columns, got {len(row)}"
             )
+        for col in ("subject", "session"):
+            if not row[idx[col]]:
+                raise DataError(f"{manifest}:{lineno}: empty {col}")
         fname = row[idx["file"]]
         label = row[idx["label"]]
         if label not in LABEL_TO_INDEX:

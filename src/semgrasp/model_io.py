@@ -1,7 +1,9 @@
 """Versioned model bundles: one binary file reproduces inference end to end.
 
 The bundle is a zip of numpy arrays (written through an open handle so the
-file name is kept verbatim) plus one JSON metadata entry. All seven of its
+file name is kept verbatim) plus one JSON metadata entry. save_model writes
+it to a temporary file in the same directory and renames that over the
+target, so the target is never left holding part of a bundle. All seven of its
 keys are required: format_version, network (NetworkSpec.to_json: conv layers
 are [filters, kernel, stride], as in the run config), feature_config,
 sample_rate, dataset_name, has_normalizer, normalizer_fitted_on. So is every
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import zipfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -59,8 +62,15 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
     if bundle.normalizer is not None:
         for name, attr, row in _NORM_ARRAYS:
             arrays[name] = getattr(bundle.normalizer, attr)[row]
-    with open(path, "wb") as fh:
-        np.savez(fh, **{_META_KEY: np.array(json.dumps(meta)), **arrays})
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **{_META_KEY: np.array(json.dumps(meta)), **arrays})
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path: str | Path) -> ModelBundle:

@@ -5,11 +5,11 @@ padding) strided 1D convolutions followed by one dense layer; the two dense
 outputs are concatenated and a linear head produces six logits for softmax
 classification. Both stacks share hyperparameters but own independent
 weights, so forward and backward can run the ch2 stack on a worker thread
-while the calling thread runs ch1. `backward` can hand the gradients to an
-update callable: each stack's on the thread that computed them, once its last
-read of its weights is done, and the head's after both stacks finish. A
-momentum update then makes the same ufunc calls on each array as it would on
-the calling thread, so the weights are the same bytes.
+while the calling thread runs ch1. `backward` hands every gradient to an
+update callable and returns none: each stack's on the thread that computed
+them, once its last read of its weights is done, and the head's after both
+stacks finish. A momentum update then makes the same ufunc calls on each
+array as it would on the calling thread, so the weights are the same bytes.
 
 Convolutions are evaluated as im2col matrix products so training stays fast
 without any framework dependency. Every conv activation, cache and gradient
@@ -442,11 +442,11 @@ def _conv_backward(layer: Conv1dLayer, cache, d_pre: np.ndarray, need_dx: bool):
     return dw, db, dx
 
 
-def _stack_backward(convs, dense, cache, d_hidden, prefix, update=None) -> dict[str, np.ndarray]:
-    """Gradients of one channel stack, named `{prefix}.<layer>.<attr>`.
+def _stack_backward(convs, dense, cache, d_hidden, prefix, update) -> None:
+    """Hands update the gradients of one channel stack, named `{prefix}.<layer>.<attr>`.
 
-    update, if given, is called on them last, on this thread: every read of
-    the stack's weights is done by then.
+    update is called on them last, on this thread: every read of the stack's
+    weights is done by then.
     """
     conv_caches, act_shape, flat, hidden = cache
     grads = {}
@@ -465,19 +465,18 @@ def _stack_backward(convs, dense, cache, d_hidden, prefix, update=None) -> dict[
         grads[f"{prefix}.conv{i}.weights"] = dw
         grads[f"{prefix}.conv{i}.bias"] = db
         d_act = dx
-    if update is not None:
-        update(grads)
-    return grads
+    update(grads)
 
 
-def backward(state: NetworkState, cache, labels: np.ndarray, update=None):
-    """Gradients of the mean cross-entropy w.r.t. every parameter.
+def backward(state: NetworkState, cache, labels: np.ndarray, update) -> None:
+    """Hands update the gradients of the mean cross-entropy w.r.t. every parameter.
 
-    Keys match NetworkState.parameters() names; shapes mirror the parameters.
-    With an update callable, returns None instead: update(grads) is called
-    once per stack, on the thread that computed that stack's gradients, and
-    once for the head's after both stacks finish. It may overwrite the
-    gradients it is given, for example to scale them in place.
+    update(grads) is called three times, with disjoint dicts whose keys are
+    NetworkState.parameters() names and whose arrays mirror the parameters'
+    shapes: once per stack, on the thread that computed that stack's
+    gradients, and once for the head's, on the calling thread after both
+    stacks finish. It may overwrite the gradients it is given, for example
+    to scale them in place.
     """
     cache1, cache2, fused, probs = cache
     labels = np.asarray(labels, dtype=np.int64)
@@ -493,7 +492,7 @@ def backward(state: NetworkState, cache, labels: np.ndarray, update=None):
     grads["head.bias"] = d_logits.sum(axis=0)
     d_fused = d_logits @ state.head.weights
     d_units = state.spec.dense_units
-    grads1, grads2 = _run_stacks(
+    _run_stacks(
         _stack_backward,
         n_batch,
         (state.conv_stacks[0], state.dense_layers[0], cache1, d_fused[:, :d_units], "ch1",
@@ -501,21 +500,17 @@ def backward(state: NetworkState, cache, labels: np.ndarray, update=None):
         (state.conv_stacks[1], state.dense_layers[1], cache2, d_fused[:, d_units:], "ch2",
          update),
     )
-    if update is not None:
-        update(grads)
-        return None
-    return grads | grads1 | grads2
+    update(grads)
 
 
-def loss_and_gradients(state: NetworkState, x, labels, update=None):
-    """Forward + backward on one batch x [batch, 2, input_bins].
+def loss_and_gradients(state: NetworkState, x, labels, update):
+    """Forward + backward on one batch x [batch, 2, input_bins]; backward hands
+    update the gradients (see backward).
 
-    Returns (loss, gradients, probs [batch, n_classes]); the forward cache is
-    released on return, so only the small probability array outlives the call.
-    With an update callable, backward hands it the gradients (see backward)
-    and the gradients returned are None.
+    Returns (loss, probs [batch, n_classes]); the forward cache is released
+    on return, so only the small probability array outlives the call.
     """
     probs, cache = forward(state, x)
     loss = cross_entropy(probs, labels)
-    grads = backward(state, cache, labels, update)
-    return loss, grads, probs
+    backward(state, cache, labels, update)
+    return loss, probs

@@ -170,7 +170,7 @@ def train(
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
                 y_batch = y_tr[batch]
-                loss, _, probs = loss_and_gradients(state, x_tr[batch], y_batch, update)
+                loss, probs = loss_and_gradients(state, x_tr[batch], y_batch, update)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(epoch, f"batch loss = {loss}")
                 loss_sum += loss * len(batch)

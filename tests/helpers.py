@@ -67,15 +67,25 @@ def sinusoid(freq_hz: float, n: int, rate: float = 500.0, noise: float = 0.05,
     return np.sin(2.0 * np.pi * freq_hz * t) + noise * rng.standard_normal(n)
 
 
+def gradients(state, x, y) -> dict[str, np.ndarray]:
+    """Every parameter's gradient on the batch (x, y), by name: what training's
+    update receives, collected with dict.update as the update."""
+    from semgrasp.network import loss_and_gradients
+
+    grads = {}
+    loss_and_gradients(state, x, y, grads.update)
+    return grads
+
+
 def fd_gradient_check(state, x, y, h: float = 1e-5) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
     Perturbs every scalar parameter in place; parameters whose analytic and
     numeric gradients are both below 1e-10 count as exact.
     """
-    from semgrasp.network import cross_entropy, forward, loss_and_gradients
+    from semgrasp.network import cross_entropy, forward
 
-    _, grads, _ = loss_and_gradients(state, x, y)
+    grads = gradients(state, x, y)
     worst = 0.0
     for name, arr in state.parameters():
         g = grads[name]

@@ -208,6 +208,28 @@ def test_validate_missing_manifest_column(tmp_path, capsys):
     assert "'session'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("rec1.csv,T,s1,d1,500.0,x", "expected 5 columns, got 6"),
+        ("rec1.csv,T,s1,d1", "expected 5 columns, got 4"),
+        ("rec1.csv,T,,d1,500.0", "empty subject"),
+        ("rec1.csv,T,s1,,500.0", "empty session"),
+    ],
+    ids=["sixth_cell", "missing_cell", "empty_subject", "empty_session"],
+)
+def test_validate_refuses_bad_manifest_row_at_its_line(tmp_path, capsys, row, message):
+    root = tmp_path / "ds"
+    root.mkdir()
+    (root / "manifest.csv").write_text(
+        f"file,label,subject,session,sample_rate\nrec0.csv,C,s1,d1,500.0\n{row}\n"
+    )
+    assert main(["validate", str(root)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {root / 'manifest.csv'}:3: {message}\n"
+    assert captured.out == ""
+
+
 def test_validate_bad_record_read_in_a_worker_is_one_line(dataset_dir, tmp_path, capsys):
     # 72 records: with two usable cores, load_dataset reads them in worker processes
     bad = tmp_path / "bad"
@@ -342,13 +364,14 @@ def test_train_unknown_config_key(dataset_dir, tmp_path, capsys):
         {"subset": "bogus"},
         {"subset": "region=north"},
         {"subset": 5},
+        {"subset": "subject="},
         {"features": "feats.csv", "dataset": None, "subset": "subject=s1"},
     ],
     ids=[
         "seed", "reference_accuracy", "momentum", "epochs_fraction", "batch_size_fraction",
         "epochs_bool", "optimizer", "activation", "nbins",
         "dense_units_fraction", "kernel_fraction", "stride_bool", "zero_filters",
-        "subset_syntax", "subset_kind", "subset_type", "subset_feature_dump",
+        "subset_syntax", "subset_kind", "subset_type", "subset_empty_id", "subset_feature_dump",
     ],
 )
 def test_train_bad_config_value_fails_before_work(

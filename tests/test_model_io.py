@@ -61,6 +61,22 @@ def test_save_load_without_normalizer_or_rate(tmp_path, synth_features):
     assert back.sample_rate is None
 
 
+def test_failed_save_leaves_the_previous_bundle_whole(tmp_path, synth_features, monkeypatch):
+    path = tmp_path / "model.bin"
+    save_model(path, _bundle(synth_features))
+    before = path.read_bytes()
+
+    def failing_savez(fh, **arrays):
+        fh.write(b"PK part of a bundle")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    with pytest.raises(OSError, match="no space left"):
+        save_model(path, _bundle(synth_features, with_normalizer=False))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
 def test_file_name_is_kept_verbatim(tmp_path, synth_features):
     # numpy's savez appends .npz to bare paths; the bundle writer must not
     path = tmp_path / "model.bin"

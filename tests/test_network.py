@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from helpers import fd_gradient_check
+from helpers import fd_gradient_check, gradients
 
 from semgrasp import network
 from semgrasp.network import (
@@ -23,7 +23,6 @@ from semgrasp.network import (
     cross_entropy,
     forward,
     init_network,
-    loss_and_gradients,
     softmax,
 )
 
@@ -377,18 +376,18 @@ def test_zero_loss_batch_has_stationary_head_bias():
     state, x, _ = _desk_net(1)
     y = np.array([2, 2, 2])
     state.head.bias[2] += 1000.0  # drives the softmax to an exact one-hot
-    probs, cache = forward(state, x)
+    probs, _ = forward(state, x)
     assert probs[:, 2] == pytest.approx(1.0, abs=1e-12)
-    grads = backward(state, cache, y)
+    grads = gradients(state, x, y)
     assert np.abs(grads["head.bias"]).max() < 1e-8
 
 
 def test_batch_duplication_is_additive_before_averaging():
     state, x, _ = _desk_net(4, batch=2)
-    ga = loss_and_gradients(state, x[:1], [0])[1]
-    gb = loss_and_gradients(state, x[1:], [3])[1]
-    gab = loss_and_gradients(state, x, [0, 3])[1]
-    gaab = loss_and_gradients(state, np.vstack([x[:1], x]), [0, 0, 3])[1]
+    ga = gradients(state, x[:1], [0])
+    gb = gradients(state, x[1:], [3])
+    gab = gradients(state, x, [0, 3])
+    gaab = gradients(state, np.vstack([x[:1], x]), [0, 0, 3])
     for name in ga:
         np.testing.assert_allclose(gab[name], (ga[name] + gb[name]) / 2, atol=1e-12)
         np.testing.assert_allclose(gaab[name], (2 * ga[name] + gb[name]) / 3, atol=1e-12)
@@ -411,7 +410,7 @@ def test_parameter_dtype_decides_every_activation_and_gradient(dtype, batch):
         for _, xcol, wmat, pre in conv_caches:
             cached += [xcol, wmat, pre]
     assert [a.dtype for a in cached] == [np.dtype(dtype)] * len(cached)
-    _, grads, _ = loss_and_gradients(state, x, y)
+    grads = gradients(state, x, y)
     for name, param in state.parameters():
         assert param.dtype == dtype, name
         assert grads[name].dtype == dtype, name
@@ -446,11 +445,11 @@ def _sequential_forward_backward(state, x, y):
     grads = {"head.weights": d_logits.T @ fused, "head.bias": d_logits.sum(axis=0)}
     d_fused = d_logits @ state.head.weights
     d = state.spec.dense_units
-    grads |= _stack_backward(
-        state.conv_stacks[0], state.dense_layers[0], cache1, d_fused[:, :d], "ch1"
+    _stack_backward(
+        state.conv_stacks[0], state.dense_layers[0], cache1, d_fused[:, :d], "ch1", grads.update
     )
-    grads |= _stack_backward(
-        state.conv_stacks[1], state.dense_layers[1], cache2, d_fused[:, d:], "ch2"
+    _stack_backward(
+        state.conv_stacks[1], state.dense_layers[1], cache2, d_fused[:, d:], "ch2", grads.update
     )
     return probs, grads
 
@@ -463,11 +462,19 @@ def test_threaded_stacks_bit_identical_to_sequential(batch):
     y = rng.integers(0, 6, size=batch)
     expected_probs, expected_grads = _sequential_forward_backward(state, x, y)
     probs, cache = forward(state, x)
-    grads = backward(state, cache, y)
+    calls = []  # (thread, gradients) of each update call
+    backward(state, cache, y, lambda grads: calls.append((threading.current_thread(), grads)))
     assert np.array_equal(probs, expected_probs)
-    assert sorted(grads) == sorted(name for name, _ in state.parameters())
-    for name, g in expected_grads.items():
-        assert np.array_equal(grads[name], g), name
+    # one call per stack and one for the head, last and on this thread; together
+    # they deliver every parameter's gradient exactly once
+    assert len(calls) == 3
+    delivered = [name for _, grads in calls for name in grads]
+    assert sorted(delivered) == sorted(name for name, _ in state.parameters())
+    assert calls[-1][0] is threading.current_thread()
+    assert set(calls[-1][1]) == {"head.weights", "head.bias"}
+    for _, grads in calls:
+        for name, g in grads.items():
+            assert np.array_equal(g, expected_grads[name]), name
 
 
 def test_ch2_stack_error_reaches_caller_unchanged(monkeypatch):
@@ -482,7 +489,7 @@ def test_ch2_stack_error_reaches_caller_unchanged(monkeypatch):
             raise error
         return real_forward(convs, dense, x)
 
-    def failing_backward(convs, dense, cache, d_hidden, prefix, update=None):
+    def failing_backward(convs, dense, cache, d_hidden, prefix, update):
         if prefix == "ch2":
             raised_on.append(threading.current_thread().name)
             raise error
@@ -495,7 +502,7 @@ def test_ch2_stack_error_reaches_caller_unchanged(monkeypatch):
         forward(state, x)
     assert info.value is error
     with pytest.raises(ValueError) as info:
-        backward(state, cache, y)
+        backward(state, cache, y, {}.update)
     assert info.value is error
     assert len(raised_on) == 2
     assert threading.current_thread().name not in raised_on
@@ -533,12 +540,12 @@ def test_ch2_stack_runs_in_callers_numpy_error_state():
 
 def test_concurrent_callers_get_sequential_results():
     state, x, y = _desk_net(3, batch=network._CONCURRENT_MIN_ROWS)
-    expected = loss_and_gradients(state, x, y)[1]
+    expected = gradients(state, x, y)
     results = []
 
     def worker():
         for _ in range(20):
-            results.append(loss_and_gradients(state, x, y)[1])
+            results.append(gradients(state, x, y))
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for t in threads:

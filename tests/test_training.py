@@ -6,6 +6,8 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import gradients
+
 from semgrasp import network, training
 from semgrasp.dataset import LABELS
 from semgrasp.errors import TrainingDivergedError
@@ -103,10 +105,10 @@ def _recording_steps(monkeypatch):
     """Patch train's step to record (loss, rows, correctly classified rows) per batch."""
     steps = []
 
-    def step(state, x, labels, update=None):
-        loss, grads, probs = network.loss_and_gradients(state, x, labels, update)
+    def step(state, x, labels, update):
+        loss, probs = network.loss_and_gradients(state, x, labels, update)
         steps.append((loss, len(labels), int((probs.argmax(axis=1) == labels).sum())))
-        return loss, grads, probs
+        return loss, probs
 
     monkeypatch.setattr(training, "loss_and_gradients", step)
     return steps
@@ -131,7 +133,8 @@ def test_train_columns_are_the_epochs_own_batch_statistics(normalized_split, mon
 
 def _reference_train(spec, train_feats, test_feats, cfg):
     """train's loop with the momentum update applied on the calling thread, after
-    loss_and_gradients has returned the whole set of gradients."""
+    the whole set of gradients has been collected; the batch statistics come
+    from a forward pass of their own."""
     (x_tr, y_tr), (x_te, y_te) = features_to_arrays(train_feats), features_to_arrays(test_feats)
     x_tr, x_te = x_tr.astype(training.NETWORK_DTYPE), x_te.astype(training.NETWORK_DTYPE)
     rng_init = np.random.default_rng([cfg.seed, training.INIT_STREAM])
@@ -145,8 +148,9 @@ def _reference_train(spec, train_feats, test_feats, cfg):
             loss_sum, correct = 0.0, 0
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                loss, grads, probs = network.loss_and_gradients(state, x_tr[batch], y_tr[batch])
-                loss_sum += loss * len(batch)
+                probs = network.forward(state, x_tr[batch])[0]
+                grads = gradients(state, x_tr[batch], y_tr[batch])
+                loss_sum += cross_entropy(probs, y_tr[batch]) * len(batch)
                 correct += int((probs.argmax(axis=1) == y_tr[batch]).sum())
                 for name, arr in state.parameters():
                     v = velocity[name]
