@@ -5,7 +5,8 @@ driven by a JSON config file; --seed/--out/--subset override the config.
 Every run directory is self-describing: config.echo holds the fully
 materialized configuration, and all artifacts are reproducible from it.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 divergence.
+Exit codes: 0 success, 1 usage/config error, 2 data error, 3 divergence,
+130 interrupted (SIGINT).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import sys
 from dataclasses import asdict
 from functools import partial
@@ -88,11 +90,32 @@ _TOP_LEVEL_RULES = {
 }
 
 
+def _say(line: str) -> None:
+    """Write one line of a command's output to stdout.
+
+    A reader that closes stdout early is not an error: fd 1 then points at
+    /dev/null, and the command finishes its work and exits with its own code.
+    """
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; route them through
     # ConfigError so usage problems map to exit code 1 instead.
     def error(self, message):
         raise ConfigError(message)
+
+    # --help writes through _say, so a closed stdout is no error there either
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            _say(message.removesuffix("\n"))
+        else:
+            super()._print_message(message, file)
 
 
 def resolve_config(
@@ -147,6 +170,8 @@ def resolve_config(
         raise ConfigError(f"features file not found: {cfg['features']}")
     if cfg["features"] is not None and cfg["subset"] != "all":
         raise ConfigError("subset selection needs the raw dataset, not a feature dump")
+    if cfg["dataset"] is not None and cfg["sample_rate"] is not None:
+        raise ConfigError("sample_rate is for a feature dump; a dataset's manifest gives its rate")
     return cfg
 
 
@@ -183,7 +208,7 @@ def cmd_train(args) -> int:
         kind, chosen, value = cfg["subset"].partition("=")
         ds = load_dataset(cfg["dataset"], partial(feature_rows, cfg=fcfg),
                           **({kind: value} if chosen else {}))
-        print(f"dataset: {ds.name}, {len(ds)} records, rate {ds.sample_rate} Hz")
+        _say(f"dataset: {ds.name}, {len(ds)} records, rate {ds.sample_rate} Hz")
         x, labels = ds.x, ds.labels
         sample_rate: float | None = ds.sample_rate
         data_name = ds.name
@@ -196,7 +221,7 @@ def cmd_train(args) -> int:
             )
         sample_rate = cfg["sample_rate"]
         data_name = Path(cfg["features"]).stem
-        print(f"features: {data_name}, {len(labels)} records")
+        _say(f"features: {data_name}, {len(labels)} records")
     feats = unstack_channels(x, labels)
 
     plan = split_by_labels(labels, cfg["split_fraction"], cfg["seed"])
@@ -207,7 +232,7 @@ def cmd_train(args) -> int:
     _write_split_csv(outdir / "split.csv", len(labels), plan.train_indices)
     train_feats = [feats[i] for i in plan.train_indices]
     test_feats = [feats[i] for i in plan.test_indices]
-    print(f"split: {len(train_feats)} train / {len(test_feats)} test (seed {cfg['seed']})")
+    _say(f"split: {len(train_feats)} train / {len(test_feats)} test (seed {cfg['seed']})")
 
     normalizer = None
     if fcfg.normalization == "zscore":
@@ -219,7 +244,7 @@ def cmd_train(args) -> int:
 
     def progress(epoch, stats):
         if epoch == 1 or epoch == tcfg.epochs or epoch % every == 0:
-            print(
+            _say(
                 f"epoch {epoch:4d}  train_loss {stats.train_loss:.4f}  "
                 f"train_acc {stats.train_acc:.4f}  test_acc {stats.test_acc:.4f}"
             )
@@ -238,16 +263,14 @@ def cmd_train(args) -> int:
     )
     # the bundle first: a directory holding summary.txt always holds its model
     save_model(outdir / "model.bin", bundle)
-    extras = {}
-    if cfg["reference_accuracy"] is not None:
-        extras["reference_accuracy"] = float(cfg["reference_accuracy"])
-    write_report(outdir, report, extras)
-    print(
+    ref = cfg["reference_accuracy"]
+    write_report(outdir, report, None if ref is None else float(ref))
+    _say(
         f"done: model accuracy {report.model_accuracy:.4f}, "
         f"max {report.max_accuracy:.4f} (epoch {report.max_accuracy_epoch}), "
         f"average {report.average_accuracy:.4f}, weighted F1 {report.f1_weighted:.4f}"
     )
-    print(f"artifacts written to {outdir}")
+    _say(f"artifacts written to {outdir}")
     return 0
 
 
@@ -282,8 +305,8 @@ def cmd_eval(args) -> int:
         outdir / "summary.csv",
         {"accuracy": acc, "f1_weighted": f1w, "f1_macro": f1m, "samples": int(cm.sum())},
     )
-    print(f"evaluated {int(cm.sum())} records: accuracy {acc:.4f}, weighted F1 {f1w:.4f}")
-    print(f"artifacts written to {outdir}")
+    _say(f"evaluated {int(cm.sum())} records: accuracy {acc:.4f}, weighted F1 {f1w:.4f}")
+    _say(f"artifacts written to {outdir}")
     return 0
 
 
@@ -298,14 +321,14 @@ def cmd_predict(args) -> int:
     _, x = _read_chunk([(Path(args.record), None, bundle.sample_rate, None, None)],
                        partial(feature_rows, cfg=bundle.feature_config))
     preds, probs = _classify(bundle, unstack_channels(x, [None]), args.model)
-    print("label," + ",".join(f"p_{lab}" for lab in LABELS))
-    print(LABELS[preds[0]] + "," + ",".join(repr(float(p)) for p in probs[0]))
+    _say("label," + ",".join(f"p_{lab}" for lab in LABELS))
+    _say(LABELS[preds[0]] + "," + ",".join(repr(float(p)) for p in probs[0]))
     return 0
 
 
 def cmd_convert(args) -> int:
     count = convert_class_matrices(args.input, args.output, sample_rate=args.rate)
-    print(f"wrote {count} records to {args.output}")
+    _say(f"wrote {count} records to {args.output}")
     return 0
 
 
@@ -316,11 +339,11 @@ def _lengths(records: list) -> list[int]:  # validate's load_dataset reducer
 def cmd_validate(args) -> int:
     # load_dataset checks that every record has the first one's length
     ds = load_dataset(args.data, _lengths)
-    print(f"dataset {ds.name}: {len(ds)} records, {ds.x[0]} samples each, "
-          f"{ds.sample_rate} Hz")
-    print("per class: " + " ".join(f"{lab}={ds.labels.count(lab)}" for lab in LABELS))
-    print(f"subjects: {', '.join(sorted(set(ds.subjects)))}")
-    print(f"sessions: {', '.join(sorted(set(ds.sessions)))}")
+    _say(f"dataset {ds.name}: {len(ds)} records, {ds.x[0]} samples each, "
+         f"{ds.sample_rate} Hz")
+    _say("per class: " + " ".join(f"{lab}={ds.labels.count(lab)}" for lab in LABELS))
+    _say(f"subjects: {', '.join(sorted(set(ds.subjects)))}")
+    _say(f"sessions: {', '.join(sorted(set(ds.sessions)))}")
     return 0
 
 
@@ -331,7 +354,7 @@ def cmd_extract(args) -> int:
         raise ConfigError(str(e)) from None
     ds = load_dataset(args.data, partial(feature_rows, cfg=fcfg))
     save_features_csv(args.out, ds.x, ds.labels)
-    print(f"wrote {len(ds)} feature rows ({fcfg.nbins} bins/channel) to {args.out}")
+    _say(f"wrote {len(ds)} feature rows ({fcfg.nbins} bins/channel) to {args.out}")
     return 0
 
 
@@ -379,9 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -399,6 +421,9 @@ def main(argv=None) -> int:
         # sizes that pass every config check but do not fit this machine
         print(f"config error: cannot allocate memory: {e}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import signal
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,11 +27,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .network import _is_finite_number
+from .network import LABELS, _is_finite_number
 
-LABELS = ("C", "T", "L", "H", "P", "S")
 LABEL_TO_INDEX = {lab: i for i, lab in enumerate(LABELS)}
-NUM_CLASSES = len(LABELS)
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_COLUMNS = ("file", "label", "subject", "session", "sample_rate")
@@ -41,12 +40,6 @@ def label_to_index(label: str) -> int:
         return LABEL_TO_INDEX[label]
     except KeyError:
         raise DataError(f"unknown label {label!r}; expected one of {''.join(LABELS)}") from None
-
-
-def index_to_label(index: int) -> str:
-    if not 0 <= index < NUM_CLASSES:
-        raise DataError(f"class index {index} out of range 0..{NUM_CLASSES - 1}")
-    return LABELS[index]
 
 
 @dataclass
@@ -316,7 +309,14 @@ def _read_records(entries: list[_Entry], reduce: _Reducer) -> list[tuple[list[in
         return [_read_chunk(chunk, reduce) for chunk in chunks]
     pool = ProcessPoolExecutor(min(cores, len(chunks)), multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(_read_chunk, chunk, reduce) for chunk in chunks]
+        # the first submit forks every worker, and a forked process keeps the
+        # signal mask of the thread that forked it: blocked here, SIGINT stays
+        # blocked in the workers, so an interrupt is the parent's alone to report
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            futures = [pool.submit(_read_chunk, chunk, reduce) for chunk in chunks]
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         read = []
         for chunk, future in zip(chunks, futures):
             try:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError (and
-subclasses) -> 2, TrainingDivergedError -> 3.
+subclasses) -> 2, TrainingDivergedError -> 3; an interrupt (SIGINT) exits 130.
 """
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import LABELS, NUM_CLASSES, _fmt, label_to_index
+from .dataset import LABELS, _fmt, label_to_index
 from .errors import DataError
 
 
@@ -50,10 +50,10 @@ def confusion_matrix(truths: Sequence, preds: Sequence) -> np.ndarray:
         raise DataError(f"length mismatch: {len(truths)} truths vs {len(preds)} predictions")
     if len(truths) == 0:
         raise DataError("cannot build a confusion matrix from zero samples")
-    cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
+    cm = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
     for t, p in zip(truths, preds):
         ti, pi = _to_index(t), _to_index(p)
-        if not (0 <= ti < NUM_CLASSES and 0 <= pi < NUM_CLASSES):
+        if not (0 <= ti < len(LABELS) and 0 <= pi < len(LABELS)):
             raise DataError(f"class index out of range: true={ti}, pred={pi}")
         cm[ti, pi] += 1
     return cm
@@ -127,12 +127,13 @@ def summarize(epoch_log: list[EpochStats], final_confusion: np.ndarray) -> EvalR
     )
 
 
-def write_report(outdir: str | Path, report: EvalReport, extras: dict | None = None) -> None:
+def write_report(
+    outdir: str | Path, report: EvalReport, reference_accuracy: float | None = None
+) -> None:
     """Write epochs.csv, confusion.csv, summary.csv and summary.txt.
 
-    extras (e.g. a reference accuracy to compare against) are appended as
-    additional summary columns; a reference_accuracy extra also produces a
-    gap_to_reference column.
+    A reference accuracy to compare against adds the summary columns
+    reference_accuracy and gap_to_reference.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -155,17 +156,16 @@ def write_report(outdir: str | Path, report: EvalReport, extras: dict | None = N
         "f1_weighted": report.f1_weighted,
         "f1_macro": report.f1_macro,
     }
-    extras = dict(extras or {})
-    ref = extras.get("reference_accuracy")
-    if ref is not None:
-        extras["gap_to_reference"] = ref - report.model_accuracy
-    write_summary_csv(outdir / "summary.csv", {**columns, **extras})
+    if reference_accuracy is not None:
+        columns["reference_accuracy"] = reference_accuracy
+        columns["gap_to_reference"] = reference_accuracy - report.model_accuracy
+    write_summary_csv(outdir / "summary.csv", columns)
 
     with open(outdir / "summary.txt", "w") as fh:
-        fh.write(format_report(report, extras))
+        fh.write(format_report(report, reference_accuracy))
 
 
-def format_report(report: EvalReport, extras: dict | None = None) -> str:
+def format_report(report: EvalReport, reference_accuracy: float | None = None) -> str:
     lines = [
         f"samples evaluated:  {int(report.confusion.sum())}",
         f"model accuracy:     {report.model_accuracy:.6f}",
@@ -174,11 +174,10 @@ def format_report(report: EvalReport, extras: dict | None = None) -> str:
         f"weighted F1:        {report.f1_weighted:.6f}",
         f"macro F1:           {report.f1_macro:.6f}",
     ]
-    extras = extras or {}
-    ref = extras.get("reference_accuracy")
-    if ref is not None:
-        lines.append(f"reference accuracy: {ref:.6f}")
-        lines.append(f"gap to reference:   {ref - report.model_accuracy:+.6f}")
+    if reference_accuracy is not None:
+        gap = reference_accuracy - report.model_accuracy
+        lines.append(f"reference accuracy: {reference_accuracy:.6f}")
+        lines.append(f"gap to reference:   {gap:+.6f}")
     prec = " ".join(f"{LABELS[k]}={v:.4f}" for k, v in enumerate(report.per_class_precision))
     rec = " ".join(f"{LABELS[k]}={v:.4f}" for k, v in enumerate(report.per_class_recall))
     lines.append(f"precision per class: {prec}")

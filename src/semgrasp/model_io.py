@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LABELS
 from .errors import DataError
 from .features import STD_FLOOR, FeatureConfig, Normalizer
 from .network import NetworkSpec, NetworkState, _is_finite_number, empty_network
@@ -96,8 +95,6 @@ def load_model(path: str | Path) -> ModelBundle:
     try:
         spec = NetworkSpec.from_json(_section(meta, "network", NetworkSpec))
         feature_config = FeatureConfig(**_section(meta, "feature_config", FeatureConfig))
-        if spec.n_classes != len(LABELS):
-            raise ValueError(f"network.n_classes must be {len(LABELS)}, got {spec.n_classes}")
         state = empty_network(spec)
         if feature_config.nbins != spec.input_bins:
             raise ValueError(

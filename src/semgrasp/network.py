@@ -49,6 +49,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 PROB_FLOOR = 1e-12
+# the six grasp types in class-index order; the head has one logit per label
+LABELS = ("C", "T", "L", "H", "P", "S")
 
 
 _ch2_executor: ThreadPoolExecutor
@@ -252,11 +254,11 @@ class NetworkSpec:
         default_factory=lambda: [ConvSpec(32, 5, 1), ConvSpec(64, 5, 2)]
     )
     dense_units: int = 64
-    n_classes: int = 6
+    n_classes: int = field(default=len(LABELS), init=False)
     activation: str = "relu"
 
     def __post_init__(self):
-        _check_sizes(self, ("input_bins", "dense_units", "n_classes"))
+        _check_sizes(self, ("input_bins", "dense_units"))
         if self.activation not in ("relu", "identity"):
             raise ValueError(f"activation must be 'relu' or 'identity', got {self.activation!r}")
 
@@ -266,11 +268,16 @@ class NetworkSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> NetworkSpec:
-        """The spec of a to_json form; each conv layer must be [filters, kernel, stride]."""
+        """The spec of a to_json form; each conv layer must be [filters, kernel, stride],
+        and n_classes, where given, the label count."""
         conv = obj["conv_layers"]
         if not (isinstance(conv, list) and all(isinstance(c, list) and len(c) == 3 for c in conv)):
             raise ValueError(f"conv_layers must be [filters, kernel, stride] lists, got {conv!r}")
-        return cls(**{**obj, "conv_layers": [ConvSpec(*c) for c in conv]})
+        kwargs = {**obj, "conv_layers": [ConvSpec(*c) for c in conv]}
+        n = kwargs.pop("n_classes", len(LABELS))
+        if type(n) is not int or n != len(LABELS):
+            raise ValueError(f"network.n_classes must be {len(LABELS)}, got {n!r}")
+        return cls(**kwargs)
 
     def flat_dim(self) -> int:
         """Flattened size of the last conv output feeding the dense layer."""

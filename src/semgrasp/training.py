@@ -32,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LABEL_TO_INDEX, index_to_label
+from .dataset import LABEL_TO_INDEX
 from .errors import TrainingDivergedError
 from .features import FeatureVector, stack_channels
 from .metrics import EpochStats
 from .network import (
+    LABELS,
     NetworkSpec,
     NetworkState,
     _check_sizes,
@@ -192,7 +193,7 @@ def predict(state: NetworkState, fv: FeatureVector) -> tuple[str, np.ndarray]:
     Ties in the probabilities resolve to the lowest class index.
     """
     preds, probs = predict_batch(state, [fv])
-    return index_to_label(int(preds[0])), probs[0]
+    return LABELS[int(preds[0])], probs[0]
 
 
 def predict_batch(state: NetworkState, features: list[FeatureVector]):

@@ -75,9 +75,7 @@ def test_criterion_3_psd_variance_consistency():
 
 def test_criterion_4_gradient_checks_twenty_seeds():
     with criterion(4, "analytic gradients match central differences (h=1e-5) within 1e-4"):
-        spec = NetworkSpec(
-            input_bins=8, conv_layers=[ConvSpec(2, 3, 1)], dense_units=4, n_classes=6
-        )
+        spec = NetworkSpec(input_bins=8, conv_layers=[ConvSpec(2, 3, 1)], dense_units=4)
         for seed in range(20):
             rng = np.random.default_rng(seed)
             state = init_network(spec, rng)

@@ -3,9 +3,11 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -292,13 +294,126 @@ _CLI_DRIVER = (
 )
 
 
-def _run_cli(args, cores=None, **env):
+def _run_cli(args, cores=None, stdout=subprocess.PIPE, **env):
     """`semgrasp *args` in a subprocess, with env added to this process's environment."""
     src = Path(semgrasp.__file__).resolve().parents[1]
     return subprocess.run(
         [sys.executable, "-c", _CLI_DRIVER, str(cores or ""), *map(str, args)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src), **env},
+        stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(src), **env},
     )
+
+
+def _run_cli_into_closed_pipe(args, **env):
+    """_run_cli with stdout a pipe whose read end is closed before the run."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _run_cli(args, stdout=write_end, **env)
+    finally:
+        os.close(write_end)
+
+
+# stdout to a pipe is block-buffered unless PYTHONUNBUFFERED is non-empty
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["validate", "help"])
+def test_command_into_closed_pipe_is_not_an_error(dataset_dir, command, unbuffered):
+    args = ["validate", dataset_dir] if command == "validate" else ["train", "--help"]
+    done = _run_cli_into_closed_pipe(args, PYTHONUNBUFFERED=unbuffered)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_train_into_closed_pipe_writes_the_same_artifacts(dataset_dir, tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", dataset=str(dataset_dir),
+                        training={"epochs": 2, "batch_size": 16, "learning_rate": 0.01})
+    captured = _run_cli(["train", "--config", cfg, "--out", tmp_path / "captured"])
+    assert (captured.returncode, captured.stderr) == (0, ""), captured.stderr
+    assert "artifacts written to" in captured.stdout
+    done = _run_cli_into_closed_pipe(["train", "--config", cfg, "--out", tmp_path / "closed"],
+                                     PYTHONUNBUFFERED="")
+    assert (done.returncode, done.stderr) == (0, "")
+    for name in ("model.bin", "summary.csv"):
+        assert (tmp_path / "closed" / name).read_bytes() == (
+            tmp_path / "captured" / name).read_bytes(), name
+
+
+# `semgrasp train` with SIGINT restored to the default handler (a shell may start a
+# background job with it ignored). With a flag path in argv[1], the readers run in
+# two worker processes. The first record read in one of them waits until the other
+# worker has read its chunks and waits for more, then sends SIGINT to the whole
+# process group, as a terminal's Ctrl-C does.
+_INTERRUPTIBLE_DRIVER = """
+import os, signal, sys, time
+import semgrasp.dataset as d
+from semgrasp.cli import main
+signal.signal(signal.SIGINT, signal.default_int_handler)
+if sys.argv[1]:
+    d._usable_cores = lambda: 2
+    parent, read = os.getpid(), d.read_record_csv
+
+    def read_record_csv(path):
+        if os.getpid() != parent:
+            try:
+                os.close(os.open(sys.argv[1], os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                time.sleep(1)
+                os.killpg(0, signal.SIGINT)
+        return read(path)
+
+    d.read_record_csv = read_record_csv
+sys.exit(main(["train", *sys.argv[2:]]))
+"""
+
+
+def _interruptible_train(flag, cfg, out, stdout):
+    src = Path(semgrasp.__file__).resolve().parents[1]
+    return subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPTIBLE_DRIVER, flag, "--config", cfg, "--out", out],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": ""},
+    )
+
+
+def _end_group(proc):
+    """Kill whatever is left of proc's process group, and reap proc."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
+
+
+def test_interrupted_train_is_one_line(dataset_dir, tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", dataset=str(dataset_dir),
+                        training={"epochs": 100000, "batch_size": 16, "learning_rate": 0.01})
+    proc = _interruptible_train("", str(cfg), str(tmp_path / "out"), subprocess.PIPE)
+    # the epoch line must reach a block-buffered pipe as it is printed
+    watchdog = threading.Timer(60, _end_group, (proc,))
+    watchdog.start()
+    try:
+        for line in proc.stdout:
+            if line.startswith("epoch"):
+                break
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate()
+    finally:
+        watchdog.cancel()
+        _end_group(proc)
+    assert (proc.returncode, err) == (130, "interrupted\n")
+
+
+def test_interrupt_while_workers_read_is_one_line(dataset_dir, tmp_path):
+    flag = tmp_path / "interrupted"
+    cfg = _write_config(tmp_path / "cfg.json", dataset=str(dataset_dir))
+    proc = _interruptible_train(str(flag), str(cfg), str(tmp_path / "out"), subprocess.DEVNULL)
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        _end_group(proc)
+    assert flag.exists()
+    assert (proc.returncode, err) == (130, "interrupted\n")
 
 
 def test_blas_thread_count_changes_no_artifact(tmp_path):
@@ -366,12 +481,14 @@ def test_train_unknown_config_key(dataset_dir, tmp_path, capsys):
         {"subset": 5},
         {"subset": "subject="},
         {"features": "feats.csv", "dataset": None, "subset": "subject=s1"},
+        {"sample_rate": 1000},
     ],
     ids=[
         "seed", "reference_accuracy", "momentum", "epochs_fraction", "batch_size_fraction",
         "epochs_bool", "optimizer", "activation", "nbins",
         "dense_units_fraction", "kernel_fraction", "stride_bool", "zero_filters",
         "subset_syntax", "subset_kind", "subset_type", "subset_empty_id", "subset_feature_dump",
+        "sample_rate_with_dataset",
     ],
 )
 def test_train_bad_config_value_fails_before_work(
@@ -389,7 +506,7 @@ def test_train_bad_config_value_fails_before_work(
 
 
 def test_train_saves_bundle_before_report(dataset_dir, tmp_path, capsys, monkeypatch):
-    def failing_report(outdir, report, extras=None):
+    def failing_report(outdir, report, reference_accuracy=None):
         raise OSError("no space left on device")
 
     monkeypatch.setattr("semgrasp.cli.write_report", failing_report)
@@ -759,13 +876,15 @@ def _config_key_paths():
             yield from ((key, sub) for sub in default)
 
 
-# the probes a valid config may hold: each of them trains (or diverges, exit 3)
+# the probes a valid config may hold: each of them trains (or diverges, exit 3);
+# the probe config names a dataset, so any sample_rate but null is refused
 _ACCEPTED_PROBES = {
-    "features=null", 'out="x"', "seed=0", "sample_rate=null", "sample_rate=2.5",
-    "sample_rate=1e308", "reference_accuracy=null", "reference_accuracy=0",
+    "features=null", 'out="x"', "seed=0", "sample_rate=null",
+    "reference_accuracy=null", "reference_accuracy=0",
     "features_config={}", "features_config.log_floor=2.5", "features_config.log_floor=1e308",
     "network={}", "network.conv_layers=[]", "training={}", "training.learning_rate=2.5",
     "training.learning_rate=1e308", "training.momentum=0",
+    "feature_dump_with_sample_rate=2.5", "feature_dump_with_sample_rate=1e308",
 }
 
 
@@ -785,6 +904,10 @@ _PROBE_ROWS = [
     _probe_row({("network", "conv_layers"): "[[2, 3]]"}, "two_entry_conv_layer"),
     # an integer >= 1 whose dense weights (hundreds of GiB) cannot be allocated
     _probe_row({("network", "dense_units"): "1000000000"}, "unallocatable_dense_units"),
+] + [
+    _probe_row({("dataset",): "null", ("features",): "@DUMP@", ("sample_rate",): text},
+               f"feature_dump_with_sample_rate={text}")
+    for text in ("2.5", "1e308")
 ]
 
 

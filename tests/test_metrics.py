@@ -208,7 +208,7 @@ def test_report_round_trip(tmp_path, rng):
         for _ in range(25)
     ]
     report = summarize(log, cm)
-    write_report(tmp_path, report, extras={"reference_accuracy": 0.9852})
+    write_report(tmp_path, report, reference_accuracy=0.9852)
     epochs = np.loadtxt(tmp_path / "epochs.csv", delimiter=",", skiprows=1, ndmin=2)
     np.testing.assert_array_equal(epochs[:, 0], np.arange(1, 26))
     back_cm = np.loadtxt(tmp_path / "confusion.csv", delimiter=",", dtype=np.int64)

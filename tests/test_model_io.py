@@ -220,6 +220,7 @@ def _retype(name, dtype):
         # refused before the head is allocated, so not a MemoryError
         (lambda meta, arrays: meta["network"].update(n_classes=10**12),
          "network.n_classes must be 6, got 1000000000000"),
+        (lambda meta, arrays: meta["network"].pop("n_classes"), "missing 'network.n_classes'"),
         (_format_version(True), "unsupported model format version True"),
         (_format_version(1.0), "unsupported model format version 1.0"),
         (_format_version("1"), "unsupported model format version '1'"),
@@ -240,8 +241,8 @@ def _retype(name, dtype):
          "float16_weights", "mixed_weights", "float32_normalizer", "normalizer_false_zscore",
          "normalizer_true_none", "normalizer_zero", "normalizer_one", "normalizer_string",
          "normalizer_null", "normalizer_missing", "five_classes", "seven_classes",
-         "huge_classes", "version_true", "version_float", "version_string", "conv_pair",
-         "rate_missing", "dataset_name_missing", "fitted_on_missing", "unknown_key",
+         "huge_classes", "classes_missing", "version_true", "version_float", "version_string",
+         "conv_pair", "rate_missing", "dataset_name_missing", "fitted_on_missing", "unknown_key",
          "extra_array", "normalizer_arrays_without_normalizer"],
 )
 def test_load_rejects_inconsistent_bundles(tmp_path, synth_features, edit, message):

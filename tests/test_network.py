@@ -11,6 +11,7 @@ from semgrasp import network
 from semgrasp.network import (
     Conv1dLayer,
     ConvSpec,
+    LABELS,
     DenseLayer,
     NetworkSpec,
     _conv_backward,
@@ -21,6 +22,7 @@ from semgrasp.network import (
     cast_network,
     conv_output_length,
     cross_entropy,
+    empty_network,
     forward,
     init_network,
     softmax,
@@ -32,7 +34,6 @@ def _desk_spec(bins=8, conv_layers=None):
         input_bins=bins,
         conv_layers=conv_layers or [ConvSpec(2, 3, 1)],
         dense_units=4,
-        n_classes=6,
     )
 
 
@@ -610,7 +611,6 @@ def test_channel_swap_symmetry():
         input_bins=state.spec.input_bins,
         conv_layers=state.spec.conv_layers,
         dense_units=d,
-        n_classes=state.spec.n_classes,
     )
     from semgrasp.network import NetworkState
 
@@ -677,3 +677,19 @@ def test_spec_flat_dim_and_defaults():
         NetworkSpec(input_bins=8, conv_layers=[ConvSpec(4, 16, 1)]).flat_dim()
     with pytest.raises(ValueError, match="activation"):
         NetworkSpec(input_bins=128, activation="tanh")
+
+
+def test_head_is_sized_by_the_label_set():
+    # the class count is not a setting: one head row per label
+    with pytest.raises(TypeError):
+        NetworkSpec(input_bins=128, n_classes=7)
+    state = empty_network(_desk_spec())
+    assert state.spec.n_classes == len(LABELS)
+    assert state.head.weights.shape[0] == state.head.bias.shape[0] == len(LABELS)
+    # a run config's network section has no n_classes; a bundle's must be the label count
+    assert NetworkSpec.from_json(state.spec.to_json()) == state.spec
+    without = {k: v for k, v in state.spec.to_json().items() if k != "n_classes"}
+    assert NetworkSpec.from_json(without) == state.spec
+    for n in (7, 6.0, True):
+        with pytest.raises(ValueError, match=f"network.n_classes must be 6, got {n!r}"):
+            NetworkSpec.from_json({**without, "n_classes": n})
