@@ -49,7 +49,8 @@ from .model_io import ModelBundle, load_model, save_model
 from .network import NetworkSpec, _is_finite_number, empty_network
 from .training import TrainConfig, predict_batch, train
 
-_NETWORK_DEFAULTS = NetworkSpec(input_bins=FeatureConfig().nbins).to_json()
+_FEATURE_DEFAULTS = asdict(FeatureConfig())
+_NETWORK_DEFAULTS = NetworkSpec(input_bins=_FEATURE_DEFAULTS["nbins"]).to_json()
 
 # every default below the top level comes from the dataclass that consumes it
 _CONFIG_DEFAULTS: dict = {
@@ -61,19 +62,23 @@ _CONFIG_DEFAULTS: dict = {
     "split_fraction": 0.7,
     "sample_rate": None,
     "reference_accuracy": None,
-    "features_config": asdict(FeatureConfig()),
+    # the log floor and z-scoring are fixed, like the class count
+    "features_config": {k: _FEATURE_DEFAULTS[k] for k in ("ar_order", "nbins")},
     # input_bins is features_config.nbins, and the class count is fixed
     "network": {k: _NETWORK_DEFAULTS[k] for k in ("conv_layers", "dense_units", "activation")},
     "training": {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
 }
 
 
-_NULL_OR_STRING = (lambda v: v is None or isinstance(v, str), "null or a string")
+# a path with a NUL byte cannot be opened, so it is refused before any work
+_NULL_OR_PATH = (
+    lambda v: v is None or isinstance(v, str) and "\0" not in v, "null or a string without NUL"
+)
 # each top-level key: the check its value must pass, and what the check accepts
 _TOP_LEVEL_RULES = {
-    "dataset": _NULL_OR_STRING,
-    "features": _NULL_OR_STRING,
-    "out": _NULL_OR_STRING,
+    "dataset": _NULL_OR_PATH,
+    "features": _NULL_OR_PATH,
+    "out": _NULL_OR_PATH,
     "subset": (
         lambda v: v == "all" or isinstance(v, str) and v.startswith(("subject=", "session="))
         and v.partition("=")[2] != "",
@@ -234,11 +239,9 @@ def cmd_train(args) -> int:
     test_feats = [feats[i] for i in plan.test_indices]
     _say(f"split: {len(train_feats)} train / {len(test_feats)} test (seed {cfg['seed']})")
 
-    normalizer = None
-    if fcfg.normalization == "zscore":
-        normalizer = fit_normalizer(train_feats, fitted_on=f"{data_name}:seed={cfg['seed']}")
-        train_feats = [apply_normalizer(normalizer, f) for f in train_feats]
-        test_feats = [apply_normalizer(normalizer, f) for f in test_feats]
+    normalizer = fit_normalizer(train_feats, fitted_on=f"{data_name}:seed={cfg['seed']}")
+    train_feats = [apply_normalizer(normalizer, f) for f in train_feats]
+    test_feats = [apply_normalizer(normalizer, f) for f in test_feats]
 
     every = max(1, tcfg.epochs // 10)
 
@@ -276,8 +279,7 @@ def cmd_train(args) -> int:
 
 def _classify(bundle: ModelBundle, feats: list[FeatureVector], model):
     """Class indices and probabilities of raw features; non-finite ones refuse the bundle."""
-    if bundle.normalizer is not None:
-        feats = [apply_normalizer(bundle.normalizer, f) for f in feats]
+    feats = [apply_normalizer(bundle.normalizer, f) for f in feats]
     preds, probs = predict_batch(bundle.state, feats)
     if not np.isfinite(probs).all():
         raise DataError(f"{model}: model bundle gives non-finite probabilities")
@@ -349,7 +351,7 @@ def cmd_validate(args) -> int:
 
 def cmd_extract(args) -> int:
     try:
-        fcfg = FeatureConfig(ar_order=args.ar_order, nbins=args.nbins, log_floor=args.log_floor)
+        fcfg = FeatureConfig(ar_order=args.ar_order, nbins=args.nbins)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     ds = load_dataset(args.data, partial(feature_rows, cfg=fcfg))
@@ -378,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = FeatureConfig()
     p.add_argument("--ar-order", type=int, default=defaults.ar_order)
     p.add_argument("--nbins", type=int, default=defaults.nbins)
-    p.add_argument("--log-floor", type=float, default=defaults.log_floor)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train a model from a JSON run config")

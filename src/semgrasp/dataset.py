@@ -20,6 +20,7 @@ import math
 import os
 import signal
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -195,14 +196,18 @@ def _manifest_entries(root: Path, manifest: Path):
     for lineno, row in rows:
         if not row:
             continue
+        if any("\0" in cell for cell in row):
+            raise DataError(f"{manifest}:{lineno}: row holds a NUL byte")
         if len(row) != len(header):
             raise DataError(
                 f"{manifest}:{lineno}: expected {len(header)} columns, got {len(row)}"
             )
         for col in ("subject", "session"):
-            if not row[idx[col]]:
+            if not row[idx[col]].strip():
                 raise DataError(f"{manifest}:{lineno}: empty {col}")
         fname = row[idx["file"]]
+        if fname.isspace():
+            raise DataError(f"{manifest}:{lineno}: record file {fname!r} is blank")
         label = row[idx["label"]]
         if label not in LABEL_TO_INDEX:
             raise DataError(f"{manifest}:{lineno}: unknown label {label!r}")
@@ -290,9 +295,10 @@ def _read_records(entries: list[_Entry], reduce: _Reducer) -> list[tuple[list[in
 
     Forked, not spawned: a worker starts without importing numpy again. It
     never waits on a thread the fork left behind. The network's channel-stack
-    thread runs only inside a network call, which no worker makes. OpenBLAS
-    shuts its own threads down in a pthread_atfork handler before every fork,
-    and feature extraction runs it on one thread, so a worker starts none.
+    thread is not copied, and a worker would start one only in a network call,
+    which no worker makes. OpenBLAS shuts its own threads down in a
+    pthread_atfork handler before every fork, and feature extraction runs it
+    on one thread, so a worker starts none.
     """
     chunks = [entries[i:i + _CHUNK_RECORDS] for i in range(0, len(entries), _CHUNK_RECORDS)]
     cores = _usable_cores()
@@ -329,12 +335,37 @@ def _read_records(entries: list[_Entry], reduce: _Reducer) -> list[tuple[list[in
 
 
 def _csv_rows(path: Path):
-    """(line number, row) pairs of a CSV file; text that does not decode is a DataError."""
+    """(line number, row) pairs of a CSV file; text that does not decode is a DataError
+    naming the line it is on."""
     try:
         with open(path, newline="") as fh:
             yield from enumerate(csv.reader(fh), start=1)
     except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not {e.encoding} text ({e.reason})") from None
+        # the reader decodes a block at a time, so only the whole file gives the offset
+        try:
+            path.read_bytes().decode(e.encoding)
+        except UnicodeDecodeError as whole:
+            e = whole
+        line = e.object[: e.start].count(b"\n") + 1
+        raise DataError(f"{path}:{line}: not {e.encoding} text ({e.reason})") from None
+
+
+@contextmanager
+def _write_whole(path: str | Path, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` for writing; on a clean exit it replaces ``path``.
+
+    On any exception the temporary file is removed and ``path`` is left as it
+    was, so a reader never sees part of a file.
+    """
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_record_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

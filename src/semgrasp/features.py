@@ -3,15 +3,17 @@
 Each channel of a record is fitted with an AR model, its spectral density is
 sampled on a fixed frequency grid, and the values are log10-compressed (PSD
 magnitudes span several decades, and a linear scale would let low-frequency
-power drown everything else). Z-score statistics are fitted on training
-records only and applied everywhere else.
+power drown everything else) above a floor of 1e-12. Z-score statistics are
+fitted on training records only and applied everywhere else. The floor and
+the z-scoring are the recipe, not settings: FeatureConfig carries them as
+fields that cannot be set, so a model bundle records them.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +21,9 @@ import numpy as np
 # extraction runs the row forms; burg_fit and psd_from_model stay importable
 # from here, where the benchmark's traced run wraps them
 from .burg import _fit_rows, _psd_rows, burg_fit, psd_from_model
-from .dataset import LABEL_TO_INDEX, EmgRecord, _csv_rows, _fmt
+from .dataset import LABEL_TO_INDEX, EmgRecord, _csv_rows, _fmt, _write_whole
 from .errors import DataError, DegenerateSignalError
-from .network import _check_sizes, _is_finite_number, _one_blas_thread
+from .network import _check_sizes, _one_blas_thread
 
 STD_FLOOR = 1e-8
 # Records per Burg lattice call, two rows each. Per 100 records of 3000
@@ -35,17 +37,13 @@ _LATTICE_RECORDS = 8
 class FeatureConfig:
     ar_order: int = 10
     nbins: int = 128
-    log_floor: float = 1e-12
-    normalization: str = "zscore"  # zscore | none
+    log_floor: float = field(default=1e-12, init=False)
+    normalization: str = field(default="zscore", init=False)
 
     def __post_init__(self):
         _check_sizes(self, ("ar_order", "nbins"))
         if self.nbins < 8:
             raise ValueError(f"nbins must be >= 8, got {self.nbins}")
-        if not (_is_finite_number(self.log_floor) and self.log_floor > 0):
-            raise ValueError(f"log_floor must be a finite number > 0, got {self.log_floor!r}")
-        if self.normalization not in ("zscore", "none"):
-            raise ValueError(f"normalization must be 'zscore' or 'none', got {self.normalization!r}")
 
 
 @dataclass
@@ -183,10 +181,13 @@ def _dump_header(nbins: int) -> list[str]:
 
 
 def save_features_csv(path: str | Path, x: np.ndarray, labels: list[str]) -> None:
-    """Write [n, 2, nbins] features as CSV: label,ch1_f0..ch1_f{n-1},ch2_f0..ch2_f{n-1}."""
+    """Write [n, 2, nbins] features as CSV: label,ch1_f0..ch1_f{n-1},ch2_f0..ch2_f{n-1}.
+
+    The file is written whole (_write_whole): a failure leaves ``path`` as it was.
+    """
     if not labels:
         raise DataError("no features to write")
-    with open(path, "w", newline="") as fh:
+    with _write_whole(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_dump_header(x.shape[2]))
         for label, row in zip(labels, x):

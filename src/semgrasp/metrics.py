@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import LABELS, _fmt, label_to_index
+from .dataset import LABELS, _fmt, _write_whole, label_to_index
 from .errors import DataError
 
 
@@ -130,7 +130,7 @@ def summarize(epoch_log: list[EpochStats], final_confusion: np.ndarray) -> EvalR
 def write_report(
     outdir: str | Path, report: EvalReport, reference_accuracy: float | None = None
 ) -> None:
-    """Write epochs.csv, confusion.csv, summary.csv and summary.txt.
+    """Write epochs.csv, confusion.csv, summary.csv and summary.txt, each whole (_write_whole).
 
     A reference accuracy to compare against adds the summary columns
     reference_accuracy and gap_to_reference.
@@ -138,7 +138,7 @@ def write_report(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    with open(outdir / "epochs.csv", "w", newline="") as fh:
+    with _write_whole(outdir / "epochs.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "train_acc", "test_loss", "test_acc"])
         for i, e in enumerate(report.epoch_log, start=1):
@@ -161,7 +161,7 @@ def write_report(
         columns["gap_to_reference"] = reference_accuracy - report.model_accuracy
     write_summary_csv(outdir / "summary.csv", columns)
 
-    with open(outdir / "summary.txt", "w") as fh:
+    with _write_whole(outdir / "summary.txt") as fh:
         fh.write(format_report(report, reference_accuracy))
 
 
@@ -192,14 +192,14 @@ def format_report(report: EvalReport, reference_accuracy: float | None = None) -
 
 def write_summary_csv(path: str | Path, columns: dict) -> None:
     """One header row of column names, one row of values; floats in round-trip form."""
-    with open(path, "w", newline="") as fh:
+    with _write_whole(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(columns))
         writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in columns.values()])
 
 
 def write_confusion(path: str | Path, cm: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
+    with _write_whole(path, newline="") as fh:
         writer = csv.writer(fh)
         for row in np.asarray(cm):
             writer.writerow([int(v) for v in row])

@@ -2,30 +2,33 @@
 
 The bundle is a zip of numpy arrays (written through an open handle so the
 file name is kept verbatim) plus one JSON metadata entry. save_model writes
-it to a temporary file in the same directory and renames that over the
-target, so the target is never left holding part of a bundle. All seven of its
-keys are required: format_version, network (NetworkSpec.to_json: conv layers
-are [filters, kernel, stride], as in the run config), feature_config,
-sample_rate, dataset_name, has_normalizer, normalizer_fitted_on. So is every
-field of network and feature_config: a missing one is not read as its
-default. dataset_name and normalizer_fitted_on are strings. Unknown keys
-and arrays are refused. The network's arrays share one dtype and load in it:
-float32, or float64 for a bundle written before training moved to float32;
-the normalizer's arrays are float64. Any other bundle is refused, so a
-reloaded model reproduces predictions bit-exactly for the same code.
+it through dataset._write_whole, so the target is never left holding part of
+a bundle. All seven of its keys are required: format_version, network
+(NetworkSpec.to_json: conv layers are [filters, kernel, stride], as in the
+run config), feature_config, sample_rate, dataset_name, has_normalizer,
+normalizer_fitted_on. So is every field of network and feature_config: a
+missing one is not read as its default. The fields that are constants of
+the recipe (network.n_classes, feature_config.log_floor and
+feature_config.normalization) must hold their one value, of its type, and
+has_normalizer must be true: every bundle carries the four z-score arrays.
+dataset_name and normalizer_fitted_on are strings. Unknown keys and arrays
+are refused. The network's arrays share one dtype and load in it: float32,
+or float64 for a bundle written before training moved to float32; the
+normalizer's arrays are float64. Any other bundle is refused, so a reloaded
+model reproduces predictions bit-exactly for the same code.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
 import zipfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .dataset import _write_whole
 from .errors import DataError
 from .features import STD_FLOOR, FeatureConfig, Normalizer
 from .network import NetworkSpec, NetworkState, _is_finite_number, empty_network
@@ -42,7 +45,7 @@ _NORM_DTYPES = (np.dtype(np.float64),)
 class ModelBundle:
     state: NetworkState
     feature_config: FeatureConfig
-    normalizer: Normalizer | None
+    normalizer: Normalizer
     sample_rate: float | None
     dataset_name: str = ""
 
@@ -54,22 +57,14 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
         "feature_config": asdict(bundle.feature_config),
         "sample_rate": bundle.sample_rate,
         "dataset_name": bundle.dataset_name,
-        "has_normalizer": bundle.normalizer is not None,
-        "normalizer_fitted_on": bundle.normalizer.fitted_on if bundle.normalizer else "",
+        "has_normalizer": True,
+        "normalizer_fitted_on": bundle.normalizer.fitted_on,
     }
     arrays = {name: arr for name, arr in bundle.state.parameters()}
-    if bundle.normalizer is not None:
-        for name, attr, row in _NORM_ARRAYS:
-            arrays[name] = getattr(bundle.normalizer, attr)[row]
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **{_META_KEY: np.array(json.dumps(meta)), **arrays})
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    for name, attr, row in _NORM_ARRAYS:
+        arrays[name] = getattr(bundle.normalizer, attr)[row]
+    with _write_whole(path, "wb") as fh:
+        np.savez(fh, **{_META_KEY: np.array(json.dumps(meta)), **arrays})
 
 
 def load_model(path: str | Path) -> ModelBundle:
@@ -105,13 +100,8 @@ def load_model(path: str | Path) -> ModelBundle:
         if rate is not None and not (_is_finite_number(rate) and rate > 0):
             raise ValueError(f"sample_rate must be null or a finite number > 0, got {rate!r}")
         has_normalizer = meta.pop("has_normalizer")
-        if not isinstance(has_normalizer, bool):
-            raise ValueError(f"has_normalizer must be true or false, got {has_normalizer!r}")
-        if has_normalizer != (feature_config.normalization == "zscore"):
-            raise ValueError(
-                f"has_normalizer is {json.dumps(has_normalizer)} "
-                f"but feature_config.normalization is {feature_config.normalization!r}"
-            )
+        if has_normalizer is not True:
+            raise ValueError(f"has_normalizer must be true, got {has_normalizer!r}")
         dataset_name, fitted_on = meta.pop("dataset_name"), meta.pop("normalizer_fitted_on")
         for key, value in (("dataset_name", dataset_name), ("normalizer_fitted_on", fitted_on)):
             if not isinstance(value, str):
@@ -132,28 +122,21 @@ def load_model(path: str | Path) -> ModelBundle:
             if len(dtypes) > 1:
                 dtypes, expected = (arr.dtype,), f"{arr.dtype} like {name!r}"
 
-    normalizer = None
-    if has_normalizer:
-        rows = {"mean": [], "std": []}
-        for name, attr, _ in _NORM_ARRAYS:
-            shape = (feature_config.nbins,)
-            arr = _bundle_array(path, arrays, "normalizer", name, shape, _NORM_DTYPES, "float64")
-            if not np.isfinite(arr).all():
-                raise DataError(f"{path}: normalizer array {name!r} holds non-finite values")
-            if attr == "std" and arr.min() < STD_FLOOR:
-                raise DataError(f"{path}: normalizer array {name!r} holds stds below {STD_FLOOR}")
-            rows[attr].append(arr)
-        normalizer = Normalizer(
-            mean=np.stack(rows["mean"]),
-            std=np.stack(rows["std"]),
-            fitted_on=fitted_on,
-        )
+    rows = {"mean": [], "std": []}
+    for name, attr, _ in _NORM_ARRAYS:
+        shape = (feature_config.nbins,)
+        arr = _bundle_array(path, arrays, "normalizer", name, shape, _NORM_DTYPES, "float64")
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: normalizer array {name!r} holds non-finite values")
+        if attr == "std" and arr.min() < STD_FLOOR:
+            raise DataError(f"{path}: normalizer array {name!r} holds stds below {STD_FLOOR}")
+        rows[attr].append(arr)
     if arrays:
         raise DataError(f"{path}: unknown bundle array {next(iter(arrays))!r}")
     return ModelBundle(
         state=state,
         feature_config=feature_config,
-        normalizer=normalizer,
+        normalizer=Normalizer(np.stack(rows["mean"]), np.stack(rows["std"]), fitted_on),
         sample_rate=float(rate) if rate is not None else None,
         dataset_name=dataset_name,
     )
@@ -162,14 +145,22 @@ def load_model(path: str | Path) -> ModelBundle:
 def _section(meta: dict, key: str, cls) -> object:
     """Pop metadata object ``key``, which must hold every field of dataclass ``cls``.
 
-    A missing field is a KeyError naming its path; a value that is not an
-    object is left for ``cls`` to refuse.
+    A missing field is a KeyError naming its path. Each field ``cls`` does not
+    take as an argument (init=False) is a constant: it is popped, and a
+    ValueError unless it equals its default and has its type, so 6.0 and True
+    are no class count of 6. A value that is not an object is left for
+    ``cls`` to refuse.
     """
     section = meta.pop(key)
     if isinstance(section, dict):
         for f in fields(cls):
             if f.name not in section:
                 raise KeyError(f"{key}.{f.name}")
+        for f in fields(cls):
+            if not f.init:
+                value = section.pop(f.name)
+                if type(value) is not type(f.default) or value != f.default:
+                    raise ValueError(f"{key}.{f.name} must be {f.default!r}, got {value!r}")
     return section
 
 

@@ -20,6 +20,7 @@ import semgrasp
 from semgrasp.cli import _CONFIG_DEFAULTS, main, resolve_config
 from semgrasp.dataset import (
     LABELS,
+    MANIFEST_COLUMNS,
     EmgRecord,
     generate_synthetic,
     load_dataset,
@@ -217,8 +218,12 @@ def test_validate_missing_manifest_column(tmp_path, capsys):
         ("rec1.csv,T,s1,d1", "expected 5 columns, got 4"),
         ("rec1.csv,T,,d1,500.0", "empty subject"),
         ("rec1.csv,T,s1,,500.0", "empty session"),
+        ("rec1.csv,T,  ,d1,500.0", "empty subject"),
+        ("rec1.csv,T,s1,\t,500.0", "empty session"),
+        ("rec1.csv,T,s1\x00,d1,500.0", "row holds a NUL byte"),
     ],
-    ids=["sixth_cell", "missing_cell", "empty_subject", "empty_session"],
+    ids=["sixth_cell", "missing_cell", "empty_subject", "empty_session", "blank_subject",
+         "blank_session", "nul_byte"],
 )
 def test_validate_refuses_bad_manifest_row_at_its_line(tmp_path, capsys, row, message):
     root = tmp_path / "ds"
@@ -229,6 +234,49 @@ def test_validate_refuses_bad_manifest_row_at_its_line(tmp_path, capsys, row, me
     assert main(["validate", str(root)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"data error: {root / 'manifest.csv'}:3: {message}\n"
+    assert captured.out == ""
+
+
+# what each manifest cell is set to: its new bytes, or None for an extra cell after it
+_CELL_VALUES = {"empty": b"", "blank": b"  ", "not_utf8": b"s\xff", "nul": b"s\x00",
+                "extra_cell": None}
+_RATE_VALUES = {"zero": b"0", "negative": b"-500.0", "nan": b"NaN", "inf": b"inf",
+                "huge": b"1e308"}
+
+
+@pytest.fixture(scope="module")
+def cell_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cells") / "ds"
+    write_dataset(generate_synthetic(2, 64, seed=3), root)
+    return root
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [(col, name) for col in MANIFEST_COLUMNS for name in _CELL_VALUES]
+    + [("sample_rate", name) for name in _RATE_VALUES],
+)
+def test_validate_refuses_each_bad_manifest_cell_at_its_line(
+    cell_dataset, tmp_path, capsys, column, value
+):
+    root = tmp_path / "ds"
+    shutil.copytree(cell_dataset, root)
+    manifest = root / "manifest.csv"
+    lines = manifest.read_bytes().split(b"\r\n")  # write_dataset ends lines with CRLF
+    cells = lines[2].split(b",")
+    i = MANIFEST_COLUMNS.index(column)
+    new = {**_CELL_VALUES, **_RATE_VALUES}[value]
+    cells[i : i + 1] = [cells[i], b"x"] if new is None else [new]
+    lines[2] = b",".join(cells)
+    manifest.write_bytes(b"\r\n".join(lines))
+    assert main(["validate", str(root)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    if value == "huge":  # a valid number, refused as the rate that differs from the first
+        rate = "sample rate 1e+308 differs from 500.0"
+        assert line == f"data error: {root / 'rec00001.csv'}: {rate}"
+    else:
+        assert line.startswith(f"data error: {manifest}:3: "), line
     assert captured.out == ""
 
 
@@ -482,13 +530,17 @@ def test_train_unknown_config_key(dataset_dir, tmp_path, capsys):
         {"subset": "subject="},
         {"features": "feats.csv", "dataset": None, "subset": "subject=s1"},
         {"sample_rate": 1000},
+        # a path that holds a NUL byte cannot be opened
+        {"out": "o\u0000ut"},
+        {"dataset": "da\u0000ta"},
+        {"features": "feats\u0000.csv", "dataset": None},
     ],
     ids=[
         "seed", "reference_accuracy", "momentum", "epochs_fraction", "batch_size_fraction",
         "epochs_bool", "optimizer", "activation", "nbins",
         "dense_units_fraction", "kernel_fraction", "stride_bool", "zero_filters",
         "subset_syntax", "subset_kind", "subset_type", "subset_empty_id", "subset_feature_dump",
-        "sample_rate_with_dataset",
+        "sample_rate_with_dataset", "out_nul", "dataset_nul", "features_nul",
     ],
 )
 def test_train_bad_config_value_fails_before_work(
@@ -497,8 +549,8 @@ def test_train_bad_config_value_fails_before_work(
     out = tmp_path / "out"
     monkeypatch.chdir(tmp_path)  # the relative feature dump path resolves here
     (tmp_path / "feats.csv").write_text("")
-    override = {"dataset": str(dataset_dir), **override}
-    cfg = _write_config(tmp_path / "cfg.json", out=str(out), **override)
+    override = {"dataset": str(dataset_dir), "out": str(out), **override}
+    cfg = _write_config(tmp_path / "cfg.json", **override)
     assert main(["train", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
@@ -726,7 +778,7 @@ _DATASET_FAULTS = {
     "three_columns": (lambda d: (d / "rec00040.csv").write_text("1,2,3\n4,5,6\n"),
                       ("rec00040.csv:1: row has 3 values, expected 2",) * 2),
     "not_utf8": (lambda d: (d / "rec00040.csv").write_bytes(b"1,2\n\xff3,4\n"),
-                 ("rec00040.csv: not utf-8 text (invalid start byte)",) * 2),
+                 ("rec00040.csv:2: not utf-8 text (invalid start byte)",) * 2),
     "nul_bytes": (lambda d: (d / "rec00040.csv").write_bytes(b"1,2\n3\x00,4\n"),
                   ("rec00040.csv:2: malformed value in row",) * 2),
     "directory": (lambda d: _replace_with_directory(d / "rec00040.csv"),
@@ -829,23 +881,6 @@ def test_train_feature_dump_nbins_mismatch(dataset_dir, tmp_path, capsys):
     assert "16 bins" in capsys.readouterr().err
 
 
-def test_train_without_normalization(dataset_dir, tmp_path, capsys):
-    out = tmp_path / "out"
-    cfg = _write_config(
-        tmp_path / "cfg.json",
-        dataset=str(dataset_dir),
-        out=str(out),
-        features_config={"ar_order": 10, "nbins": 32, "normalization": "none"},
-        training={"epochs": 40, "batch_size": 16, "learning_rate": 0.005},
-    )
-    assert main(["train", "--config", str(cfg)]) == 0
-    assert load_model(out / "model.bin").normalizer is None
-    assert float(_read_summary(out)["model_accuracy"]) >= 0.9
-    capsys.readouterr()
-    record = next(p for p in sorted(dataset_dir.iterdir()) if p.name.startswith("rec"))
-    assert main(["predict", str(out / "model.bin"), str(record)]) == 0
-
-
 def test_train_divergence_exit_code(dataset_dir, tmp_path, capsys):
     cfg = _write_config(
         tmp_path / "cfg.json",
@@ -881,7 +916,7 @@ def _config_key_paths():
 _ACCEPTED_PROBES = {
     "features=null", 'out="x"', "seed=0", "sample_rate=null",
     "reference_accuracy=null", "reference_accuracy=0",
-    "features_config={}", "features_config.log_floor=2.5", "features_config.log_floor=1e308",
+    "features_config={}",
     "network={}", "network.conv_layers=[]", "training={}", "training.learning_rate=2.5",
     "training.learning_rate=1e308", "training.momentum=0",
     "feature_dump_with_sample_rate=2.5", "feature_dump_with_sample_rate=1e308",
@@ -961,11 +996,67 @@ def test_config_value_meets_exit_contract(
         load_model(bundle)
 
 
-def test_extract_non_finite_log_floor_is_config_error(probe_inputs, tmp_path, capsys):
+def _fmt_failing_after(calls: int, fmt):
+    """fmt that raises OSError from its (calls + 1)-th call on, as a full disk would."""
+    count = iter(range(calls))
+
+    def failing(x):
+        if next(count, None) is None:
+            raise OSError("no space left on device")
+        return fmt(x)
+
+    return failing
+
+
+def test_failed_extract_leaves_the_previous_dump_whole(probe_inputs, tmp_path, monkeypatch,
+                                                        capsys):
     out = tmp_path / "f.csv"
-    assert main(["extract", str(probe_inputs[0]), "--out", str(out), "--log-floor", "inf"]) == 1
+    assert main(["extract", str(probe_inputs[0]), "--out", str(out), "--nbins", "16"]) == 0
+    before = out.read_bytes()
+    # the second dump differs, and its writer fails a few rows in
+    monkeypatch.setattr("semgrasp.features._fmt",
+                        _fmt_failing_after(40, semgrasp.features._fmt))
+    assert main(["extract", str(probe_inputs[0]), "--out", str(out), "--nbins", "8"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["io error: no space left on device"]
+    assert out.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_failed_eval_leaves_the_previous_report_whole(trained_run, dataset_dir, tmp_path,
+                                                      monkeypatch, capsys):
+    out = tmp_path / "report"
+    args = ["eval", str(trained_run / "model.bin"), str(dataset_dir), "--out", str(out)]
+    assert main(args) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["confusion.csv", "summary.csv"]
+    # summary.csv's writer fails after its header row, at its first float
+    monkeypatch.setattr("semgrasp.metrics._fmt", _fmt_failing_after(0, semgrasp.metrics._fmt))
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == ["io error: no space left on device"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("key, value", [("log_floor", 1e-12), ("normalization", "zscore")])
+def test_fixed_feature_constant_is_an_unknown_config_key(
+    probe_inputs, tmp_path, monkeypatch, capsys, key, value
+):
+    # the log floor and the z-scoring are fixed, so even their one value is refused
+    monkeypatch.chdir(tmp_path)
+    cfg = json.loads(_probe_config({}, *probe_inputs))
+    cfg["features_config"][key] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {tmp_path / 'cfg.json'}: unknown config key features_config.{key!r}"
+    ]
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+def test_extract_log_floor_flag_is_a_usage_error(probe_inputs, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert main(["extract", str(probe_inputs[0]), "--out", str(out), "--log-floor", "1e-6"]) == 1
     err = capsys.readouterr().err
-    assert err.splitlines() == ["config error: log_floor must be a finite number > 0, got inf"]
+    assert err.splitlines() == ["config error: unrecognized arguments: --log-floor 1e-6"]
     assert not out.exists()
 
 
@@ -1057,8 +1148,7 @@ def test_predict_inconsistent_bundle_is_data_error(trained_run, dataset_dir, tmp
 
 
 def _nbins_off_network(meta, arrays):
-    meta["feature_config"].update(nbins=64, normalization="none")
-    meta["has_normalizer"] = False
+    meta["feature_config"]["nbins"] = 64
 
 
 @pytest.mark.parametrize(
@@ -1157,7 +1247,7 @@ def _record_text(rows: int, ch2_scale: float = 1.0, ch2=None) -> bytes:
     [
         (b"", "r.csv: file holds no samples"),
         (b"1,2,3\n", "r.csv:1: row has 3 values, expected 2"),
-        (b"1,2\n\xff3,4\n", "r.csv: not utf-8 text (invalid start byte)"),
+        (b"1,2\n\xff3,4\n", "r.csv:2: not utf-8 text (invalid start byte)"),
         # the record has no label, subject or session to name
         (b"0.5,0.25\n" * 64, "r.csv: channel1: signal is constant"),
         # a fault in channel2 alone, the second of the record's two fitted rows

@@ -494,7 +494,7 @@ def test_read_matrix_matches_line_reader(tmp_path, capsys, monkeypatch, row_id):
     assert capsys.readouterr().err == ""
 
 
-# a byte that is not UTF-8 is a DataError naming the file, never a UnicodeDecodeError
+# a byte that is not UTF-8 is a DataError naming the file and line, never a UnicodeDecodeError
 _NON_UTF8 = {
     "record": (read_record_csv, "rec00000.csv", b"1,2\n\xff3,4\n"),
     "matrix": (_read_matrix, "C_ch1.csv", b"1,2,3\n\xff4,5,6\n"),
@@ -510,7 +510,17 @@ def test_non_utf8_text_is_a_data_error_naming_the_file(tmp_path, reader):
     (tmp_path / name).write_bytes(data)
     with pytest.raises(DataError) as err:
         read(tmp_path if reader == "manifest" else tmp_path / name)
-    assert str(err.value) == f"{tmp_path / name}: not utf-8 text (invalid start byte)"
+    # every reader's bad byte is on line 2
+    assert str(err.value) == f"{tmp_path / name}:2: not utf-8 text (invalid start byte)"
+
+
+def test_non_utf8_byte_deep_in_a_file_is_named_at_its_line(tmp_path):
+    # the reader decodes a block at a time; the line still counts from the file's start
+    path = tmp_path / "rec00000.csv"
+    path.write_bytes(b"1,2\n" * 5000 + b"\xff3,4\n")
+    with pytest.raises(DataError) as err:
+        read_record_csv(path)
+    assert str(err.value) == f"{path}:5001: not utf-8 text (invalid start byte)"
 
 
 def test_read_record_csv_underscore_value_reads_as_python_float(tmp_path):

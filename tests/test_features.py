@@ -208,9 +208,10 @@ def test_feature_config_validation():
         FeatureConfig(ar_order=0)
     with pytest.raises(ValueError):
         FeatureConfig(nbins=4)
-    with pytest.raises(ValueError):
+    # the log floor and the z-scoring are fixed, not settings
+    with pytest.raises(TypeError):
         FeatureConfig(log_floor=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         FeatureConfig(normalization="minmax")
     with pytest.raises(ValueError, match="nbins must be an integer"):
         FeatureConfig(nbins=32.5)

@@ -12,14 +12,13 @@ from semgrasp.network import ConvSpec, NetworkSpec, cast_network, forward, init_
 from semgrasp.training import TrainConfig, train
 
 
-def _bundle(synth_features, with_normalizer=True):
+def _bundle(synth_features):
     spec = NetworkSpec(input_bins=32, conv_layers=[ConvSpec(4, 5, 2)], dense_units=8)
     state = init_network(spec, np.random.default_rng(0))
-    norm = fit_normalizer(synth_features[:20], fitted_on="unit") if with_normalizer else None
     return ModelBundle(
         state=state,
-        feature_config=FeatureConfig(nbins=32, normalization="zscore" if norm else "none"),
-        normalizer=norm,
+        feature_config=FeatureConfig(nbins=32),
+        normalizer=fit_normalizer(synth_features[:20], fitted_on="unit"),
         sample_rate=500.0,
         dataset_name="unit",
     )
@@ -51,13 +50,12 @@ def test_save_load_round_trip_bit_exact_predictions(tmp_path, synth_features, rn
     assert spec.dense_units == 8
 
 
-def test_save_load_without_normalizer_or_rate(tmp_path, synth_features):
-    bundle = _bundle(synth_features, with_normalizer=False)
+def test_save_load_without_rate(tmp_path, synth_features):
+    bundle = _bundle(synth_features)
     bundle.sample_rate = None
     path = tmp_path / "model.bin"
     save_model(path, bundle)
     back = load_model(path)
-    assert back.normalizer is None
     assert back.sample_rate is None
 
 
@@ -71,8 +69,10 @@ def test_failed_save_leaves_the_previous_bundle_whole(tmp_path, synth_features, 
         raise OSError("no space left on device")
 
     monkeypatch.setattr(np, "savez", failing_savez)
+    other = _bundle(synth_features)
+    other.dataset_name = "other"
     with pytest.raises(OSError, match="no space left"):
-        save_model(path, _bundle(synth_features, with_normalizer=False))
+        save_model(path, other)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
@@ -206,14 +206,14 @@ def _retype(name, dtype):
         (_retype("ch2.dense.weights", np.float32),
          "'ch2.dense.weights' has dtype float32, expected float64 like 'ch1.conv0.weights'"),
         (_retype("norm.std1", np.float32), "'norm.std1' has dtype float32, expected float64"),
-        (_has_normalizer(False),
-         "has_normalizer is false but feature_config.normalization is 'zscore'"),
+        (_has_normalizer(False), "has_normalizer must be true, got False"),
         (_has_normalizer(True, "none"),
-         "has_normalizer is true but feature_config.normalization is 'none'"),
-        (_has_normalizer(0), "has_normalizer must be true or false, got 0"),
-        (_has_normalizer(1), "has_normalizer must be true or false, got 1"),
-        (_has_normalizer("yes"), "has_normalizer must be true or false, got 'yes'"),
-        (_has_normalizer(None, "none"), "has_normalizer must be true or false, got None"),
+         "feature_config.normalization must be 'zscore', got 'none'"),
+        (_has_normalizer(0), "has_normalizer must be true, got 0"),
+        (_has_normalizer(1), "has_normalizer must be true, got 1"),
+        (_has_normalizer("yes"), "has_normalizer must be true, got 'yes'"),
+        (_has_normalizer(None, "none"),
+         "feature_config.normalization must be 'zscore', got 'none'"),
         (_drop_has_normalizer, "missing 'has_normalizer'"),
         (_n_classes(5), "network.n_classes must be 6, got 5"),
         (_n_classes(7), "network.n_classes must be 6, got 7"),
@@ -221,6 +221,15 @@ def _retype(name, dtype):
         (lambda meta, arrays: meta["network"].update(n_classes=10**12),
          "network.n_classes must be 6, got 1000000000000"),
         (lambda meta, arrays: meta["network"].pop("n_classes"), "missing 'network.n_classes'"),
+        # a constant must also have its type: 6.0 and True are no class count of 6
+        (lambda meta, arrays: meta["network"].update(n_classes=6.0),
+         r"network.n_classes must be 6, got 6\.0"),
+        (lambda meta, arrays: meta["network"].update(n_classes=True),
+         "network.n_classes must be 6, got True"),
+        (lambda meta, arrays: meta["feature_config"].update(log_floor=1e-6),
+         "feature_config.log_floor must be 1e-12, got 1e-06"),
+        (lambda meta, arrays: meta["feature_config"].pop("log_floor"),
+         "missing 'feature_config.log_floor'"),
         (_format_version(True), "unsupported model format version True"),
         (_format_version(1.0), "unsupported model format version 1.0"),
         (_format_version("1"), "unsupported model format version '1'"),
@@ -232,7 +241,8 @@ def _retype(name, dtype):
         (_drop("normalizer_fitted_on"), "missing 'normalizer_fitted_on'"),
         (lambda meta, arrays: meta.update(colour="red"), "unknown bundle metadata key 'colour'"),
         (lambda meta, arrays: arrays.update(extra=np.zeros(3)), "unknown bundle array 'extra'"),
-        (_has_normalizer(False, "none"), "unknown bundle array 'norm.mean1'"),
+        (_has_normalizer(False, "none"),
+         "feature_config.normalization must be 'zscore', got 'none'"),
     ],
     ids=["no_network", "small_nbins", "nbins_off_network", "rate_string", "rate_zero",
          "rate_negative", "rate_bool", "rate_nan", "rate_inf", "rate_huge_int",
@@ -241,9 +251,10 @@ def _retype(name, dtype):
          "float16_weights", "mixed_weights", "float32_normalizer", "normalizer_false_zscore",
          "normalizer_true_none", "normalizer_zero", "normalizer_one", "normalizer_string",
          "normalizer_null", "normalizer_missing", "five_classes", "seven_classes",
-         "huge_classes", "classes_missing", "version_true", "version_float", "version_string",
-         "conv_pair", "rate_missing", "dataset_name_missing", "fitted_on_missing", "unknown_key",
-         "extra_array", "normalizer_arrays_without_normalizer"],
+         "huge_classes", "classes_missing", "float_classes", "bool_classes",
+         "log_floor_changed", "log_floor_missing", "version_true", "version_float",
+         "version_string", "conv_pair", "rate_missing", "dataset_name_missing",
+         "fitted_on_missing", "unknown_key", "extra_array", "normalizer_arrays_without_normalizer"],
 )
 def test_load_rejects_inconsistent_bundles(tmp_path, synth_features, edit, message):
     path = tmp_path / "model.bin"
@@ -292,8 +303,8 @@ def test_trained_model_round_trips_through_disk(tmp_path, normalized_split):
     state, _ = train(spec, train_feats, test_feats, TrainConfig(epochs=5, seed=1))
     bundle = ModelBundle(
         state=state,
-        feature_config=FeatureConfig(nbins=32, normalization="none"),
-        normalizer=None,
+        feature_config=FeatureConfig(nbins=32),
+        normalizer=fit_normalizer(train_feats, fitted_on="unit"),
         sample_rate=500.0,
     )
     path = tmp_path / "model.bin"
