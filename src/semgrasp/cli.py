@@ -22,7 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LABELS, _read_chunk, convert_class_matrices, load_dataset, split_by_labels
+from .dataset import (
+    LABELS,
+    _read_chunk,
+    _write_whole,
+    convert_class_matrices,
+    load_dataset,
+    split_by_labels,
+)
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .features import (
     FeatureConfig,
@@ -60,7 +67,6 @@ _CONFIG_DEFAULTS: dict = {
     "seed": None,
     "subset": "all",
     "split_fraction": 0.7,
-    "sample_rate": None,
     "reference_accuracy": None,
     # the log floor and z-scoring are fixed, like the class count
     "features_config": {k: _FEATURE_DEFAULTS[k] for k in ("ar_order", "nbins")},
@@ -86,9 +92,6 @@ _TOP_LEVEL_RULES = {
     ),
     "seed": (lambda v: _is_finite_number(v) and isinstance(v, int) and v >= 0, "an integer >= 0"),
     "split_fraction": (lambda v: _is_finite_number(v) and 0 < v < 1, "a number in (0, 1)"),
-    "sample_rate": (
-        lambda v: v is None or _is_finite_number(v) and v > 0, "null or a finite number > 0"
-    ),
     "reference_accuracy": (
         lambda v: v is None or _is_finite_number(v) and 0 <= v <= 1, "null or a number in [0, 1]"
     ),
@@ -175,8 +178,8 @@ def resolve_config(
         raise ConfigError(f"features file not found: {cfg['features']}")
     if cfg["features"] is not None and cfg["subset"] != "all":
         raise ConfigError("subset selection needs the raw dataset, not a feature dump")
-    if cfg["dataset"] is not None and cfg["sample_rate"] is not None:
-        raise ConfigError("sample_rate is for a feature dump; a dataset's manifest gives its rate")
+    if cfg["features"] is not None and "features_config" in raw:
+        raise ConfigError("features_config is for a raw dataset; a feature dump gives its own")
     return cfg
 
 
@@ -199,7 +202,7 @@ def _build_sections(cfg: dict) -> tuple[FeatureConfig, TrainConfig, NetworkSpec]
 
 def _write_split_csv(path: Path, n: int, train_indices: list[int]) -> None:
     train_set = set(train_indices)
-    with open(path, "w", newline="") as fh:
+    with _write_whole(path, newline="") as fh:
         fh.write("index,role\n")
         for i in range(n):
             fh.write(f"{i},{'train' if i in train_set else 'test'}\n")
@@ -215,25 +218,23 @@ def cmd_train(args) -> int:
                           **({kind: value} if chosen else {}))
         _say(f"dataset: {ds.name}, {len(ds)} records, rate {ds.sample_rate} Hz")
         x, labels = ds.x, ds.labels
-        sample_rate: float | None = ds.sample_rate
+        sample_rate = ds.sample_rate
         data_name = ds.name
     else:
-        x, labels = load_features_csv(cfg["features"])
-        if x.shape[2] != fcfg.nbins:
-            raise ConfigError(
-                f"feature dump has {x.shape[2]} bins per channel but features_config.nbins is "
-                f"{fcfg.nbins}"
-            )
-        sample_rate = cfg["sample_rate"]
+        x, labels, fcfg, sample_rate = load_features_csv(cfg["features"])
+        # the dump's recipe is the run's features_config, so the network is sized again
+        cfg["features_config"] = {"ar_order": fcfg.ar_order, "nbins": fcfg.nbins}
+        fcfg, tcfg, spec = _build_sections(cfg)
         data_name = Path(cfg["features"]).stem
-        _say(f"features: {data_name}, {len(labels)} records")
+        _say(f"features: {data_name}, {len(labels)} records, rate {sample_rate} Hz")
     feats = unstack_channels(x, labels)
 
     plan = split_by_labels(labels, cfg["split_fraction"], cfg["seed"])
     # the run directory exists only once the data is known good
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.echo").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    with _write_whole(outdir / "config.echo") as fh:
+        fh.write(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     _write_split_csv(outdir / "split.csv", len(labels), plan.train_indices)
     train_feats = [feats[i] for i in plan.train_indices]
     test_feats = [feats[i] for i in plan.test_indices]
@@ -289,7 +290,7 @@ def _classify(bundle: ModelBundle, feats: list[FeatureVector], model):
 def cmd_eval(args) -> int:
     bundle = load_model(args.model)
     ds = load_dataset(args.data, partial(feature_rows, cfg=bundle.feature_config))
-    if bundle.sample_rate is not None and ds.sample_rate != bundle.sample_rate:
+    if ds.sample_rate != bundle.sample_rate:
         raise DataError(
             f"sample rate mismatch: model expects {bundle.sample_rate} Hz, "
             f"dataset has {ds.sample_rate} Hz"
@@ -314,11 +315,6 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     bundle = load_model(args.model)
-    if bundle.sample_rate is None:
-        raise DataError(
-            "model carries no sample rate (trained from a feature dump); cannot "
-            "extract features from a raw record"
-        )
     # a record read for inference has no label, subject or session
     _, x = _read_chunk([(Path(args.record), None, bundle.sample_rate, None, None)],
                        partial(feature_rows, cfg=bundle.feature_config))
@@ -355,7 +351,7 @@ def cmd_extract(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from None
     ds = load_dataset(args.data, partial(feature_rows, cfg=fcfg))
-    save_features_csv(args.out, ds.x, ds.labels)
+    save_features_csv(args.out, ds.x, ds.labels, fcfg, ds.sample_rate)
     _say(f"wrote {len(ds)} feature rows ({fcfg.nbins} bins/channel) to {args.out}")
     return 0
 

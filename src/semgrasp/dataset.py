@@ -43,6 +43,25 @@ def label_to_index(label: str) -> int:
         raise DataError(f"unknown label {label!r}; expected one of {''.join(LABELS)}") from None
 
 
+def _check_rate(rate, where: str = "", error: type[Exception] = DataError) -> None:
+    """The one rule for every sample rate: a finite number > 0, never a bool.
+
+    A rate that breaks it raises ``error`` with ``where`` ahead of the one wording.
+    """
+    if not (_is_finite_number(rate) and rate > 0):
+        raise error(f"{where}sample_rate must be a finite number > 0, got {rate!r}")
+
+
+def _read_rate(text: str, where: str) -> float:
+    """The sample rate a CSV cell or a dump's recipe spells; DataErrors name ``where``."""
+    try:
+        rate = float(text)
+    except ValueError:
+        raise DataError(f"{where}bad sample_rate {text!r}") from None
+    _check_rate(rate, where)
+    return rate
+
+
 @dataclass
 class EmgRecord:
     """One two-channel recording. Channels are equal-length float arrays.
@@ -70,8 +89,7 @@ class EmgRecord:
             raise DataError(f"{name}: empty channel data")
         if n1 != n2:
             raise DataError(f"{name}: channel length mismatch ({n1} vs {n2})")
-        if not (_is_finite_number(self.sample_rate) and self.sample_rate > 0):
-            raise DataError(f"{name}: sample_rate must be finite and > 0, got {self.sample_rate}")
+        _check_rate(self.sample_rate, f"{name}: ")
         if not np.isfinite(self.channel1).all() or not np.isfinite(self.channel2).all():
             raise DataError(f"{name}: non-finite sample value")
 
@@ -211,14 +229,7 @@ def _manifest_entries(root: Path, manifest: Path):
         label = row[idx["label"]]
         if label not in LABEL_TO_INDEX:
             raise DataError(f"{manifest}:{lineno}: unknown label {label!r}")
-        try:
-            rate = float(row[idx["sample_rate"]])
-        except ValueError:
-            raise DataError(
-                f"{manifest}:{lineno}: bad sample_rate {row[idx['sample_rate']]!r}"
-            ) from None
-        if not (math.isfinite(rate) and rate > 0):
-            raise DataError(f"{manifest}:{lineno}: sample_rate must be positive, got {rate}")
+        rate = _read_rate(row[idx["sample_rate"]], f"{manifest}:{lineno}: ")
         try:
             resolved = (root / fname).resolve()
         except (RuntimeError, OSError) as e:  # a symlink loop
@@ -522,8 +533,7 @@ def convert_class_matrices(
     column per sample. If the twelve files sit directly in ``input_dir`` it is
     treated as a single group. Returns the number of records written.
     """
-    if not (_is_finite_number(sample_rate) and sample_rate > 0):
-        raise ConfigError(f"sample_rate must be a finite number > 0, got {sample_rate}")
+    _check_rate(sample_rate, error=ConfigError)
     in_root = Path(input_dir)
     out_root = Path(output_dir)
     if not in_root.is_dir():

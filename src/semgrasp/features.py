@@ -6,13 +6,16 @@ magnitudes span several decades, and a linear scale would let low-frequency
 power drown everything else) above a floor of 1e-12. Z-score statistics are
 fitted on training records only and applied everywhere else. The floor and
 the z-scoring are the recipe, not settings: FeatureConfig carries them as
-fields that cannot be set, so a model bundle records them.
+fields that cannot be set, so a model bundle records them. A CSV dump
+carries the rest of its recipe, the AR order and the sample rate, on its
+first line, so training from it needs no setting either.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +24,7 @@ import numpy as np
 # extraction runs the row forms; burg_fit and psd_from_model stay importable
 # from here, where the benchmark's traced run wraps them
 from .burg import _fit_rows, _psd_rows, burg_fit, psd_from_model
-from .dataset import LABEL_TO_INDEX, EmgRecord, _csv_rows, _fmt, _write_whole
+from .dataset import LABEL_TO_INDEX, EmgRecord, _csv_rows, _fmt, _read_rate, _write_whole
 from .errors import DataError, DegenerateSignalError
 from .network import _check_sizes, _one_blas_thread
 
@@ -176,12 +179,26 @@ def _extract_run(records: list[EmgRecord], cfg: FeatureConfig) -> np.ndarray:
     return feats
 
 
+# line 1 of a dump: the recipe that extracted its features
+_RECIPE = "# semgrasp features ar_order={} sample_rate={}"
+_RECIPE_LINE = re.compile(r"# semgrasp features ar_order=(\d+) sample_rate=(\S+)")
+
+
 def _dump_header(nbins: int) -> list[str]:
     return ["label"] + [f"ch{ch}_f{i}" for ch in (1, 2) for i in range(nbins)]
 
 
-def save_features_csv(path: str | Path, x: np.ndarray, labels: list[str]) -> None:
-    """Write [n, 2, nbins] features as CSV: label,ch1_f0..ch1_f{n-1},ch2_f0..ch2_f{n-1}.
+def _dump_config(where: str, **fields) -> FeatureConfig:
+    try:  # int() too refuses a digit string too long to convert
+        return FeatureConfig(**{name: int(value) for name, value in fields.items()})
+    except ValueError as e:
+        raise DataError(f"{where}{e}") from None
+
+
+def save_features_csv(path: str | Path, x: np.ndarray, labels: list[str], cfg: FeatureConfig,
+                      sample_rate: float) -> None:
+    """Write [n, 2, nbins] features as CSV: the recipe line (_RECIPE), then the header
+    label,ch1_f0..ch1_f{n-1},ch2_f0..ch2_f{n-1} and one row per record.
 
     The file is written whole (_write_whole): a failure leaves ``path`` as it was.
     """
@@ -189,24 +206,34 @@ def save_features_csv(path: str | Path, x: np.ndarray, labels: list[str]) -> Non
         raise DataError("no features to write")
     with _write_whole(path, newline="") as fh:
         writer = csv.writer(fh)
+        writer.writerow([_RECIPE.format(cfg.ar_order, _fmt(sample_rate))])
         writer.writerow(_dump_header(x.shape[2]))
         for label, row in zip(labels, x):
             writer.writerow([label, *map(_fmt, row.ravel().tolist())])
 
 
-def load_features_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    """The [n, 2, nbins] features and the labels of a dump written by save_features_csv."""
+def load_features_csv(path: str | Path) -> tuple[np.ndarray, list[str], FeatureConfig, float]:
+    """The features [n, 2, nbins], labels, FeatureConfig and sample rate of a dump.
+
+    nbins is the header's. A dump without the recipe line, or whose AR order
+    FeatureConfig refuses or whose rate breaks the one rule (dataset._read_rate),
+    is refused at line 1.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"feature file not found: {path}")
     rows = _csv_rows(path)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise DataError(f"{path}:1: empty feature file") from None
+    _, row = next(rows, (1, []))
+    recipe = _RECIPE_LINE.fullmatch(row[0]) if len(row) == 1 else None
+    if recipe is None:
+        raise DataError(f"{path}:1: not the recipe line {_RECIPE.format('<int>', '<Hz>')!r}")
+    rate = _read_rate(recipe[2], f"{path}:1: ")
+    cfg = _dump_config(f"{path}:1: ", ar_order=recipe[1])
+    _, header = next(rows, (2, []))
     nbins = (len(header) - 1) // 2
     if header != _dump_header(nbins):
-        raise DataError(f"{path}:1: feature header does not match the dump schema")
+        raise DataError(f"{path}:2: feature header does not match the dump schema")
+    cfg = _dump_config(f"{path}:2: ", ar_order=cfg.ar_order, nbins=nbins)
     labels, values = [], []
     for lineno, row in rows:
         if not row:
@@ -226,4 +253,4 @@ def load_features_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
         values.append(vals)
     if not labels:
         raise DataError(f"{path}: no feature rows found")
-    return np.stack(values).reshape(len(labels), 2, nbins), labels
+    return np.stack(values).reshape(len(labels), 2, nbins), labels, cfg, rate

@@ -11,7 +11,9 @@ missing one is not read as its default. The fields that are constants of
 the recipe (network.n_classes, feature_config.log_floor and
 feature_config.normalization) must hold their one value, of its type, and
 has_normalizer must be true: every bundle carries the four z-score arrays.
-dataset_name and normalizer_fitted_on are strings. Unknown keys and arrays
+dataset_name and normalizer_fitted_on are strings, and sample_rate passes
+the one sample-rate rule, so a bundle always names the rate its features
+were extracted at and a null rate is refused. Unknown keys and arrays
 are refused. The network's arrays share one dtype and load in it: float32,
 or float64 for a bundle written before training moved to float32; the
 normalizer's arrays are float64. Any other bundle is refused, so a reloaded
@@ -28,10 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import _write_whole
+from .dataset import _check_rate, _write_whole
 from .errors import DataError
 from .features import STD_FLOOR, FeatureConfig, Normalizer
-from .network import NetworkSpec, NetworkState, _is_finite_number, empty_network
+from .network import NetworkSpec, NetworkState, empty_network
 
 FORMAT_VERSION = 1
 _META_KEY = "__meta__"
@@ -46,7 +48,7 @@ class ModelBundle:
     state: NetworkState
     feature_config: FeatureConfig
     normalizer: Normalizer
-    sample_rate: float | None
+    sample_rate: float
     dataset_name: str = ""
 
 
@@ -97,8 +99,7 @@ def load_model(path: str | Path) -> ModelBundle:
                 f"but network.input_bins is {spec.input_bins}"
             )
         rate = meta.pop("sample_rate")
-        if rate is not None and not (_is_finite_number(rate) and rate > 0):
-            raise ValueError(f"sample_rate must be null or a finite number > 0, got {rate!r}")
+        _check_rate(rate, error=ValueError)
         has_normalizer = meta.pop("has_normalizer")
         if has_normalizer is not True:
             raise ValueError(f"has_normalizer must be true, got {has_normalizer!r}")
@@ -137,7 +138,7 @@ def load_model(path: str | Path) -> ModelBundle:
         state=state,
         feature_config=feature_config,
         normalizer=Normalizer(np.stack(rows["mean"]), np.stack(rows["std"]), fitted_on),
-        sample_rate=float(rate) if rate is not None else None,
+        sample_rate=float(rate),
         dataset_name=dataset_name,
     )
 

@@ -33,20 +33,22 @@ from semgrasp.features import (
     apply_normalizer,
     extract_features,
     load_features_csv,
+    unstack_channels,
 )
 from semgrasp.model_io import ModelBundle, load_model, save_model
 from semgrasp.network import NetworkSpec, init_network
-from semgrasp.training import predict
+from semgrasp.training import predict, predict_batch
 
 
 def _write_config(path, **overrides):
     cfg = {
         "seed": 3,
         "split_fraction": 0.7,
-        "features_config": {"ar_order": 10, "nbins": 32},
         "network": {"conv_layers": [[8, 5, 1], [16, 5, 2]], "dense_units": 16},
         "training": {"epochs": 25, "batch_size": 16, "learning_rate": 0.01},
     }
+    if not overrides.get("features"):  # a feature dump gives its own features_config
+        cfg["features_config"] = {"ar_order": 10, "nbins": 32}
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
@@ -275,6 +277,9 @@ def test_validate_refuses_each_bad_manifest_cell_at_its_line(
     if value == "huge":  # a valid number, refused as the rate that differs from the first
         rate = "sample rate 1e+308 differs from 500.0"
         assert line == f"data error: {root / 'rec00001.csv'}: {rate}"
+    elif column == "sample_rate" and value in ("nan", "inf"):  # every rate's one wording
+        rule = f"sample_rate must be a finite number > 0, got {value}"
+        assert line == f"data error: {manifest}:3: {rule}"
     else:
         assert line.startswith(f"data error: {manifest}:3: "), line
     assert captured.out == ""
@@ -294,9 +299,10 @@ def test_validate_bad_record_read_in_a_worker_is_one_line(dataset_dir, tmp_path,
 def test_extract_writes_loadable_dump(dataset_dir, tmp_path, capsys):
     out = tmp_path / "features.csv"
     assert main(["extract", str(dataset_dir), "--out", str(out), "--nbins", "16"]) == 0
-    x, labels = load_features_csv(out)
+    x, labels, cfg, rate = load_features_csv(out)
     assert len(x) == len(labels) == 72
     assert x.shape[1:] == (2, 16)
+    assert cfg == FeatureConfig(ar_order=10, nbins=16) and rate == 500.0
 
 
 # --------------------------------------------------------------------- train
@@ -529,6 +535,9 @@ def test_train_unknown_config_key(dataset_dir, tmp_path, capsys):
         {"subset": 5},
         {"subset": "subject="},
         {"features": "feats.csv", "dataset": None, "subset": "subject=s1"},
+        # a dump's recipe gives its features_config and its rate
+        {"features": "feats.csv", "dataset": None, "features_config": {"ar_order": 4}},
+        {"features": "feats.csv", "dataset": None, "sample_rate": 500.0},
         {"sample_rate": 1000},
         # a path that holds a NUL byte cannot be opened
         {"out": "o\u0000ut"},
@@ -540,7 +549,8 @@ def test_train_unknown_config_key(dataset_dir, tmp_path, capsys):
         "epochs_bool", "optimizer", "activation", "nbins",
         "dense_units_fraction", "kernel_fraction", "stride_bool", "zero_filters",
         "subset_syntax", "subset_kind", "subset_type", "subset_empty_id", "subset_feature_dump",
-        "sample_rate_with_dataset", "out_nul", "dataset_nul", "features_nul",
+        "features_config_feature_dump", "sample_rate_feature_dump", "sample_rate_with_dataset",
+        "out_nul", "dataset_nul", "features_nul",
     ],
 )
 def test_train_bad_config_value_fails_before_work(
@@ -854,11 +864,7 @@ def test_train_from_feature_dump(dataset_dir, tmp_path, capsys):
     assert main(["extract", str(dataset_dir), "--out", str(dump), "--nbins", "32"]) == 0
     out = tmp_path / "out"
     cfg = _write_config(
-        tmp_path / "cfg.json",
-        features=str(dump),
-        out=str(out),
-        sample_rate=500.0,
-        reference_accuracy=0.9852,
+        tmp_path / "cfg.json", features=str(dump), out=str(out), reference_accuracy=0.9852
     )
     assert main(["train", "--config", str(cfg)]) == 0
     summary = _read_summary(out)
@@ -871,14 +877,99 @@ def test_train_from_feature_dump(dataset_dir, tmp_path, capsys):
     assert main(["predict", str(out / "model.bin"), str(record)]) == 0
 
 
-def test_train_feature_dump_nbins_mismatch(dataset_dir, tmp_path, capsys):
-    dump = tmp_path / "features.csv"
-    assert main(["extract", str(dataset_dir), "--out", str(dump), "--nbins", "16"]) == 0
-    cfg = _write_config(
-        tmp_path / "cfg.json", features=str(dump), out=str(tmp_path / "o"), sample_rate=500.0
-    )
-    assert main(["train", "--config", str(cfg)]) == 1
-    assert "16 bins" in capsys.readouterr().err
+def test_train_takes_the_recipe_of_its_feature_dump(dataset_dir, tmp_path, monkeypatch, capsys):
+    dump = tmp_path / "f4.csv"
+    args = ["extract", str(dataset_dir), "--out", str(dump), "--ar-order", "4", "--nbins", "16"]
+    assert main(args) == 0
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.json", features=str(dump), out=str(out),
+                        training={"epochs": 3, "batch_size": 16, "learning_rate": 0.01})
+    assert main(["train", "--config", str(cfg)]) == 0
+    model = out / "model.bin"
+    bundle = load_model(model)
+    assert bundle.feature_config == FeatureConfig(ar_order=4, nbins=16)
+    assert bundle.sample_rate == load_dataset(dataset_dir, keep_records).sample_rate == 500.0
+    echo = json.loads((out / "config.echo").read_text())
+    assert echo["features_config"] == {"ar_order": 4, "nbins": 16}
+    assert "sample_rate" not in echo
+    capsys.readouterr()
+    assert main(["predict", str(model), str(dataset_dir / "rec00000.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+    # eval extracts the dataset by the bundle's recipe: the dump's rows, bit for bit
+    x, labels, _, _ = load_features_csv(dump)
+    feats = [apply_normalizer(bundle.normalizer, f) for f in unstack_channels(x, labels)]
+    want_preds, want_probs = predict_batch(bundle.state, feats)
+    seen = []
+
+    def recording_predict_batch(state, feats):
+        seen.append(predict_batch(state, feats))
+        return seen[-1]
+
+    monkeypatch.setattr("semgrasp.cli.predict_batch", recording_predict_batch)
+    assert main(["eval", str(model), str(dataset_dir), "--out", str(tmp_path / "report")]) == 0
+    ((preds, probs),) = seen
+    np.testing.assert_array_equal(preds, want_preds)
+    np.testing.assert_array_equal(probs, want_probs)
+
+
+# line 1 of the probe dump, and what each row replaces it with (None: drops it, as the
+# dumps written before the recipe line did)
+_PROBE_RECIPE = b"# semgrasp features ar_order=10 sample_rate=500.0"
+_RECIPE_FAULTS = {
+    "no_recipe_line": None,
+    "ar_order_zero": b"# semgrasp features ar_order=0 sample_rate=500.0",
+    "ar_order_fraction": b"# semgrasp features ar_order=1.5 sample_rate=500.0",
+    "ar_order_text": b"# semgrasp features ar_order=x sample_rate=500.0",
+    "rate_zero": b"# semgrasp features ar_order=10 sample_rate=0",
+    "rate_nan": b"# semgrasp features ar_order=10 sample_rate=nan",
+    "rate_inf": b"# semgrasp features ar_order=10 sample_rate=inf",
+    "rate_text": b"# semgrasp features ar_order=10 sample_rate=x",
+    "unknown_key": b"# semgrasp features ar_order=10 sample_rate=500.0 colour=red",
+    "repeated_key": b"# semgrasp features ar_order=10 ar_order=10 sample_rate=500.0",
+}
+
+
+@pytest.mark.parametrize("fault", _RECIPE_FAULTS)
+def test_bad_recipe_line_is_one_line_at_line_1(probe_inputs, tmp_path, capsys, fault):
+    first, rest = probe_inputs[1].read_bytes().split(b"\r\n", 1)
+    assert first == _PROBE_RECIPE
+    bad = tmp_path / "f.csv"
+    line = _RECIPE_FAULTS[fault]
+    bad.write_bytes(rest if line is None else line + b"\r\n" + rest)
+    out = tmp_path / "run"
+    cfg = json.loads(_probe_config({("dataset",): "null", ("features_config",): None},
+                                   *probe_inputs))
+    (tmp_path / "cfg.json").write_text(json.dumps({**cfg, "features": str(bad), "out": str(out)}))
+    assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"data error: {bad}:1: "), err
+    assert not out.exists()
+
+
+def test_failed_split_write_leaves_no_partial_file(dataset_dir, tmp_path, monkeypatch, capsys):
+    real_open = open
+
+    def filling_open(path, mode="r", **kwargs):
+        # split.csv's temporary file takes its header and five rows, then the disk is full
+        fh = real_open(path, mode, **kwargs)
+        if Path(path).name.startswith(".split.csv."):
+            room, write = iter(range(6)), fh.write
+
+            def filling_write(text):
+                if next(room, None) is None:
+                    raise OSError("no space left on device")
+                return write(text)
+
+            fh.write = filling_write
+        return fh
+
+    monkeypatch.setattr(semgrasp.dataset, "open", filling_open, raising=False)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.json", dataset=str(dataset_dir), out=str(out))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["io error: no space left on device"]
+    assert [p.name for p in out.iterdir()] == ["config.echo"]
 
 
 def test_train_divergence_exit_code(dataset_dir, tmp_path, capsys):
@@ -911,15 +1002,14 @@ def _config_key_paths():
             yield from ((key, sub) for sub in default)
 
 
-# the probes a valid config may hold: each of them trains (or diverges, exit 3);
-# the probe config names a dataset, so any sample_rate but null is refused
+# the probes a valid config may hold: each of them trains (or diverges, exit 3)
 _ACCEPTED_PROBES = {
-    "features=null", 'out="x"', "seed=0", "sample_rate=null",
+    "features=null", 'out="x"', "seed=0",
     "reference_accuracy=null", "reference_accuracy=0",
     "features_config={}",
     "network={}", "network.conv_layers=[]", "training={}", "training.learning_rate=2.5",
     "training.learning_rate=1e308", "training.momentum=0",
-    "feature_dump_with_sample_rate=2.5", "feature_dump_with_sample_rate=1e308",
+    "feature_dump",
 }
 
 
@@ -932,17 +1022,16 @@ _PROBE_ROWS = [
     for path in _config_key_paths()
     for text in _PROBE_VALUES
 ] + [
-    _probe_row(
-        {("dataset",): "null", ("features",): "@DUMP@", ("sample_rate",): '"abc"'},
-        "feature_dump_with_string_sample_rate",
-    ),
+    # a dump gives its own features_config and sample rate, so the config may set neither
+    _probe_row({("dataset",): "null", ("features",): "@DUMP@", ("features_config",): None},
+               "feature_dump"),
+    _probe_row({("dataset",): "null", ("features",): "@DUMP@"},
+               "feature_dump_with_features_config"),
+    _probe_row({("dataset",): "null", ("features",): "@DUMP@", ("features_config",): None,
+                ("sample_rate",): "2.5"}, "feature_dump_with_sample_rate"),
     _probe_row({("network", "conv_layers"): "[[2, 3]]"}, "two_entry_conv_layer"),
     # an integer >= 1 whose dense weights (hundreds of GiB) cannot be allocated
     _probe_row({("network", "dense_units"): "1000000000"}, "unallocatable_dense_units"),
-] + [
-    _probe_row({("dataset",): "null", ("features",): "@DUMP@", ("sample_rate",): text},
-               f"feature_dump_with_sample_rate={text}")
-    for text in ("2.5", "1e308")
 ]
 
 
@@ -956,7 +1045,8 @@ def probe_inputs(tmp_path_factory):
 
 
 def _probe_config(edits: dict, data: Path, dump: Path) -> str:
-    """JSON text of a small one-epoch config with each edited key set to raw text."""
+    """JSON text of a small one-epoch config with each edited key set to raw text, or left
+    out where the edit is None."""
     cfg = {
         "dataset": str(data),
         "out": "run",
@@ -970,10 +1060,14 @@ def _probe_config(edits: dict, data: Path, dump: Path) -> str:
         section = cfg
         for key in parents:
             section = section.setdefault(key, {})
-        section[leaf] = f"@EDIT{i}@"
+        if edits[path] is None:
+            del section[leaf]
+        else:
+            section[leaf] = f"@EDIT{i}@"
     text = json.dumps(cfg)
     for i, value in enumerate(edits.values()):
-        text = text.replace(f'"@EDIT{i}@"', value.replace("@DUMP@", json.dumps(str(dump))))
+        if value is not None:
+            text = text.replace(f'"@EDIT{i}@"', value.replace("@DUMP@", json.dumps(str(dump))))
     return text
 
 
@@ -1155,10 +1249,12 @@ def _nbins_off_network(meta, arrays):
     "edit, message",
     [
         (_nbins_off_network, "feature_config.nbins is 64 but network.input_bins is 32"),
-        (lambda meta, arrays: meta.update(sample_rate="abc"), "sample_rate must be null or"),
-        (lambda meta, arrays: meta.update(sample_rate=0), "sample_rate must be null or"),
+        (lambda meta, arrays: meta.update(sample_rate="abc"), "sample_rate must be a finite"),
+        (lambda meta, arrays: meta.update(sample_rate=0), "sample_rate must be a finite"),
+        (lambda meta, arrays: meta.update(sample_rate=None),
+         "sample_rate must be a finite number > 0, got None"),
     ],
-    ids=["nbins_off_network", "rate_string", "rate_zero"],
+    ids=["nbins_off_network", "rate_string", "rate_zero", "rate_null"],
 )
 def test_predict_bad_bundle_metadata_is_data_error(
     trained_run, dataset_dir, tmp_path, capsys, edit, message

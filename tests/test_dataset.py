@@ -500,7 +500,8 @@ _NON_UTF8 = {
     "matrix": (_read_matrix, "C_ch1.csv", b"1,2,3\n\xff4,5,6\n"),
     "manifest": (partial(load_dataset, reduce=keep_records), "manifest.csv",
                  b"file,label,subject,session,sample_rate\n\xff\n"),
-    "features": (load_features_csv, "f.csv", b"label,ch1_f0,ch2_f0\nC,1,\xff2\n"),
+    "features": (load_features_csv, "f.csv", b"# semgrasp features ar_order=10 sample_rate=500.0\n"
+                 b"label,ch1_f0,ch2_f0\nC,1,\xff2\n"),
 }
 
 
@@ -510,8 +511,9 @@ def test_non_utf8_text_is_a_data_error_naming_the_file(tmp_path, reader):
     (tmp_path / name).write_bytes(data)
     with pytest.raises(DataError) as err:
         read(tmp_path if reader == "manifest" else tmp_path / name)
-    # every reader's bad byte is on line 2
-    assert str(err.value) == f"{tmp_path / name}:2: not utf-8 text (invalid start byte)"
+    # every reader's bad byte is on line 2, after a feature dump's recipe line on 3
+    line = 3 if reader == "features" else 2
+    assert str(err.value) == f"{tmp_path / name}:{line}: not utf-8 text (invalid start byte)"
 
 
 def test_non_utf8_byte_deep_in_a_file_is_named_at_its_line(tmp_path):

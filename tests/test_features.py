@@ -316,27 +316,36 @@ def test_class_separation_in_normalized_space(synth_features):
 def test_features_csv_round_trip(tmp_path, synth_features):
     path = tmp_path / "features.csv"
     save_features_csv(path, stack_channels(synth_features[:10]),
-                      [f.label for f in synth_features[:10]])
-    x, labels = load_features_csv(path)
+                      [f.label for f in synth_features[:10]], FeatureConfig(4, 32), 250.0)
+    assert path.read_bytes().startswith(b"# semgrasp features ar_order=4 sample_rate=250.0\r\n")
+    x, labels, cfg, rate = load_features_csv(path)
     assert len(x) == len(labels) == 10
+    assert cfg == FeatureConfig(4, 32) and rate == 250.0
     for orig, back, label in zip(synth_features[:10], x, labels):
         assert orig.label == label
         np.testing.assert_array_equal(orig.channel1_features, back[0])
         np.testing.assert_array_equal(orig.channel2_features, back[1])
 
 
+_RECIPE = "# semgrasp features ar_order=10 sample_rate=500.0"
+_HEADER8 = "label," + ",".join(f"ch{c}_f{i}" for c in (1, 2) for i in range(8))
+
+
 def test_features_csv_schema_errors(tmp_path):
     p = tmp_path / "bad.csv"
     for header in ("label,ch1_f0,ch2_f1", "feat,ch1_f0,ch2_f0", "label,ch1_f0", ""):
-        p.write_text(f"{header}\nC,1.0,2.0\n")
-        with pytest.raises(DataError, match="schema"):
+        p.write_text(f"{_RECIPE}\n{header}\nC,1.0,2.0\n")
+        with pytest.raises(DataError, match=":2: .*schema"):
             load_features_csv(p)
-    p.write_text("label,ch1_f0,ch2_f0\nQ,1.0,2.0\n")
-    with pytest.raises(DataError, match="unknown label"):
+    p.write_text(f"{_RECIPE}\n{_HEADER8}\nQ" + ",1.0" * 16 + "\n")
+    with pytest.raises(DataError, match=":3: unknown label"):
         load_features_csv(p)
-    p.write_text("label,ch1_f0,ch2_f0\nC,1.0\n")
-    with pytest.raises(DataError, match="columns"):
+    p.write_text(f"{_RECIPE}\n{_HEADER8}\nC,1.0\n")
+    with pytest.raises(DataError, match=":3: expected 17 columns"):
+        load_features_csv(p)
+    # the header's bins are FeatureConfig's nbins, so fewer than 8 are refused at its line
+    p.write_text(f"{_RECIPE}\nlabel,ch1_f0,ch2_f0\nC,1.0,2.0\n")
+    with pytest.raises(DataError, match=":2: nbins must be >= 8, got 1"):
         load_features_csv(p)
     with pytest.raises(DataError, match="not found"):
         load_features_csv(tmp_path / "missing.csv")
-

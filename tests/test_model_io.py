@@ -50,15 +50,6 @@ def test_save_load_round_trip_bit_exact_predictions(tmp_path, synth_features, rn
     assert spec.dense_units == 8
 
 
-def test_save_load_without_rate(tmp_path, synth_features):
-    bundle = _bundle(synth_features)
-    bundle.sample_rate = None
-    path = tmp_path / "model.bin"
-    save_model(path, bundle)
-    back = load_model(path)
-    assert back.sample_rate is None
-
-
 def test_failed_save_leaves_the_previous_bundle_whole(tmp_path, synth_features, monkeypatch):
     path = tmp_path / "model.bin"
     save_model(path, _bundle(synth_features))
@@ -183,13 +174,15 @@ def _retype(name, dtype):
         (_drop_network, "missing 'network'"),
         (_small_nbins, "nbins must be >= 8"),
         (_nbins_off_network, "feature_config.nbins is 64 but network.input_bins is 32"),
-        (_rate("abc"), "sample_rate must be null or a finite number > 0, got 'abc'"),
-        (_rate(0), "sample_rate must be null or a finite number > 0, got 0"),
-        (_rate(-500.0), "sample_rate must be null or a finite number > 0, got -500.0"),
-        (_rate(True), "sample_rate must be null or a finite number > 0, got True"),
-        (_rate(float("nan")), "sample_rate must be null or a finite number > 0, got nan"),
-        (_rate(float("inf")), "sample_rate must be null or a finite number > 0, got inf"),
-        (_rate(10**400), "sample_rate must be null or a finite number > 0, got 1000"),
+        (_rate("abc"), "sample_rate must be a finite number > 0, got 'abc'"),
+        (_rate(0), "sample_rate must be a finite number > 0, got 0"),
+        (_rate(-500.0), "sample_rate must be a finite number > 0, got -500.0"),
+        (_rate(True), "sample_rate must be a finite number > 0, got True"),
+        (_rate(float("nan")), "sample_rate must be a finite number > 0, got nan"),
+        (_rate(float("inf")), "sample_rate must be a finite number > 0, got inf"),
+        (_rate(10**400), "sample_rate must be a finite number > 0, got 1000"),
+        # a bundle without a rate cannot say what its features were extracted at
+        (_rate(None), "sample_rate must be a finite number > 0, got None"),
         (_cut_head_column, "'head.weights' has shape"),
         (_drop_conv_bias, "missing weight array 'ch2.conv0.bias'"),
         (_short_std, r"'norm.std1' has shape \(31,\)"),
@@ -245,7 +238,7 @@ def _retype(name, dtype):
          "feature_config.normalization must be 'zscore', got 'none'"),
     ],
     ids=["no_network", "small_nbins", "nbins_off_network", "rate_string", "rate_zero",
-         "rate_negative", "rate_bool", "rate_nan", "rate_inf", "rate_huge_int",
+         "rate_negative", "rate_bool", "rate_nan", "rate_inf", "rate_huge_int", "rate_null",
          "cut_head_column", "missing_array", "short_std", "zero_std", "nan_mean",
          "string_weights", "string_normalizer", "complex_weights", "complex_first_weights",
          "float16_weights", "mixed_weights", "float32_normalizer", "normalizer_false_zscore",
