@@ -70,8 +70,8 @@ _CONFIG_DEFAULTS: dict = {
     "reference_accuracy": None,
     # the log floor and z-scoring are fixed, like the class count
     "features_config": {k: _FEATURE_DEFAULTS[k] for k in ("ar_order", "nbins")},
-    # input_bins is features_config.nbins, and the class count is fixed
-    "network": {k: _NETWORK_DEFAULTS[k] for k in ("conv_layers", "dense_units", "activation")},
+    # input_bins is features_config.nbins, and the class count and the ReLU are fixed
+    "network": {k: _NETWORK_DEFAULTS[k] for k in ("conv_layers", "dense_units")},
     "training": {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
 }
 

@@ -346,11 +346,19 @@ def _read_records(entries: list[_Entry], reduce: _Reducer) -> list[tuple[list[in
 
 
 def _csv_rows(path: Path):
-    """(line number, row) pairs of a CSV file; text that does not decode is a DataError
-    naming the line it is on."""
+    """(line number, row) pairs of a CSV file, numbered by the physical line each row
+    starts on, so a quoted cell that spans lines does not shift the rows after it.
+    Text that does not decode, and a cell over csv.field_size_limit(), are a
+    DataError naming the line."""
+    line = 1
     try:
         with open(path, newline="") as fh:
-            yield from enumerate(csv.reader(fh), start=1)
+            reader = csv.reader(fh)
+            for row in reader:
+                yield line, row
+                line = reader.line_num + 1
+    except csv.Error as e:
+        raise DataError(f"{path}:{line}: {e}") from None
     except UnicodeDecodeError as e:
         # the reader decodes a block at a time, so only the whole file gives the offset
         try:

@@ -8,8 +8,8 @@ a bundle. All seven of its keys are required: format_version, network
 run config), feature_config, sample_rate, dataset_name, has_normalizer,
 normalizer_fitted_on. So is every field of network and feature_config: a
 missing one is not read as its default. The fields that are constants of
-the recipe (network.n_classes, feature_config.log_floor and
-feature_config.normalization) must hold their one value, of its type, and
+the recipe (network.n_classes, network.activation, feature_config.log_floor
+and feature_config.normalization) must hold their one value, of its type, and
 has_normalizer must be true: every bundle carries the four z-score arrays.
 dataset_name and normalizer_fitted_on are strings, and sample_rate passes
 the one sample-rate rule, so a bundle always names the rate its features

@@ -1,15 +1,17 @@
 """Two-channel 1D convolutional network on plain numpy, with manual backprop.
 
 Architecture: each input channel runs through its own stack of valid (no
-padding) strided 1D convolutions followed by one dense layer; the two dense
-outputs are concatenated and a linear head produces six logits for softmax
-classification. Both stacks share hyperparameters but own independent
-weights, so forward and backward can run the ch2 stack on a worker thread
-while the calling thread runs ch1. `backward` hands every gradient to an
-update callable and returns none: each stack's on the thread that computed
-them, once its last read of its weights is done, and the head's after both
-stacks finish. A momentum update then makes the same ufunc calls on each
-array as it would on the calling thread, so the weights are the same bytes.
+padding) strided 1D convolutions followed by one dense layer, each layer
+followed by a ReLU; the two dense outputs are concatenated and a linear head
+produces six logits for softmax classification. The ReLU and the six classes
+are constants of NetworkSpec, not settings. Both stacks share
+hyperparameters but own independent weights, so forward and backward can
+run the ch2 stack on a worker thread while the calling thread runs ch1.
+`backward` hands every gradient to an update callable and returns none:
+each stack's on the thread that computed them, once its last read of its
+weights is done, and the head's after both stacks finish. A momentum update
+then makes the same ufunc calls on each array as it would on the calling
+thread, so the weights are the same bytes.
 
 Convolutions are evaluated as im2col matrix products so training stays fast
 without any framework dependency. Every conv activation, cache and gradient
@@ -157,33 +159,18 @@ def _one_blas_thread():
             _BLAS_THREADS[1](previous)
 
 
-def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
-    """The activation of pre, computed in place."""
-    if kind == "relu":
-        return np.maximum(pre, 0.0, out=pre)
-    if kind == "identity":
-        return pre
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _activate_backward(
-    d_out: np.ndarray, out: np.ndarray, kind: str, owned: bool = False
-) -> np.ndarray:
-    """Gradient w.r.t. the pre-activation, given the activation's output and the
-    gradient w.r.t. it. relu(pre) > 0 exactly where pre > 0, NaN included.
+def _relu_backward(d_out: np.ndarray, out: np.ndarray, owned: bool = False) -> np.ndarray:
+    """Gradient w.r.t. the pre-activation, given the ReLU's output and the gradient
+    w.r.t. it. relu(pre) > 0 exactly where pre > 0, NaN included.
     owned: d_out is the caller's own buffer, in out's index order; it is masked in place."""
-    if kind == "relu":
-        if not owned:
-            # in out's memory layout, which fixes the summation order of the bias
-            # gradients; copying first keeps the masking multiply contiguous
-            d_pre = np.empty_like(out)
-            np.copyto(d_pre, d_out)
-            d_out = d_pre
-        d_out *= out > 0.0
-        return d_out
-    if kind == "identity":
-        return d_out
-    raise ValueError(f"unknown activation {kind!r}")
+    if not owned:
+        # in out's memory layout, which fixes the summation order of the bias
+        # gradients; copying first keeps the masking multiply contiguous
+        d_pre = np.empty_like(out)
+        np.copyto(d_pre, d_out)
+        d_out = d_pre
+    d_out *= out > 0.0
+    return d_out
 
 
 def conv_output_length(m: int, kernel: int, stride: int) -> int:
@@ -202,7 +189,6 @@ class Conv1dLayer:
     weights: np.ndarray
     bias: np.ndarray
     stride: int = 1
-    activation: str = "relu"
 
 
 @dataclass
@@ -211,7 +197,6 @@ class DenseLayer:
 
     weights: np.ndarray
     bias: np.ndarray
-    activation: str = "relu"
 
 
 def _conv_pre(x: np.ndarray, layer: Conv1dLayer):
@@ -289,12 +274,10 @@ class NetworkSpec:
     )
     dense_units: int = 64
     n_classes: int = field(default=len(LABELS), init=False)
-    activation: str = "relu"
+    activation: str = field(default="relu", init=False)
 
     def __post_init__(self):
         _check_sizes(self, ("input_bins", "dense_units"))
-        if self.activation not in ("relu", "identity"):
-            raise ValueError(f"activation must be 'relu' or 'identity', got {self.activation!r}")
 
     def to_json(self) -> dict:
         """The JSON form of the run config's network section and the bundle's network entry."""
@@ -358,14 +341,12 @@ def empty_network(spec: NetworkSpec) -> NetworkState:
                     weights=np.empty((cs.filters, cs.kernel, in_ch)),
                     bias=np.empty(cs.filters),
                     stride=cs.stride,
-                    activation=spec.activation,
                 )
             )
             in_ch = cs.filters
         dense = DenseLayer(
             weights=np.empty((spec.dense_units, flat)),
             bias=np.empty(spec.dense_units),
-            activation=spec.activation,
         )
         return convs, dense
 
@@ -374,7 +355,6 @@ def empty_network(spec: NetworkSpec) -> NetworkState:
     head = DenseLayer(
         weights=np.empty((spec.n_classes, 2 * spec.dense_units)),
         bias=np.empty(spec.n_classes),
-        activation="identity",
     )
     return NetworkState(
         spec=spec, conv_stacks=(convs1, convs2), dense_layers=(dense1, dense2), head=head
@@ -408,14 +388,14 @@ def _stack_forward(convs: list[Conv1dLayer], dense: DenseLayer, x: np.ndarray):
     conv_caches = []
     for layer in convs:
         pre, xcol, wmat = _conv_pre(act, layer)
-        out = _activate(pre, layer.activation)
+        out = np.maximum(pre, 0.0, out=pre)
         conv_caches.append((act.shape, xcol, wmat, out))
         act = out
     # the one transpose: the dense layer reads the activation filter-major
     flat = act.transpose(0, 2, 1).reshape(act.shape[0], -1)
     pre_d = flat @ dense.weights.T
     pre_d += dense.bias
-    hidden = _activate(pre_d, dense.activation)
+    hidden = np.maximum(pre_d, 0.0, out=pre_d)
     return hidden, (conv_caches, act.shape, flat, hidden)
 
 
@@ -488,7 +468,7 @@ def _stack_backward(convs, dense, cache, d_hidden, prefix, update) -> None:
     """
     conv_caches, act_shape, flat, hidden = cache
     grads = {}
-    d_pre_d = _activate_backward(d_hidden, hidden, dense.activation)
+    d_pre_d = _relu_backward(d_hidden, hidden)
     grads[f"{prefix}.dense.weights"] = d_pre_d.T @ flat
     grads[f"{prefix}.dense.bias"] = d_pre_d.sum(axis=0)
     n_batch, length, streams = act_shape
@@ -498,7 +478,7 @@ def _stack_backward(convs, dense, cache, d_hidden, prefix, update) -> None:
         layer = convs[i]
         conv_cache = conv_caches[i]
         # below the last conv, d_act is the input gradient _conv_backward just built
-        d_pre = _activate_backward(d_act, conv_cache[3], layer.activation, i < len(convs) - 1)
+        d_pre = _relu_backward(d_act, conv_cache[3], i < len(convs) - 1)
         dw, db, dx = _conv_backward(layer, conv_cache, d_pre, need_dx=i > 0)
         grads[f"{prefix}.conv{i}.weights"] = dw
         grads[f"{prefix}.conv{i}.bias"] = db

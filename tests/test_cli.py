@@ -239,9 +239,24 @@ def test_validate_refuses_bad_manifest_row_at_its_line(tmp_path, capsys, row, me
     assert captured.out == ""
 
 
-# what each manifest cell is set to: its new bytes, or None for an extra cell after it
+def test_validate_names_a_manifest_row_by_its_physical_line(tmp_path, capsys):
+    # row 1's subject is a quoted cell over lines 2 and 3, so row 3 starts on line 5
+    root = tmp_path / "ds"
+    root.mkdir()
+    (root / "manifest.csv").write_text(
+        'file,label,subject,session,sample_rate\nrec0.csv,C,"s\n1",d1,500.0\n'
+        "rec1.csv,T,s1,d1,500.0\nrec2.csv,Q,s1,d1,500.0\n"
+    )
+    assert main(["validate", str(root)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {root / 'manifest.csv'}:5: unknown label 'Q'\n"
+    assert captured.out == ""
+
+
+# what each manifest cell is set to: its new bytes, or None for an extra cell after it;
+# "oversized" is longer than csv.field_size_limit() (131,072 characters)
 _CELL_VALUES = {"empty": b"", "blank": b"  ", "not_utf8": b"s\xff", "nul": b"s\x00",
-                "extra_cell": None}
+                "extra_cell": None, "oversized": b"s" * 140_000}
 _RATE_VALUES = {"zero": b"0", "negative": b"-500.0", "nan": b"NaN", "inf": b"inf",
                 "huge": b"1e308"}
 
@@ -927,6 +942,8 @@ _RECIPE_FAULTS = {
     "rate_text": b"# semgrasp features ar_order=10 sample_rate=x",
     "unknown_key": b"# semgrasp features ar_order=10 sample_rate=500.0 colour=red",
     "repeated_key": b"# semgrasp features ar_order=10 ar_order=10 sample_rate=500.0",
+    # one cell longer than csv.field_size_limit() (131,072 characters)
+    "oversized_cell": b"# semgrasp features ar_order=10 sample_rate=" + b"5" * 140_000,
 }
 
 
@@ -977,7 +994,7 @@ def test_train_divergence_exit_code(dataset_dir, tmp_path, capsys):
         tmp_path / "cfg.json",
         dataset=str(dataset_dir),
         out=str(tmp_path / "out"),
-        network={"conv_layers": [[4, 3, 1]], "dense_units": 8, "activation": "identity"},
+        network={"conv_layers": [[4, 3, 1]], "dense_units": 8},
         training={"epochs": 20, "learning_rate": 1e40},
     )
     assert main(["train", "--config", str(cfg)]) == 3
@@ -1130,18 +1147,23 @@ def test_failed_eval_leaves_the_previous_report_whole(trained_run, dataset_dir, 
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-@pytest.mark.parametrize("key, value", [("log_floor", 1e-12), ("normalization", "zscore")])
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("features_config", "log_floor", 1e-12), ("features_config", "normalization", "zscore"),
+     ("network", "activation", "relu")],
+    ids=["log_floor-1e-12", "normalization-zscore", "activation-relu"],
+)
 def test_fixed_feature_constant_is_an_unknown_config_key(
-    probe_inputs, tmp_path, monkeypatch, capsys, key, value
+    probe_inputs, tmp_path, monkeypatch, capsys, section, key, value
 ):
-    # the log floor and the z-scoring are fixed, so even their one value is refused
+    # the log floor, the z-scoring and the ReLU are fixed, so even their one value is refused
     monkeypatch.chdir(tmp_path)
     cfg = json.loads(_probe_config({}, *probe_inputs))
-    cfg["features_config"][key] = value
+    cfg[section][key] = value
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"config error: {tmp_path / 'cfg.json'}: unknown config key features_config.{key!r}"
+        f"config error: {tmp_path / 'cfg.json'}: unknown config key {section}.{key!r}"
     ]
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
@@ -1354,14 +1376,15 @@ def _record_text(rows: int, ch2_scale: float = 1.0, ch2=None) -> bytes:
         (_record_text(5), "r.csv: record has 5 samples"),
         (b"1,2\n3\x00,4\n", "r.csv:2: malformed value in row"),
         (b"0.5,0.25\n", "r.csv: record has 1 samples; need > ar_order + 1 = 11"),
+        (b"1,2\n" + b"1" * 140_000 + b",2\n", "r.csv:2: field larger than field limit (131072)"),
         # a function in place of the text makes the record path something other than a file
         (Path.mkdir, "r.csv: not a regular file"),
         (lambda record: record.symlink_to(record.name), "r.csv: not a regular file"),
         (lambda record: None, "r.csv: record file not found"),
     ],
     ids=["empty", "three_columns", "non_utf8", "constant", "constant_ch2", "overflow_ch2",
-         "underflow_ch2", "five_rows", "nul_bytes", "one_row", "directory", "symlink_loop",
-         "missing"],
+         "underflow_ch2", "five_rows", "nul_bytes", "one_row", "oversized_cell", "directory",
+         "symlink_loop", "missing"],
 )
 def test_predict_unreadable_record_writes_one_line(trained_run, tmp_path, capsys, text, message):
     record = tmp_path / "r.csv"

@@ -219,6 +219,12 @@ def _retype(name, dtype):
          r"network.n_classes must be 6, got 6\.0"),
         (lambda meta, arrays: meta["network"].update(n_classes=True),
          "network.n_classes must be 6, got True"),
+        (lambda meta, arrays: meta["network"].update(activation="identity"),
+         "network.activation must be 'relu', got 'identity'"),
+        (lambda meta, arrays: meta["network"].update(activation=1),
+         "network.activation must be 'relu', got 1"),
+        (lambda meta, arrays: meta["network"].pop("activation"),
+         "missing 'network.activation'"),
         (lambda meta, arrays: meta["feature_config"].update(log_floor=1e-6),
          "feature_config.log_floor must be 1e-12, got 1e-06"),
         (lambda meta, arrays: meta["feature_config"].pop("log_floor"),
@@ -245,6 +251,7 @@ def _retype(name, dtype):
          "normalizer_true_none", "normalizer_zero", "normalizer_one", "normalizer_string",
          "normalizer_null", "normalizer_missing", "five_classes", "seven_classes",
          "huge_classes", "classes_missing", "float_classes", "bool_classes",
+         "identity_activation", "int_activation", "activation_missing",
          "log_floor_changed", "log_floor_missing", "version_true", "version_float",
          "version_string", "conv_pair", "rate_missing", "dataset_name_missing",
          "fitted_on_missing", "unknown_key", "extra_array", "normalizer_arrays_without_normalizer"],

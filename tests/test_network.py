@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +52,12 @@ def _desk_net(seed=0, bins=8, batch=3, conv_layers=None):
 
 
 def _identity_conv():
-    """Width-1 conv that passes its single input stream through unchanged."""
-    return Conv1dLayer(
-        weights=np.ones((1, 1, 1)), bias=np.zeros(1), stride=1, activation="identity"
-    )
+    """Width-1 conv that passes its single input stream through the ReLU."""
+    return Conv1dLayer(weights=np.ones((1, 1, 1)), bias=np.zeros(1), stride=1)
 
 
 def _identity_dense(width):
-    return DenseLayer(weights=np.eye(width), bias=np.zeros(width), activation="identity")
+    return DenseLayer(weights=np.eye(width), bias=np.zeros(width))
 
 
 # --------------------------------------------------------------------- dense
@@ -71,17 +70,18 @@ def _dense(layer, x):
 
 
 def test_dense_identity_map():
+    # every layer is followed by the ReLU, so the -2.0 comes out as 0.0
     x = np.array([[1.0, -2.0, 3.0, 0.5]])
-    np.testing.assert_array_equal(_dense(_identity_dense(4), x), x)
+    np.testing.assert_array_equal(_dense(_identity_dense(4), x), np.array([[1.0, 0.0, 3.0, 0.5]]))
 
 
 def test_dense_hand_arithmetic():
-    layer = DenseLayer(weights=np.array([[2.0]]), bias=np.array([3.0]), activation="identity")
+    layer = DenseLayer(weights=np.array([[2.0]]), bias=np.array([3.0]))
     np.testing.assert_array_equal(_dense(layer, np.array([5.0])), np.array([[13.0]]))
 
 
 def test_dense_relu_kills_negative_preactivations():
-    layer = DenseLayer(weights=-np.eye(3), bias=np.zeros(3), activation="relu")
+    layer = DenseLayer(weights=-np.eye(3), bias=np.zeros(3))
     out = _dense(layer, np.array([[1.0, 2.0, 3.0]]))
     np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
@@ -105,18 +105,14 @@ def test_conv_width_one_kernel_is_identity():
 
 
 def test_conv_sliding_sum_by_hand():
-    layer = Conv1dLayer(
-        weights=np.ones((1, 2, 1)), bias=np.zeros(1), stride=1, activation="identity"
-    )
+    layer = Conv1dLayer(weights=np.ones((1, 2, 1)), bias=np.zeros(1), stride=1)
     x = np.array([[[1.0], [2.0], [3.0], [4.0]]])
     np.testing.assert_array_equal(_conv(layer, x), np.array([[[3.0], [5.0], [7.0]]]))
 
 
 def test_conv_output_length_formula():
     assert conv_output_length(10, 3, 2) == 4
-    layer = Conv1dLayer(
-        weights=np.ones((1, 3, 1)), bias=np.zeros(1), stride=2, activation="identity"
-    )
+    layer = Conv1dLayer(weights=np.ones((1, 3, 1)), bias=np.zeros(1), stride=2)
     out = _conv(layer, np.zeros((1, 10, 1)))
     assert out.shape == (1, 4, 1)
 
@@ -145,11 +141,9 @@ def test_multistream_single_layer_equals_conv_forward():
 
 
 def test_multistream_two_layers_hand_expansion():
-    # all-ones kernels of width 2, identity activation, on [1..6]:
+    # all-ones kernels of width 2 on [1..6], where the ReLU passes every value:
     # first layer:  [3,5,7,9,11]; second layer: [8,12,16,20]
-    mk = lambda: Conv1dLayer(
-        weights=np.ones((1, 2, 1)), bias=np.zeros(1), stride=1, activation="identity"
-    )
+    mk = lambda: Conv1dLayer(weights=np.ones((1, 2, 1)), bias=np.zeros(1), stride=1)
     x = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
     out, _ = _stack_forward([mk(), mk()], _identity_dense(4), x)
     np.testing.assert_array_equal(out, np.array([[8.0, 12.0, 16.0, 20.0]]))
@@ -169,7 +163,6 @@ def test_conv_matches_brute_force_sliding_window():
             weights=rng.standard_normal((filters, kernel, in_ch)),
             bias=rng.standard_normal(filters),
             stride=stride,
-            activation="identity",
         )
         x = rng.standard_normal((batch, length, in_ch))
         out = _conv(layer, x)
@@ -672,7 +665,6 @@ def test_channel_swap_symmetry():
     head = DenseLayer(
         weights=np.concatenate([state.head.weights[:, d:], state.head.weights[:, :d]], axis=1),
         bias=state.head.bias.copy(),
-        activation="identity",
     )
     mirrored = NetworkState(
         spec=swapped,
@@ -730,18 +722,21 @@ def test_spec_flat_dim_and_defaults():
     assert spec.flat_dim() == 64 * 60
     with pytest.raises(ValueError):
         NetworkSpec(input_bins=8, conv_layers=[ConvSpec(4, 16, 1)]).flat_dim()
-    with pytest.raises(ValueError, match="activation"):
-        NetworkSpec(input_bins=128, activation="tanh")
+    assert spec.activation == "relu"
 
 
 def test_head_is_sized_by_the_label_set():
-    # the class count is not a setting: one head row per label
+    # the class count and the activation are not settings: one head row per label
     with pytest.raises(TypeError):
         NetworkSpec(input_bins=128, n_classes=7)
+    with pytest.raises(TypeError):
+        NetworkSpec(input_bins=128, activation="relu")
     state = empty_network(_desk_spec())
     assert state.spec.n_classes == len(LABELS)
     assert state.head.weights.shape[0] == state.head.bias.shape[0] == len(LABELS)
-    # from_json reads forms without n_classes: the run config's network section, and a
-    # bundle's once load_model has checked it (test_model_io's *_classes rows)
-    without = {k: v for k, v in state.spec.to_json().items() if k != "n_classes"}
+    # from_json reads forms without the constant fields: the run config's network section,
+    # and a bundle's once load_model has checked them (test_model_io's *_classes and
+    # *_activation rows)
+    constants = {f.name for f in fields(NetworkSpec) if not f.init}
+    without = {k: v for k, v in state.spec.to_json().items() if k not in constants}
     assert NetworkSpec.from_json(without) == state.spec

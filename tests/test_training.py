@@ -93,9 +93,7 @@ def test_divergence_guard_names_epoch():
 
     train_feats = [fv(lab) for lab in "CTLHPS"] * 4
     test_feats = [fv(lab) for lab in "CTLHPS"]
-    spec = NetworkSpec(
-        input_bins=16, conv_layers=[ConvSpec(4, 3, 1)], dense_units=8, activation="identity"
-    )
+    spec = NetworkSpec(input_bins=16, conv_layers=[ConvSpec(4, 3, 1)], dense_units=8)
     with pytest.raises(TrainingDivergedError, match="epoch") as excinfo:
         train(spec, train_feats, test_feats, TrainConfig(epochs=20, learning_rate=1e40, seed=3))
     assert excinfo.value.epoch >= 1
@@ -243,7 +241,6 @@ def test_predict_tie_breaks_to_lowest_index(normalized_split):
     state.head = DenseLayer(
         weights=np.zeros_like(state.head.weights),
         bias=np.zeros_like(state.head.bias),
-        activation="identity",
     )
     label, probs = predict(state, test_feats[0])
     assert label == "C"
