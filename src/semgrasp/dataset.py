@@ -18,9 +18,8 @@ from __future__ import annotations
 import csv
 import math
 import os
-import signal
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -28,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .network import LABELS, _is_finite_number
+from .network import LABELS, _is_finite_number, _sigint_held
 
 LABEL_TO_INDEX = {lab: i for i, lab in enumerate(LABELS)}
 
@@ -326,14 +325,11 @@ def _read_records(entries: list[_Entry], reduce: _Reducer) -> list[tuple[list[in
         return [_read_chunk(chunk, reduce) for chunk in chunks]
     pool = ProcessPoolExecutor(min(cores, len(chunks)), multiprocessing.get_context("fork"))
     try:
-        # the first submit forks every worker, and a forked process keeps the
-        # signal mask of the thread that forked it: blocked here, SIGINT stays
-        # blocked in the workers, so an interrupt is the parent's alone to report
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
+        # the first submit forks every worker and starts the pool's threads, which
+        # keep the mask they start with: SIGINT stays blocked in all of them, so
+        # an interrupt is the parent's alone to report
+        with _sigint_held():
             futures = [pool.submit(_read_chunk, chunk, reduce) for chunk in chunks]
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         read = []
         for chunk, future in zip(chunks, futures):
             try:
@@ -342,7 +338,10 @@ def _read_records(entries: list[_Entry], reduce: _Reducer) -> list[tuple[list[in
                 read.append(_read_chunk(chunk, reduce))
         return read
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        # an interrupt inside shutdown's weakref callbacks would be printed and
+        # dropped; held, it is raised once the workers are gone
+        with _sigint_held():
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _csv_rows(path: Path):
@@ -374,7 +373,8 @@ def _write_whole(path: str | Path, mode: str = "w", **kwargs):
     """Open a temporary file beside ``path`` for writing; on a clean exit it replaces ``path``.
 
     On any exception the temporary file is removed and ``path`` is left as it
-    was, so a reader never sees part of a file.
+    was, so a reader never sees part of a file. An error opening or renaming
+    the temporary file is raised naming ``path``, the file the caller asked for.
     """
     path = Path(path)
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
@@ -382,8 +382,11 @@ def _write_whole(path: str | Path, mode: str = "w", **kwargs):
         with open(tmp, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as e:
+        with suppress(OSError):  # a failed cleanup must not hide the error that caused it
+            tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.filename == str(tmp):
+            raise OSError(e.errno, e.strerror, str(path)) from None
         raise
 
 

@@ -14,10 +14,10 @@ has_normalizer must be true: every bundle carries the four z-score arrays.
 dataset_name and normalizer_fitted_on are strings, and sample_rate passes
 the one sample-rate rule, so a bundle always names the rate its features
 were extracted at and a null rate is refused. Unknown keys and arrays
-are refused. The network's arrays share one dtype and load in it: float32,
-or float64 for a bundle written before training moved to float32; the
-normalizer's arrays are float64. Any other bundle is refused, so a reloaded
-model reproduces predictions bit-exactly for the same code.
+are refused. The network's arrays are float32 (training.NETWORK_DTYPE) and
+the normalizer's float64; save_model refuses a network of any other dtype
+before it writes. Any other bundle is refused, so a reloaded model
+reproduces predictions bit-exactly for the same code.
 """
 
 from __future__ import annotations
@@ -29,18 +29,18 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from .dataset import _check_rate, _write_whole
 from .errors import DataError
 from .features import STD_FLOOR, FeatureConfig, Normalizer
 from .network import NetworkSpec, NetworkState, empty_network
+from .training import NETWORK_DTYPE
 
 FORMAT_VERSION = 1
 _META_KEY = "__meta__"
 # bundle name, Normalizer field and channel row of each normalizer array, in file order
 _NORM_ARRAYS = [(f"norm.{attr}{row + 1}", attr, row) for row in (0, 1) for attr in ("mean", "std")]
-_WEIGHT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-_NORM_DTYPES = (np.dtype(np.float64),)
 
 
 @dataclass
@@ -53,6 +53,11 @@ class ModelBundle:
 
 
 def save_model(path: str | Path, bundle: ModelBundle) -> None:
+    arrays = dict(bundle.state.parameters())
+    for name, arr in arrays.items():
+        if arr.dtype != NETWORK_DTYPE:
+            raise ValueError(f"weight array {name!r} has dtype {arr.dtype}, expected "
+                             f"{np.dtype(NETWORK_DTYPE)}")
     meta = {
         "format_version": FORMAT_VERSION,
         "network": bundle.state.spec.to_json(),
@@ -62,7 +67,6 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
         "has_normalizer": True,
         "normalizer_fitted_on": bundle.normalizer.fitted_on,
     }
-    arrays = {name: arr for name, arr in bundle.state.parameters()}
     for name, attr, row in _NORM_ARRAYS:
         arrays[name] = getattr(bundle.normalizer, attr)[row]
     with _write_whole(path, "wb") as fh:
@@ -74,7 +78,13 @@ def load_model(path: str | Path) -> ModelBundle:
     if not path.is_file():
         raise DataError(f"model file not found: {path}")
     try:
-        with np.load(path, allow_pickle=False) as data:
+        try:
+            data = np.load(path, allow_pickle=False)
+        except (EOFError, ValueError):  # empty, or neither a zip nor an .npy file
+            data = None
+        if not isinstance(data, NpzFile):  # an .npy file holds one array
+            raise DataError(f"{path}: not a model bundle")
+        with data:
             if _META_KEY not in data:
                 raise DataError(f"{path}: not a model bundle (missing metadata entry)")
             meta = json.loads(str(data[_META_KEY]))
@@ -113,20 +123,14 @@ def load_model(path: str | Path) -> ModelBundle:
         raise DataError(f"{path}: bad bundle metadata: {e}") from None
     if meta:
         raise DataError(f"{path}: unknown bundle metadata key {next(iter(meta))!r}")
-    # the first weight array sets the dtype every other one must have
-    dtypes, expected = _WEIGHT_DTYPES, "float32 or float64"
     for prefix, layer in state.layers():
         for attr in ("weights", "bias"):
             name, shape = f"{prefix}.{attr}", getattr(layer, attr).shape
-            arr = _bundle_array(path, arrays, "weight", name, shape, dtypes, expected)
-            setattr(layer, attr, arr)
-            if len(dtypes) > 1:
-                dtypes, expected = (arr.dtype,), f"{arr.dtype} like {name!r}"
+            setattr(layer, attr, _bundle_array(path, arrays, "weight", name, shape, NETWORK_DTYPE))
 
     rows = {"mean": [], "std": []}
     for name, attr, _ in _NORM_ARRAYS:
-        shape = (feature_config.nbins,)
-        arr = _bundle_array(path, arrays, "normalizer", name, shape, _NORM_DTYPES, "float64")
+        arr = _bundle_array(path, arrays, "normalizer", name, (feature_config.nbins,), np.float64)
         if not np.isfinite(arr).all():
             raise DataError(f"{path}: normalizer array {name!r} holds non-finite values")
         if attr == "std" and arr.min() < STD_FLOOR:
@@ -166,17 +170,15 @@ def _section(meta: dict, key: str, cls) -> object:
 
 
 def _bundle_array(
-    path: Path, arrays: dict, kind: str, name: str, shape: tuple, dtypes: tuple, expected: str
+    path: Path, arrays: dict, kind: str, name: str, shape: tuple, dtype: type
 ) -> np.ndarray:
-    """Pop bundle array ``name``, refused unless it is present, of ``shape`` and one of ``dtypes``.
-
-    ``expected`` words the accepted dtypes for the error message.
-    """
+    """Pop bundle array ``name``, refused unless it is present, of ``shape`` and of ``dtype``."""
     if name not in arrays:
         raise DataError(f"{path}: bundle is missing {kind} array {name!r}")
     arr = arrays.pop(name)
     if arr.shape != shape:
         raise DataError(f"{path}: {kind} array {name!r} has shape {arr.shape}, expected {shape}")
-    if arr.dtype not in dtypes:
-        raise DataError(f"{path}: {kind} array {name!r} has dtype {arr.dtype}, expected {expected}")
+    if arr.dtype != dtype:
+        raise DataError(f"{path}: {kind} array {name!r} has dtype {arr.dtype}, "
+                        f"expected {np.dtype(dtype)}")
     return arr

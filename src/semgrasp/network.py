@@ -74,12 +74,9 @@ def _ch2_queue() -> queue.SimpleQueue:
     global _ch2_jobs
     if _ch2_jobs is None:
         jobs = queue.SimpleQueue()
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
+        with _sigint_held():
             threading.Thread(target=_ch2_worker, args=(jobs,), name="semgrasp-ch2",
                              daemon=True).start()
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         _ch2_jobs = jobs
     return _ch2_jobs
 
@@ -143,6 +140,18 @@ def _openblas_threads():
 
 
 _BLAS_THREADS = _openblas_threads()
+
+
+@contextmanager
+def _sigint_held():
+    """Block SIGINT in this thread for the block, then restore the mask, so an
+    interrupt that came meanwhile is raised after it. A thread or process
+    started in the block starts with SIGINT blocked."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 @contextmanager

@@ -19,10 +19,10 @@ computed their gradients, the head's on the calling thread after both stacks
 finish. Every array gets the same ufunc calls as an update after backward
 would make, so the bytes are unchanged.
 
-The network trains and predicts in NETWORK_DTYPE (float32): the weights are
-drawn in float64, so the seed's random stream does not depend on it, and
-cast once. Features and the normalizer stay float64; the inputs are cast at
-the network boundary.
+The network trains and predicts in NETWORK_DTYPE (float32), the one dtype a
+model bundle stores weights in: they are drawn in float64, so the seed's
+random stream does not depend on it, and cast once. Features and the
+normalizer stay float64; the inputs are cast at the network boundary.
 """
 
 from __future__ import annotations

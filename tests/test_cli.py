@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import re
@@ -36,8 +37,8 @@ from semgrasp.features import (
     unstack_channels,
 )
 from semgrasp.model_io import ModelBundle, load_model, save_model
-from semgrasp.network import NetworkSpec, init_network
-from semgrasp.training import predict, predict_batch
+from semgrasp.network import NetworkSpec, cast_network, init_network
+from semgrasp.training import NETWORK_DTYPE, predict, predict_batch
 
 
 def _write_config(path, **overrides):
@@ -1148,6 +1149,35 @@ def test_failed_eval_leaves_the_previous_report_whole(trained_run, dataset_dir, 
 
 
 @pytest.mark.parametrize(
+    "command, out, blocker, failing, code",
+    [
+        # --out is an existing directory: the rename over it fails
+        ("extract", "out", "out/", "out", errno.EISDIR),
+        # --out lies under a regular file: the temporary file cannot be opened
+        ("extract", "afile/x.csv", "afile", "afile/x.csv", errno.ENOTDIR),
+        ("eval", "out", "out/confusion.csv/", "out/confusion.csv", errno.EISDIR),
+    ],
+    ids=["extract_out_is_a_directory", "extract_out_under_a_file", "eval_report_is_a_directory"],
+)
+def test_unwritable_output_is_one_line_naming_the_path_given(
+    trained_run, dataset_dir, tmp_path, capsys, command, out, blocker, failing, code
+):
+    if blocker.endswith("/"):
+        (tmp_path / blocker).mkdir(parents=True)
+    else:
+        (tmp_path / blocker).touch()
+    before = sorted(tmp_path.rglob("*"))
+    model = [str(trained_run / "model.bin")] if command == "eval" else []
+    assert main([command, *model, str(dataset_dir), "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"io error: [Errno {code}] {os.strerror(code)}: '{tmp_path / failing}'"
+    ]
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before  # no temporary file is left
+
+
+@pytest.mark.parametrize(
     "section, key, value",
     [("features_config", "log_floor", 1e-12), ("features_config", "normalization", "zscore"),
      ("network", "activation", "relu")],
@@ -1316,8 +1346,10 @@ def _inf_dense_weights(meta, arrays):
 
 
 def _retype(name, dtype):
+    """Retype array ``name``, or every weight array if ``name`` is None."""
     def edit(meta, arrays):
-        arrays[name] = arrays[name].astype(dtype)
+        for key in [name] if name else [k for k in arrays if not k.startswith("norm.")]:
+            arrays[key] = arrays[key].astype(dtype)
 
     return edit
 
@@ -1328,11 +1360,15 @@ def _retype(name, dtype):
         (_nan_head_bias, "model bundle gives non-finite probabilities"),
         (_inf_dense_weights, "model bundle gives non-finite probabilities"),
         (_retype("head.bias", np.float64),
-         "weight array 'head.bias' has dtype float64, expected float32 like 'ch1.conv0.weights'"),
+         "weight array 'head.bias' has dtype float64, expected float32"),
         (_retype("ch1.conv0.weights", np.complex128),
-         "weight array 'ch1.conv0.weights' has dtype complex128, expected float32 or float64"),
+         "weight array 'ch1.conv0.weights' has dtype complex128, expected float32"),
+        # every weight array in float64, as bundles were written before float32 training
+        (_retype(None, np.float64),
+         "weight array 'ch1.conv0.weights' has dtype float64, expected float32"),
     ],
-    ids=["nan_head_bias", "inf_dense_weights", "mixed_dtypes", "complex_weights"],
+    ids=["nan_head_bias", "inf_dense_weights", "mixed_dtypes", "complex_weights",
+         "float64_weights"],
 )
 @pytest.mark.parametrize("command", ["predict", "eval"])
 def test_unusable_bundle_weights_are_one_line_data_errors(
@@ -1350,6 +1386,31 @@ def test_unusable_bundle_weights_are_one_line_data_errors(
     assert caught == []
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"data error: {bad}: {message}"]
+    assert captured.out == "" and not out.exists()
+
+
+def _save_npy(path, record):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "write",
+    [lambda path, record: path.write_bytes(b""), _save_npy,
+     lambda path, record: shutil.copy(record, path)],
+    ids=["empty", "npy", "record_csv"],
+)
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_a_file_that_is_not_a_bundle_is_one_line(dataset_dir, tmp_path, capsys, write, command):
+    model = tmp_path / "model.bin"
+    record = dataset_dir / "rec00000.csv"
+    write(model, record)
+    out = tmp_path / "report"
+    target = record if command == "predict" else dataset_dir
+    argv = [command, str(model), str(target)] + (["--out", str(out)] if command == "eval" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"data error: {model}: not a model bundle"]
     assert captured.out == "" and not out.exists()
 
 
@@ -1453,8 +1514,8 @@ def _probe_bundle_layout():
     fcfg = FeatureConfig(**cfg["features_config"])
     spec = NetworkSpec.from_json({**cfg["network"], "input_bins": fcfg.nbins})
     stats = np.ones((2, fcfg.nbins))
-    bundle = ModelBundle(init_network(spec, np.random.default_rng(0)), fcfg,
-                         Normalizer(stats, stats), sample_rate=500.0)
+    state = cast_network(init_network(spec, np.random.default_rng(0)), NETWORK_DTYPE)
+    bundle = ModelBundle(state, fcfg, Normalizer(stats, stats), sample_rate=500.0)
     with tempfile.TemporaryDirectory() as tmp:
         save_model(Path(tmp) / "model.bin", bundle)
         with np.load(Path(tmp) / "model.bin") as data:

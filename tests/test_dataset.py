@@ -2,7 +2,10 @@ import math
 from collections import Counter
 import multiprocessing
 import os
+import signal
+import threading
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -394,6 +397,27 @@ def test_parallel_load_reads_a_dead_workers_chunks_in_process(tmp_path, monkeypa
     _assert_same_features(load_dataset(root, _TO_FEATURES), want_features)
     assert multiprocessing.active_children() == []
     assert capfd.readouterr().err == ""
+
+
+@needs_fork
+def test_interrupt_during_pool_shutdown_is_raised_once_the_workers_are_gone(tmp_path,
+                                                                           monkeypatch):
+    # an interrupt that lands in shutdown's weakref callbacks would be printed as
+    # "Exception ignored" and dropped; it is held until the pool is gone instead
+    root = _synthetic_dir(tmp_path, dataset._PARALLEL_MIN_RECORDS + 2)
+    _cores(monkeypatch, 2)
+    shutdown, finished = ProcessPoolExecutor.shutdown, []
+
+    def interrupted_shutdown(pool, *args, **kwargs):
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        shutdown(pool, *args, **kwargs)
+        finished.append(pool)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "shutdown", interrupted_shutdown)
+    with pytest.raises(KeyboardInterrupt):
+        load_dataset(root, keep_records)
+    assert len(finished) == 1
+    assert multiprocessing.active_children() == []
 
 
 def _record_count(root) -> int:

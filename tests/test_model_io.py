@@ -9,12 +9,12 @@ from semgrasp.errors import DataError
 from semgrasp.features import FeatureConfig, fit_normalizer
 from semgrasp.model_io import FORMAT_VERSION, ModelBundle, load_model, save_model
 from semgrasp.network import ConvSpec, NetworkSpec, cast_network, forward, init_network
-from semgrasp.training import TrainConfig, train
+from semgrasp.training import NETWORK_DTYPE, TrainConfig, train
 
 
 def _bundle(synth_features):
     spec = NetworkSpec(input_bins=32, conv_layers=[ConvSpec(4, 5, 2)], dense_units=8)
-    state = init_network(spec, np.random.default_rng(0))
+    state = cast_network(init_network(spec, np.random.default_rng(0)), NETWORK_DTYPE)
     return ModelBundle(
         state=state,
         feature_config=FeatureConfig(nbins=32),
@@ -80,7 +80,15 @@ def test_load_rejects_garbage_and_missing(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_model(tmp_path / "missing.bin")
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"not a zip at all")
+    # text, an empty file and a single .npy array are neither a zip nor a bundle
+    for write in (lambda fh: fh.write(b"not a zip at all"), lambda fh: None,
+                  lambda fh: np.save(fh, np.zeros(3))):
+        with open(bad, "wb") as fh:
+            write(fh)
+        with pytest.raises(DataError) as err:
+            load_model(bad)
+        assert str(err.value) == f"{bad}: not a model bundle"
+    bad.write_bytes(b"PK\x03\x04 a cut zip")
     with pytest.raises(DataError, match="cannot read"):
         load_model(bad)
 
@@ -162,8 +170,10 @@ def _drop(key):
 
 
 def _retype(name, dtype):
+    """Retype array ``name``, or every weight array if ``name`` is None."""
     def edit(meta, arrays):
-        arrays[name] = arrays[name].astype(dtype)
+        for key in [name] if name else [k for k in arrays if not k.startswith("norm.")]:
+            arrays[key] = arrays[key].astype(dtype)
 
     return edit
 
@@ -191,13 +201,15 @@ def _retype(name, dtype):
         (_retype("ch1.conv0.weights", str), "'ch1.conv0.weights' has dtype <U"),
         (_retype("norm.mean2", str), "'norm.mean2' has dtype <U"),
         (_retype("head.bias", np.complex128),
-         "'head.bias' has dtype complex128, expected float64 like 'ch1.conv0.weights'"),
+         "'head.bias' has dtype complex128, expected float32$"),
         (_retype("ch1.conv0.weights", np.complex128),
-         "'ch1.conv0.weights' has dtype complex128, expected float32 or float64"),
+         "'ch1.conv0.weights' has dtype complex128, expected float32$"),
         (_retype("ch1.conv0.weights", np.float16),
-         "'ch1.conv0.weights' has dtype float16, expected float32 or float64"),
-        (_retype("ch2.dense.weights", np.float32),
-         "'ch2.dense.weights' has dtype float32, expected float64 like 'ch1.conv0.weights'"),
+         "'ch1.conv0.weights' has dtype float16, expected float32$"),
+        (_retype("ch2.dense.weights", np.float64),
+         "'ch2.dense.weights' has dtype float64, expected float32$"),
+        # a whole float64 network, as bundles were written before float32 training
+        (_retype(None, np.float64), "'ch1.conv0.weights' has dtype float64, expected float32$"),
         (_retype("norm.std1", np.float32), "'norm.std1' has dtype float32, expected float64"),
         (_has_normalizer(False), "has_normalizer must be true, got False"),
         (_has_normalizer(True, "none"),
@@ -247,8 +259,9 @@ def _retype(name, dtype):
          "rate_negative", "rate_bool", "rate_nan", "rate_inf", "rate_huge_int", "rate_null",
          "cut_head_column", "missing_array", "short_std", "zero_std", "nan_mean",
          "string_weights", "string_normalizer", "complex_weights", "complex_first_weights",
-         "float16_weights", "mixed_weights", "float32_normalizer", "normalizer_false_zscore",
-         "normalizer_true_none", "normalizer_zero", "normalizer_one", "normalizer_string",
+         "float16_weights", "mixed_weights", "float64_weights", "float32_normalizer",
+         "normalizer_false_zscore", "normalizer_true_none", "normalizer_zero", "normalizer_one",
+         "normalizer_string",
          "normalizer_null", "normalizer_missing", "five_classes", "seven_classes",
          "huge_classes", "classes_missing", "float_classes", "bool_classes",
          "identity_activation", "int_activation", "activation_missing",
@@ -318,17 +331,44 @@ def test_trained_model_round_trips_through_disk(tmp_path, normalized_split):
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_bundle_loads_in_the_dtype_it_was_saved_in(tmp_path, synth_features, rng, dtype):
-    # float64 bundles predate float32 training; they load and predict in float64
+def test_bundle_loads_its_float32_weights_byte_for_byte(tmp_path, synth_features, rng):
     bundle = _bundle(synth_features)
-    bundle.state = cast_network(bundle.state, dtype)
     path = tmp_path / "model.bin"
     save_model(path, bundle)
     back = load_model(path)
     for (name, a), (back_name, b) in zip(bundle.state.parameters(), back.state.parameters()):
-        assert name == back_name and b.dtype == dtype
+        assert name == back_name and b.dtype == np.float32
         assert a.tobytes() == b.tobytes(), name
     x = rng.standard_normal((40, 2, 32))
     probs, _ = forward(bundle.state, x)
     np.testing.assert_array_equal(forward(back.state, x)[0], probs)
+
+
+def _float64_head_bias(state):
+    state.head.bias = state.head.bias.astype(np.float64)
+    return state
+
+
+@pytest.mark.parametrize(
+    "retype, message",
+    [
+        (lambda state: cast_network(state, np.float64),
+         "weight array 'ch1.conv0.weights' has dtype float64, expected float32"),
+        (lambda state: cast_network(state, np.float16),
+         "weight array 'ch1.conv0.weights' has dtype float16, expected float32"),
+        (_float64_head_bias, "weight array 'head.bias' has dtype float64, expected float32"),
+    ],
+    ids=["float64", "float16", "float64_head_bias"],
+)
+def test_save_refuses_a_network_that_is_not_float32(tmp_path, synth_features, retype, message):
+    # the network code runs any float dtype, but a bundle holds float32 weights
+    path = tmp_path / "model.bin"
+    save_model(path, _bundle(synth_features))
+    before = path.read_bytes()
+    other = _bundle(synth_features)
+    other.state = retype(other.state)
+    with pytest.raises(ValueError) as err:
+        save_model(path, other)
+    assert str(err.value) == message
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
